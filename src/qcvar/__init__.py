@@ -30,6 +30,7 @@ from .inference import (
     chi2_quantile,
     ci_coefficient_given_lambda,
     ci_lambda,
+    localisation,
     lr_coefficient,
     lr_lambda,
 )
@@ -56,7 +57,6 @@ from .limitdist import (
     lookup,
     quantiles_with_se,
     save_table,
-    simulate_statistic,
     simulate_statistics,
 )
 from .representation import (
@@ -83,6 +83,7 @@ from .spectral import (
     VarCoefficients,
     classify,
     companion,
+    constraint_matrices,
     half_life_to_radius,
     lambda_materialize,
     radius_to_half_life,

@@ -32,14 +32,7 @@ from .exceptions import (
     SingularDesignError,
     TableCoverageError,
 )
-from .inference import (
-    _merge_intervals,
-    chi2_quantile,
-    ci_coefficient_given_lambda,
-    ci_lambda,
-    lr_coefficient,
-    lr_lambda,
-)
+from .inference import bonferroni_ci, chi2_quantile, localisation, lr_coefficient, lr_lambda
 from .likelihood import LambdaGrid, make_design, ols_fit, profile_lambda
 from .limitdist import LimitDistConfig, build_table, load_table, lookup
 from .representation import irf
@@ -427,7 +420,7 @@ def cmd_lr(args) -> int:
     items = {"lr_lambda": stat.value}
     if args.table:
         table = load_table(args.table)
-        c_query = ds.n * (lam0 - np.eye(args.q))
+        c_query = localisation(ds.n, lam0, stat.fit_restricted, design)
         for level in table.levels:
             items[f"critical[{level:g}]"] = lookup(table, c_query, level)
     em.add_scalars("dynamics-block LR", items)
@@ -474,7 +467,7 @@ def cmd_ci(args) -> int:
         c_lo = ds.n * (rho - 1.0)
         c_step = max(0.5, ds.n * args.grid_step / 2.0)
         grid = list(np.arange(c_lo, 1e-9, c_step)) + [0.0]
-        table = build_table([np.array([[c]]) for c in grid], template, args.table)
+        table = build_table([c * np.eye(args.q) for c in grid], template, args.table)
         em.add_scalars("table", {"built": args.table, "nodes": len(table.entries)})
     else:
         raise TableCoverageError(
@@ -483,36 +476,28 @@ def cmd_ci(args) -> int:
 
     design = make_design(ds.values, args.k, args.det)
     grid = LambdaGrid(family="scalar", q=args.q, rho=rho, eig_step=args.grid_step)
-    block = ci_lambda(args.alpha1, ds.values, args.k, args.det, grid, table, design=design)
+    result = bonferroni_ci(
+        args.alpha1, args.alpha2, i, j, ds.values, args.k, args.det, grid, table, design=design
+    )
     em.add_table(
         "dynamics-block confidence set (accepted nodes)",
         ["lambda", "lr", "critical"],
-        [[float(lam[0, 0]), lr, crit] for _, lam, lr, crit in block.accepted],
+        [[float(lam[0, 0]), lr, crit] for _, lam, lr, crit in result.accepted],
     )
-    pieces = []
-    cond_rows = []
-    if block.accepted:
-        lams = [lam for _, lam, _, _ in block.accepted]
-    else:
-        prof = profile_lambda(grid, ds.values, args.k, args.det, design=design)
-        lams = [prof.best_lam]
+    if not result.accepted:
         em.add_scalars("warning", {"message": "empty block set; using grid argmax fallback"})
-    for lam in lams:
-        cset = ci_coefficient_given_lambda(
-            args.alpha2, i, j, lam, ds.values, args.k, args.det, design=design
-        )
-        for lo, hi in cset.intervals:
-            cond_rows.append([float(lam[0, 0]), lo, hi])
-            pieces.append((lo, hi))
-    em.add_table("conditional intervals", ["lambda", "lo", "hi"], cond_rows)
-    merged = _merge_intervals(pieces)
-    em.add_table("bonferroni confidence set", ["lo", "hi"], [[lo, hi] for lo, hi in merged])
+    em.add_table(
+        "conditional intervals",
+        ["lambda", "lo", "hi"],
+        [[float(lam[0, 0]), lo, hi] for lam, lo, hi in result.conditional],
+    )
+    em.add_table("bonferroni confidence set", ["lo", "hi"], [[lo, hi] for lo, hi in result.intervals])
     em.add_scalars(
         "levels",
         {
             "alpha1": args.alpha1,
             "alpha2": args.alpha2,
-            "overall_level": 1.0 - args.alpha1 - args.alpha2,
+            "overall_level": result.level,
         },
     )
     em.emit()
@@ -613,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--q", type=int, required=True)
     sub.add_argument("--det", choices=("trend", "const", "none"), default="trend")
-    sub.add_argument("--family", choices=("scalar", "symmetric", "normal"), default="scalar")
+    sub.add_argument("--family", choices=("scalar", "symmetric"), default="scalar")
     sub.add_argument("--grid-step", type=float, default=None, dest="grid_step",
                      help="eigenvalue grid step (default 0.005 scalar, 0.01 symmetric)")
     add_rho_group(sub)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .exceptions import ConstructionError, DomainError
-from .spectral import VarCoefficients, companion, roots
+from .spectral import VarCoefficients, companion, constraint_matrices, roots
 
 __all__ = [
     "DgpSpec",
@@ -137,16 +137,6 @@ def _draw_stable_base(rng: np.random.Generator, p: int, k: int, radius: float) -
     raise ConstructionError("could not draw a nondegenerate stable base")
 
 
-def _stacked_near_basis(r_near: np.ndarray, lam: np.ndarray, k: int) -> np.ndarray:
-    """col{r_near @ lam^(k-i)} for i = 1..k (the kp-by-q constraint matrix)."""
-    blocks = []
-    power = np.eye(lam.shape[0])
-    for _ in range(k):
-        blocks.append(r_near @ power)
-        power = power @ lam
-    return np.vstack(blocks[::-1])
-
-
 def build_var(
     a: np.ndarray,
     lam_near: np.ndarray,
@@ -212,7 +202,7 @@ def build_var(
     if floor <= 0:
         raise DomainError("near-unit eigenvalues leave no room for stable roots below them")
 
-    r_near = np.vstack([a, np.eye(q)])
+    r_near, M, N = constraint_matrices(a, lam_near, k)
 
     if isinstance(stationary, tuple):
         if k != 1:
@@ -249,8 +239,6 @@ def build_var(
         candidates = None
         redraw = True
 
-    M = _stacked_near_basis(r_near, lam_near, k)
-    N = r_near @ np.linalg.matrix_power(lam_near, k)
     gram_solve = np.linalg.solve(M.T @ M, M.T)  # (M^T M)^{-1} M^T
 
     target_radius = stable_radius if stable_radius is not None else min(0.6 * floor, 0.5)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
-from .exceptions import NumericalError, QcvarError, TableCoverageError
+from .exceptions import DomainError, NumericalError, QcvarError, TableCoverageError
 from .likelihood import (
     Design,
     FitResult,
@@ -41,6 +41,7 @@ __all__ = [
     "chi2_quantile",
     "lr_lambda",
     "lr_coefficient",
+    "localisation",
     "ci_lambda",
     "ci_coefficient_given_lambda",
     "bonferroni_ci",
@@ -88,8 +89,10 @@ class ConfidenceSet:
     For the dynamics block, ``accepted`` holds the accepted grid nodes
     as (param, lam, lr, critical value) tuples.  For scalar
     coefficients, ``intervals`` is a minimal union of disjoint [lo, hi]
-    pairs and ``hull`` their envelope.  ``diagnostics`` records grid
-    resolution, failed fits and fallback events.
+    pairs and ``hull`` their envelope.  A Bonferroni set also keeps the
+    conditional pieces it unites in ``conditional``, as (lam, lo, hi)
+    tuples.  ``diagnostics`` records grid resolution, failed fits and
+    fallback events.
     """
 
     kind: str
@@ -98,6 +101,7 @@ class ConfidenceSet:
     accepted: tuple = ()
     hull: Optional[tuple] = None
     diagnostics: tuple = ()
+    conditional: tuple = ()
 
     def contains(self, value: float) -> bool:
         return any(lo - 1e-12 <= value <= hi + 1e-12 for lo, hi in self.intervals)
@@ -192,18 +196,20 @@ def lr_coefficient(
     )
 
 
-def _plugin_c_star(n: int, lam0: np.ndarray, fit: FitResult, dz: Design) -> np.ndarray:
+def localisation(n: int, lam0: np.ndarray, fit: FitResult, design: Design) -> np.ndarray:
     """Feasible localisation argument n(lam0 - I), similarity-transformed.
 
-    For q = 1 the transform is the identity.  For q >= 2 the plug-in
-    scale is ``l_near' sigma l_near`` computed from the restricted fit.
+    This is the point at which the block LR statistic at ``lam0`` looks
+    up its critical value.  For q = 1 the transform is the identity.
+    For q >= 2 the plug-in scale is ``l_near' sigma l_near`` computed
+    from ``fit``, the restricted fit at ``lam0``.
     """
     q = lam0.shape[0]
     c_raw = n * (lam0 - np.eye(q))
     if q == 1:
         return c_raw
     sp = fit.split if fit.split is not None else split(fit.coeffs, q, warn_ill_conditioned=False)
-    delta = sp.l_near.T @ dz.sigma_ols @ sp.l_near
+    delta = sp.l_near.T @ design.sigma_ols @ sp.l_near
     return c_star(c_raw, 0.5 * (delta + delta.T))
 
 
@@ -221,8 +227,7 @@ def ci_lambda(
     """Level 1 - alpha1 confidence set for the near-unit dynamics block.
 
     Scans the grid and accepts the nodes whose LR statistic is at most
-    the tabulated quantile at the localisation point n(lambda0 - I_q)
-    (similarity-transformed by the plug-in scale for q >= 2).
+    the tabulated quantile at :func:`localisation` of the node.
 
     Raises
     ------
@@ -243,10 +248,11 @@ def ci_lambda(
             diagnostics.append(f"grid point {lam.tolist()} failed: {exc}")
             continue
         value = _clamp_lr(2.0 * (ref_loglik - fit.loglik), "ci_lambda")
+        c_query = localisation(n, lam, fit, dz)
         try:
-            crit = lookup(table, _plugin_c_star(n, lam, fit, dz), level)
+            crit = lookup(table, c_query, level)
         except TableCoverageError:
-            missing.append(n * (lam - np.eye(lam.shape[0])))
+            missing.append(c_query)
             continue
         if value <= crit:
             accepted.append((param, lam, value, crit))
@@ -419,13 +425,14 @@ def bonferroni_ci(
     """Bonferroni confidence set for a[i, j] at level 1 - alpha1 - alpha2.
 
     Unions the conditional coefficient intervals over every dynamics
-    block accepted by :func:`ci_lambda`.  If the block confidence set is
-    empty at the grid resolution, the conditional interval at the grid
-    argmax is returned with a prominent warning (a documented fallback;
-    an empty set would be uninformative).
+    block accepted by :func:`ci_lambda` and keeps the pieces in
+    ``conditional``.  If the block confidence set is empty at the grid
+    resolution, the conditional interval at the grid argmax is returned
+    with a prominent warning (a documented fallback; an empty set would
+    be uninformative).
     """
     if not 0.0 < alpha1 + alpha2 < 1.0:
-        raise QcvarError("alpha1 + alpha2 must lie in (0, 1)")
+        raise DomainError("alpha1 + alpha2 must lie in (0, 1)")
     dz = _as_design(data, k, det, design)
     block_set = ci_lambda(
         alpha1, data, k, det, lambda_space, table, reference=reference, design=dz
@@ -444,14 +451,14 @@ def bonferroni_ci(
         prof = profile_lambda(lambda_space, data, k, det, design=dz)
         lams = [prof.best_lam]
 
-    pieces = []
+    conditional = []
     for lam in lams:
         cset = ci_coefficient_given_lambda(
             alpha2, i, j, lam, data, k, det, design=dz
         )
         diagnostics.extend(cset.diagnostics)
-        pieces.extend(cset.intervals)
-    intervals = _merge_intervals(pieces)
+        conditional.extend((lam, lo, hi) for lo, hi in cset.intervals)
+    intervals = _merge_intervals([(lo, hi) for _, lo, hi in conditional])
     return ConfidenceSet(
         kind="bonferroni",
         level=1.0 - alpha1 - alpha2,
@@ -459,4 +466,5 @@ def bonferroni_ci(
         accepted=block_set.accepted,
         hull=(intervals[0][0], intervals[-1][1]) if intervals else None,
         diagnostics=tuple(diagnostics),
+        conditional=tuple(conditional),
     )

@@ -27,7 +27,9 @@ from .exceptions import (
     QcvarError,
     SingularDesignError,
 )
-from .spectral import LambdaParam, SpectralSplit, VarCoefficients, lambda_materialize, split
+from .spectral import (
+    LambdaParam, SpectralSplit, VarCoefficients, constraint_matrices, lambda_materialize, split,
+)
 
 __all__ = [
     "DET_CASES",
@@ -247,21 +249,6 @@ def concentrated_loglik(
     return -0.5 * dz.n_eff * logdet - 0.5 * quad
 
 
-def _constraint_matrices(a: np.ndarray, lam0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (r_near, M, N) of the linear constraint Phi M = N."""
-    q = lam0.shape[0]
-    a = np.asarray(a, dtype=float).reshape(-1, q)
-    r_near = np.vstack([a, np.eye(q)])
-    blocks = []
-    power = np.eye(q)
-    for _ in range(k):
-        blocks.append(r_near @ power)
-        power = power @ lam0
-    M = np.vstack(blocks[::-1])
-    N = r_near @ power  # power == lam0^k after the loop
-    return r_near, M, N
-
-
 def restricted_fit(
     a: np.ndarray,
     lam0: np.ndarray,
@@ -291,7 +278,7 @@ def restricted_fit(
         res = ols_fit(data, k, det, design=dz)
         return replace(res, constraint_residual=0.0, a_hat=a, lam0=lam0)
 
-    _, M, N = _constraint_matrices(a, lam0, k)
+    _, M, N = constraint_matrices(a, lam0, k)
     K = np.vstack([np.zeros((dz.n_det, q)), M])
     QK = dz.Q @ K
     KQK = K.T @ QK
@@ -516,7 +503,7 @@ def rrr_fit(
 
     resid_norm = None
     if a_hat is not None and q > 0:
-        _, M, N = _constraint_matrices(a_hat, lam0, k)
+        _, M, N = constraint_matrices(a_hat, lam0, k)
         resid_norm = float(np.linalg.norm(coeffs.stacked @ M - N))
     return FitResult(
         coeffs=coeffs,

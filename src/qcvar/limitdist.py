@@ -29,6 +29,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .exceptions import DomainError, NumericalError, TableCoverageError
+from .likelihood import DET_CASES
 
 logger = logging.getLogger("qcvar.limitdist")
 
@@ -37,7 +38,6 @@ __all__ = [
     "TableEntry",
     "QuantileTable",
     "c_star",
-    "simulate_statistic",
     "simulate_statistics",
     "quantiles_with_se",
     "build_table",
@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 _TABLE_VERSION = "1"
-_DET_CASES = ("trend", "const", "none")
 _CHUNK = 2048
 
 
@@ -91,8 +90,8 @@ class LimitDistConfig:
     levels: tuple = (0.90, 0.95, 0.99)
 
     def __post_init__(self):
-        if self.det not in _DET_CASES:
-            raise DomainError(f"det must be one of {_DET_CASES}")
+        if self.det not in DET_CASES:
+            raise DomainError(f"det must be one of {DET_CASES}")
         if self.steps < 100:
             raise DomainError("steps must be at least 100")
         if self.reps < 1000:
@@ -147,11 +146,6 @@ def _simulate_chunk(config: LimitDistConfig, rep_indices: Sequence[int]) -> np.n
         solved = np.linalg.solve(s2[good], np.transpose(s1[good], (0, 2, 1)))
         stats[good] = np.einsum("mqr,mrq->m", s1[good], solved)
     return stats
-
-
-def simulate_statistic(config: LimitDistConfig, rep_index: int) -> float:
-    """One replication of the limit statistic, deterministic in (config.seed, rep_index)."""
-    return float(_simulate_chunk(config, [rep_index])[0])
 
 
 def simulate_statistics(

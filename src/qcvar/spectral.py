@@ -40,6 +40,7 @@ __all__ = [
     "classify",
     "split",
     "reconstruct",
+    "constraint_matrices",
     "lambda_materialize",
     "half_life_to_radius",
     "radius_to_half_life",
@@ -453,12 +454,33 @@ def reconstruct(split_: SpectralSplit) -> np.ndarray:
     return split_.big_r @ split_.lam @ split_.big_l.T
 
 
+def constraint_matrices(a: np.ndarray, lam: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return (r_near, M, N) of the linear constraint ``Phi @ M = N``.
+
+    ``r_near = [a; I_q]``, ``M = col{r_near @ lam^(k-i)}`` for i = 1..k
+    (kp-by-q) and ``N = r_near @ lam^k``: the stacked lag coefficients
+    satisfy it exactly when [a; I_q] spans a right invariant subspace of
+    the companion matrix with dynamics ``lam``.
+    """
+    q = lam.shape[0]
+    a = np.asarray(a, dtype=float).reshape(-1, q)
+    r_near = np.vstack([a, np.eye(q)])
+    blocks = []
+    power = np.eye(q)
+    for _ in range(k):
+        blocks.append(r_near @ power)
+        power = power @ lam
+    M = np.vstack(blocks[::-1])
+    N = r_near @ power  # power == lam^k after the loop
+    return r_near, M, N
+
+
 @dataclass(frozen=True)
 class LambdaParam:
     """Parametrised point of the near-unit dynamics search space.
 
     ``family`` is one of ``"scalar"`` (lam * I_q), ``"symmetric"``
-    (Q diag(eигs) Q^T) or ``"normal"`` (Q D Q^T with D block diagonal,
+    (Q diag(eigs) Q^T) or ``"normal"`` (Q D Q^T with D block diagonal,
     2-by-2 blocks [[a, b], [-b, a]] for complex pairs a +/- ib).  Q is
     the product of the q(q-1)/2 plane rotations taken in lexicographic
     plane order (1,2), (1,3), ..., (q-1,q).

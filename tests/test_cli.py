@@ -4,9 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from qcvar.cli import ingest_csv, main
+from conftest import make_instance
+from qcvar.cli import _round15, ingest_csv, main
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
 from qcvar.exceptions import DomainError
+from qcvar.inference import bonferroni_ci, localisation, lr_lambda
+from qcvar.likelihood import LambdaGrid, make_design
+from qcvar.limitdist import LimitDistConfig, build_table, load_table, lookup
 
 
 def write_csv(path, names, values):
@@ -201,3 +205,101 @@ class TestCommands:
                   "--rho", "0.9", "--half-life", "8"])
         capsys.readouterr()
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def q1_inputs(tmp_path_factory):
+    """A p=2 dataset and a small q=1 table whose levels include 1 - 0.6."""
+    tmp = tmp_path_factory.mktemp("q1")
+    base = NearUnitBase(
+        a=np.array([[1.0]]), k=1,
+        stationary=(np.array([[1.0], [0.0]]), np.array([[0.4]])),
+    )
+    ls = local_sequence(np.array([[-5.0]]), 250, base)
+    y, _ = simulate(DgpSpec.simple(ls.realized, 250), 4)
+    data_path = tmp / "y.csv"
+    write_csv(data_path, ["s1", "s2"], y)
+    template = LimitDistConfig(q=1, c_star=np.zeros((1, 1)), det="trend", steps=100,
+                               reps=1000, seed=5, levels=(0.4, 0.9, 0.95, 0.975, 0.99))
+    table_path = str(tmp / "cv.tbl")
+    build_table([np.array([[c]]) for c in np.arange(-30.0, 0.5, 5.0)], template, table_path)
+    return str(data_path), y, table_path
+
+
+def _ci_argv(data_path, table_path, alpha1="0.025", alpha2="0.025"):
+    return ["ci", "--data", data_path, "--k", "1", "--q", "1", "--rho", "0.9",
+            "--alpha1", alpha1, "--alpha2", alpha2, "--coef", "0,0",
+            "--table", table_path, "--grid-step", "0.02"]
+
+
+class TestSharedInference:
+    def test_ci_renders_bonferroni_ci(self, q1_inputs, tmp_path):
+        data_path, y, table_path = q1_inputs
+        out_path = tmp_path / "ci.json"
+        rc = main(_ci_argv(data_path, table_path) + ["--format", "json", "--output", str(out_path)])
+        assert rc == 0
+        sections = {s["title"]: s for s in json.loads(open(out_path).read())["sections"]}
+        grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.02)
+        want = bonferroni_ci(0.025, 0.025, 0, 0, y, 1, "trend", grid, load_table(table_path))
+        assert want.intervals
+        assert sections["bonferroni confidence set"]["rows"] == [
+            [_round15(lo), _round15(hi)] for lo, hi in want.intervals
+        ]
+        assert sections["conditional intervals"]["rows"] == [
+            [_round15(lam[0, 0]), _round15(lo), _round15(hi)] for lam, lo, hi in want.conditional
+        ]
+
+    def test_ci_alpha_budget_exit_code(self, q1_inputs, capsys):
+        data_path, _, table_path = q1_inputs
+        rc = main(_ci_argv(data_path, table_path, alpha1="0.6", alpha2="0.5"))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "overall_level" not in captured.out
+        assert "alpha1 + alpha2" in captured.err
+
+    def test_lr_nonscalar_lambda0_uses_shared_localisation(self, tmp_path):
+        n = 200
+        y, _ = simulate(DgpSpec.simple(make_instance(3, p=3, k=1, q=2), n), 1)
+        data_path = tmp_path / "y.csv"
+        write_csv(data_path, ["s1", "s2", "s3"], y)
+        lam0 = np.array([[0.99, 0.01], [0.01, 0.97]])
+        design = make_design(y, 1, "trend")
+        fit = lr_lambda(lam0, y, 1, "trend", design=design).fit_restricted
+        c_plugin = localisation(n, lam0, fit, design)
+        c_raw = n * (lam0 - np.eye(2))
+        assert np.linalg.norm(c_plugin - c_raw) > 1.0
+        # one node at each candidate argument, so the two lookups must differ
+        template = LimitDistConfig(q=2, c_star=np.zeros((2, 2)), det="trend",
+                                   steps=100, reps=1000, seed=2)
+        table_path = str(tmp_path / "cv2.tbl")
+        table = build_table([c_raw, c_plugin], template, table_path)
+        out_path = tmp_path / "lr.json"
+        rc = main([
+            "lr", "--data", str(data_path), "--k", "1", "--q", "2",
+            "--lambda0", "0.99,0.01,0.01,0.97", "--table", table_path,
+            "--format", "json", "--output", str(out_path),
+        ])
+        assert rc == 0
+        sections = {s["title"]: s for s in json.loads(open(out_path).read())["sections"]}
+        values = sections["dynamics-block LR"]["values"]
+        for level in table.levels:
+            want = lookup(table, c_plugin, level)
+            assert want != lookup(table, c_raw, level)
+            assert values[f"critical[{level:g}]"] == _round15(want)
+
+    def test_ci_build_table_q2(self, tmp_path, capsys):
+        y, _ = simulate(DgpSpec.simple(make_instance(3, p=3, k=1, q=2), 100), 1)
+        data_path = tmp_path / "y.csv"
+        write_csv(data_path, ["s1", "s2", "s3"], y)
+        table_path = tmp_path / "cv2.tbl"
+        rc = main([
+            "ci", "--data", str(data_path), "--k", "1", "--q", "2", "--rho", "0.9",
+            "--coef", "0,0", "--table", str(table_path), "--build-table",
+            "--reps", "1000", "--steps", "100", "--grid-step", "0.05",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        table = load_table(str(table_path))
+        assert table.q == 2
+        assert all(np.array_equal(e.c, e.c[0, 0] * np.eye(2)) for e in table.entries)
+        assert "bonferroni confidence set" in out

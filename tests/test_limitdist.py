@@ -6,12 +6,12 @@ from qcvar.exceptions import DomainError, TableCoverageError
 from qcvar.limitdist import (
     LimitDistConfig,
     _detrend_coefficients,
+    _simulate_chunk,
     build_table,
     c_star,
     load_table,
     lookup,
     quantiles_with_se,
-    simulate_statistic,
     simulate_statistics,
 )
 
@@ -51,7 +51,7 @@ class TestSimulateStatistic:
 
     def test_single_matches_batch(self):
         stats_, _ = simulate_statistics(self.CFG, 64)
-        assert simulate_statistic(self.CFG, 17) == stats_[17]
+        assert _simulate_chunk(self.CFG, [17])[0] == stats_[17]
 
     def test_seed_reproducibility(self):
         a, _ = simulate_statistics(self.CFG, 256)
