@@ -27,6 +27,7 @@ from .inference import (
     ConfidenceSet,
     LrStatistic,
     bonferroni_ci,
+    bonferroni_level,
     chi2_quantile,
     ci_coefficient_given_lambda,
     ci_lambda,

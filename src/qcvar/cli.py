@@ -32,7 +32,9 @@ from .exceptions import (
     SingularDesignError,
     TableCoverageError,
 )
-from .inference import bonferroni_ci, chi2_quantile, localisation, lr_coefficient, lr_lambda
+from .inference import (
+    bonferroni_ci, bonferroni_level, chi2_quantile, localisation, lr_coefficient, lr_lambda,
+)
 from .likelihood import LambdaGrid, make_design, ols_fit, profile_lambda
 from .limitdist import LimitDistConfig, build_table, load_table, lookup
 from .representation import irf
@@ -428,7 +430,10 @@ def cmd_lr(args) -> int:
         if args.a0 is None:
             raise DomainError("--coef requires --a0")
         i, j = args.coef
-        cstat = lr_coefficient(args.a0, i, j, lam0, ds.values, args.k, args.det, design=design)
+        cstat = lr_coefficient(
+            args.a0, i, j, lam0, ds.values, args.k, args.det,
+            design=design, fit_at_lambda0=stat.fit_restricted,
+        )
         em.add_scalars(
             "coefficient LR",
             {
@@ -456,6 +461,7 @@ def cmd_ci(args) -> int:
     for note in notices:
         em.add_scalars("notice", {"message": note})
 
+    bonferroni_level(args.alpha1, args.alpha2)  # reject a bad budget before any simulation
     if os.path.exists(args.table):
         table = load_table(args.table)
     elif args.build_table:
@@ -466,7 +472,8 @@ def cmd_ci(args) -> int:
         )
         c_lo = ds.n * (rho - 1.0)
         c_step = max(0.5, ds.n * args.grid_step / 2.0)
-        grid = list(np.arange(c_lo, 1e-9, c_step)) + [0.0]
+        # the arange may end at a float-drift neighbour of 0, which is the node at 0
+        grid = [c for c in np.arange(c_lo, 1e-9, c_step) if abs(c) > 1e-9] + [0.0]
         table = build_table([c * np.eye(args.q) for c in grid], template, args.table)
         em.add_scalars("table", {"built": args.table, "nodes": len(table.entries)})
     else:

@@ -31,6 +31,9 @@ __all__ = [
 #: smallest near-unit eigenvalue.
 ROOT_GAP = 1e-3
 
+#: Stable base draws tried before construction gives up.
+MAX_TRIES = 50
+
 
 @dataclass(frozen=True)
 class DgpSpec:
@@ -68,16 +71,10 @@ class DgpSpec:
         object.__setattr__(self, "delta", delta)
 
     @classmethod
-    def simple(cls, coeffs: VarCoefficients, n: int, sigma: Optional[np.ndarray] = None) -> "DgpSpec":
-        """Spec with zero deterministics and identity (or given) noise."""
+    def simple(cls, coeffs: VarCoefficients, n: int) -> "DgpSpec":
+        """Spec with zero deterministics and identity noise."""
         p = coeffs.p
-        return cls(
-            coeffs=coeffs,
-            sigma=np.eye(p) if sigma is None else sigma,
-            mu=np.zeros(p),
-            delta=np.zeros(p),
-            n=n,
-        )
+        return cls(coeffs=coeffs, sigma=np.eye(p), mu=np.zeros(p), delta=np.zeros(p), n=n)
 
 
 @dataclass(frozen=True)
@@ -145,9 +142,6 @@ def build_var(
     stationary: Union[np.ndarray, tuple, None] = None,
     seed: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
-    gap: float = ROOT_GAP,
-    stable_radius: Optional[float] = None,
-    max_tries: int = 50,
     max_modulus: float = 1.0,
 ) -> VarCoefficients:
     """Construct VAR(k) coefficients with prescribed near-unit block.
@@ -172,10 +166,9 @@ def build_var(
         list of k blocks), or a ``(r_stable, lam_stable)`` pair for the
         exact similarity construction (k = 1 only).  When omitted, a
         stable base is drawn from ``rng``/``seed`` and redrawn (up to
-        ``max_tries``) until the remaining roots clear the gap.
-    gap : float
-        Required modulus margin between stable roots and the smallest
-        near-unit eigenvalue.
+        ``MAX_TRIES`` times) until the remaining roots clear the
+        ``ROOT_GAP`` modulus margin below the smallest near-unit
+        eigenvalue.
 
     Raises
     ------
@@ -198,7 +191,7 @@ def build_var(
         raise DomainError(
             f"near-unit eigenvalue modulus {near_mods.max():.6g} exceeds {max_modulus}"
         )
-    floor = near_mods.min() - gap
+    floor = near_mods.min() - ROOT_GAP
     if floor <= 0:
         raise DomainError("near-unit eigenvalues leave no room for stable roots below them")
 
@@ -241,9 +234,9 @@ def build_var(
 
     gram_solve = np.linalg.solve(M.T @ M, M.T)  # (M^T M)^{-1} M^T
 
-    target_radius = stable_radius if stable_radius is not None else min(0.6 * floor, 0.5)
+    target_radius = min(0.6 * floor, 0.5)
     offending = None
-    tries = max_tries if redraw else 1
+    tries = MAX_TRIES if redraw else 1
     for _ in range(tries):
         base = candidates[0] if not redraw else _draw_stable_base(rng, p, k, target_radius)
         phi = base + (N - base @ M) @ gram_solve

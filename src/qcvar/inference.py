@@ -44,6 +44,7 @@ __all__ = [
     "localisation",
     "ci_lambda",
     "ci_coefficient_given_lambda",
+    "bonferroni_level",
     "bonferroni_ci",
 ]
 
@@ -51,6 +52,9 @@ logger = logging.getLogger("qcvar.inference")
 
 #: LR values this far below zero indicate an optimizer inconsistency.
 LR_SLACK = 1e-8
+
+#: Points of the scan that detects a multimodal coefficient profile.
+SCAN_POINTS = 21
 
 
 def chi2_quantile(level: float) -> float:
@@ -208,7 +212,7 @@ def localisation(n: int, lam0: np.ndarray, fit: FitResult, design: Design) -> np
     c_raw = n * (lam0 - np.eye(q))
     if q == 1:
         return c_raw
-    sp = fit.split if fit.split is not None else split(fit.coeffs, q, warn_ill_conditioned=False)
+    sp = split(fit.coeffs, q, warn_ill_conditioned=False)
     delta = sp.l_near.T @ design.sigma_ols @ sp.l_near
     return c_star(c_raw, 0.5 * (delta + delta.T))
 
@@ -263,18 +267,10 @@ def ci_lambda(
             f"localisation values include {listed}"
         )
     intervals = ()
-    if lambda_space.family == "scalar" and accepted:
-        lams = sorted(float(lam[0, 0]) for _, lam, _, _ in accepted)
-        runs = []
-        start = prev = lams[0]
-        step = lambda_space.resolved_eig_step * 1.5
-        for v in lams[1:]:
-            if v - prev > step:
-                runs.append((start, prev))
-                start = v
-            prev = v
-        runs.append((start, prev))
-        intervals = tuple(runs)
+    if lambda_space.family == "scalar":
+        # nodes further apart than one grid step start a new run
+        lams = [float(lam[0, 0]) for _, lam, _, _ in accepted]
+        intervals = _merge_intervals([(v, v) for v in lams], 1.5 * lambda_space.resolved_eig_step)
     return ConfidenceSet(
         kind="lambda",
         level=level,
@@ -283,12 +279,6 @@ def ci_lambda(
         hull=(intervals[0][0], intervals[-1][1]) if intervals else None,
         diagnostics=tuple(diagnostics),
     )
-
-
-def _lr_of(a0: float, i, j, lambda0, data, k, det, dz, fit_u) -> float:
-    return lr_coefficient(
-        a0, i, j, lambda0, data, k, det, design=dz, fit_at_lambda0=fit_u
-    ).value
 
 
 def ci_coefficient_given_lambda(
@@ -301,8 +291,6 @@ def ci_coefficient_given_lambda(
     det: str,
     *,
     design: Optional[Design] = None,
-    fit_at_lambda0: Optional[FitResult] = None,
-    scan_points: int = 21,
 ) -> ConfidenceSet:
     """Conditional confidence interval for a[i, j] given the dynamics block.
 
@@ -314,14 +302,13 @@ def ci_coefficient_given_lambda(
     """
     dz = _as_design(data, k, det, design)
     lambda0 = np.atleast_2d(np.asarray(lambda0, dtype=float))
-    fit_u = fit_at_lambda0 if fit_at_lambda0 is not None else profile_a(
-        lambda0, data, k, det, design=dz
-    )
+    fit_u = profile_a(lambda0, data, k, det, design=dz)
     center = float(fit_u.a_hat[i, j])
     threshold = chi2_quantile(1.0 - alpha2)
 
     def g(a0: float) -> float:
-        return _lr_of(a0, i, j, lambda0, data, k, det, dz, fit_u) - threshold
+        lr = lr_coefficient(a0, i, j, lambda0, data, k, det, design=dz, fit_at_lambda0=fit_u)
+        return lr.value - threshold
 
     # curvature-based initial half-width: LR ~ curv * (a - center)^2
     h = 1e-4 * (1.0 + abs(center))
@@ -361,7 +348,7 @@ def ci_coefficient_given_lambda(
         )
 
     # scan for multimodality across the bracketed range
-    grid = np.linspace(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), scan_points)
+    grid = np.linspace(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), SCAN_POINTS)
     values = np.array([g(v) for v in grid])
     inside = values <= 0.0
     runs = []
@@ -397,15 +384,26 @@ def ci_coefficient_given_lambda(
     )
 
 
-def _merge_intervals(intervals: Sequence[tuple]) -> tuple:
+def _merge_intervals(intervals: Sequence[tuple], gap: float) -> tuple:
+    """Union of [lo, hi] pairs, joining pieces at most ``gap`` apart."""
     items = sorted(intervals)
     merged = []
     for lo, hi in items:
-        if merged and lo <= merged[-1][1] + 1e-12:
+        if merged and lo <= merged[-1][1] + gap:
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))
     return tuple(merged)
+
+
+def bonferroni_level(alpha1: float, alpha2: float) -> float:
+    """Overall level 1 - alpha1 - alpha2 of a Bonferroni set.
+
+    Raises :class:`DomainError` unless alpha1 + alpha2 lies in (0, 1).
+    """
+    if not 0.0 < alpha1 + alpha2 < 1.0:
+        raise DomainError("alpha1 + alpha2 must lie in (0, 1)")
+    return 1.0 - alpha1 - alpha2
 
 
 def bonferroni_ci(
@@ -419,7 +417,6 @@ def bonferroni_ci(
     lambda_space: LambdaGrid,
     table: QuantileTable,
     *,
-    reference: str = "ols",
     design: Optional[Design] = None,
 ) -> ConfidenceSet:
     """Bonferroni confidence set for a[i, j] at level 1 - alpha1 - alpha2.
@@ -431,12 +428,9 @@ def bonferroni_ci(
     with a prominent warning (a documented fallback; an empty set would
     be uninformative).
     """
-    if not 0.0 < alpha1 + alpha2 < 1.0:
-        raise DomainError("alpha1 + alpha2 must lie in (0, 1)")
+    level = bonferroni_level(alpha1, alpha2)
     dz = _as_design(data, k, det, design)
-    block_set = ci_lambda(
-        alpha1, data, k, det, lambda_space, table, reference=reference, design=dz
-    )
+    block_set = ci_lambda(alpha1, data, k, det, lambda_space, table, design=dz)
     diagnostics = list(block_set.diagnostics)
     if block_set.accepted:
         lams = [lam for _, lam, _, _ in block_set.accepted]
@@ -458,10 +452,10 @@ def bonferroni_ci(
         )
         diagnostics.extend(cset.diagnostics)
         conditional.extend((lam, lo, hi) for lo, hi in cset.intervals)
-    intervals = _merge_intervals([(lo, hi) for _, lo, hi in conditional])
+    intervals = _merge_intervals([(lo, hi) for _, lo, hi in conditional], 1e-12)
     return ConfidenceSet(
         kind="bonferroni",
-        level=1.0 - alpha1 - alpha2,
+        level=level,
         intervals=intervals,
         accepted=block_set.accepted,
         hull=(intervals[0][0], intervals[-1][1]) if intervals else None,

@@ -28,7 +28,7 @@ from .exceptions import (
     SingularDesignError,
 )
 from .spectral import (
-    LambdaParam, SpectralSplit, VarCoefficients, constraint_matrices, lambda_materialize, split,
+    LambdaParam, VarCoefficients, constraint_matrices, lambda_materialize, split,
 )
 
 __all__ = [
@@ -47,6 +47,13 @@ __all__ = [
 ]
 
 DET_CASES = ("trend", "const", "none")
+
+#: Nelder-Mead tolerances of the profile search over a: simplex size and
+#: objective change.
+NM_XATOL = 1e-7
+NM_FATOL = 1e-8
+#: Restarts of the profile search from its incumbent optimum.
+NM_RESTARTS = 5
 
 
 def _check_det(det: str) -> str:
@@ -77,7 +84,6 @@ class FitResult:
     constraint_residual: Optional[float] = None
     a_hat: Optional[np.ndarray] = None
     lam0: Optional[np.ndarray] = None
-    split: Optional[SpectralSplit] = None
 
 
 class Design:
@@ -332,9 +338,6 @@ def profile_a(
     init: Optional[np.ndarray] = None,
     fixed_entry: Optional[tuple[int, int, float]] = None,
     design: Optional[Design] = None,
-    xatol: float = 1e-7,
-    fatol: float = 1e-8,
-    max_restarts: int = 5,
 ) -> FitResult:
     """Profile the concentrated loglikelihood over the subspace matrix a.
 
@@ -383,18 +386,18 @@ def profile_a(
     x = base[mask].astype(float)
     best_val = objective(x)
     status = "converged"
-    for _ in range(max_restarts + 1):
+    for _ in range(NM_RESTARTS + 1):
         res = minimize(
             objective,
             x,
             method="Nelder-Mead",
-            options={"xatol": xatol, "fatol": fatol, "maxiter": 400 * max(1, n_free)},
+            options={"xatol": NM_XATOL, "fatol": NM_FATOL, "maxiter": 400 * max(1, n_free)},
         )
         improved = best_val - res.fun
         if res.fun < best_val:
             best_val, x = res.fun, res.x
         status = "converged" if res.success else "max-iter"
-        if improved < 10 * fatol:
+        if improved < 10 * NM_FATOL:
             break
 
     fit = restricted_fit(to_matrix(x), lam0, data, k, det, design=dz)
@@ -604,7 +607,6 @@ def profile_lambda(
     *,
     design: Optional[Design] = None,
     refine: bool = False,
-    init: Optional[np.ndarray] = None,
 ) -> ProfileLambdaResult:
     """Maximise the profile loglikelihood over a grid of dynamics blocks.
 
@@ -620,7 +622,7 @@ def profile_lambda(
     trace = []
     failures = []
     best = None
-    warm = init
+    warm = None
     for param, lam in pts:
         try:
             fit = profile_a(lam, data, k, det, design=dz, init=warm)

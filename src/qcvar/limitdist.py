@@ -48,6 +48,8 @@ __all__ = [
 
 _TABLE_VERSION = "1"
 _CHUNK = 2048
+#: Redraw rounds for replications with a singular second-moment matrix.
+MAX_REDRAWS = 100
 
 
 def c_star(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -151,8 +153,6 @@ def _simulate_chunk(config: LimitDistConfig, rep_indices: Sequence[int]) -> np.n
 def simulate_statistics(
     config: LimitDistConfig,
     n_reps: Optional[int] = None,
-    *,
-    max_redraws: int = 100,
 ) -> tuple[np.ndarray, int]:
     """All replications of the limit statistic, chunk-vectorised.
 
@@ -168,7 +168,7 @@ def simulate_statistics(
     redrawn = 0
     bad = np.flatnonzero(~np.isfinite(out))
     attempt = 1
-    while bad.size and attempt <= max_redraws:
+    while bad.size and attempt <= MAX_REDRAWS:
         # redraw indices shifted into a disjoint seed range
         redraw_ids = [int(1_000_000_007 * attempt + b) for b in bad]
         out[bad] = _simulate_chunk(config, redraw_ids)
@@ -226,10 +226,6 @@ class QuantileTable:
     seed: int
     levels: tuple
     entries: tuple
-
-    @property
-    def c_values(self) -> list:
-        return [e.c for e in self.entries]
 
 
 def _format_float(v: float) -> str:
@@ -316,8 +312,6 @@ def build_table(
     c_grid: Sequence[Union[float, np.ndarray]],
     template: LimitDistConfig,
     path: Optional[str] = None,
-    *,
-    resume: bool = True,
 ) -> QuantileTable:
     """Simulate quantiles for each grid point and persist after each.
 
@@ -332,7 +326,7 @@ def build_table(
             raise DomainError(f"grid point shape {c.shape} does not match q={template.q}")
 
     done: dict[tuple, TableEntry] = {}
-    if path is not None and resume and os.path.exists(path):
+    if path is not None and os.path.exists(path):
         prev = load_table(path)
         same_meta = (
             prev.q == template.q

@@ -178,13 +178,13 @@ def state_decompose(split_: SpectralSplit, x: np.ndarray, eps: np.ndarray) -> St
     )
 
 
-def _check_block_eig_separation(split_: SpectralSplit, tol: float = 1e-10) -> None:
+def _check_block_eig_separation(split_: SpectralSplit) -> None:
     if split_.q == 0 or split_.lam_stable.shape[0] == 0:
         return
     near = np.linalg.eigvals(split_.lam_near)
     stable = np.linalg.eigvals(split_.lam_stable)
     dist = np.abs(near[:, None] - stable[None, :])
-    if dist.min() <= tol * max(1.0, np.abs(near).max()):
+    if dist.min() <= 1e-10 * max(1.0, np.abs(near).max()):
         raise RootSeparationError(
             "near-unit and stable eigenvalue sets collide; the perturbation "
             "kernel is singular"

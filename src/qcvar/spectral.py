@@ -110,17 +110,6 @@ class VarCoefficients:
         """The p-by-kp matrix [Phi_1 ... Phi_k]."""
         return np.hstack(self.phi)
 
-    def poly_at(self, lam: complex) -> np.ndarray:
-        """Evaluate the characteristic matrix polynomial at ``lam``.
-
-        Returns ``I lam^k - sum_i Phi_i lam^(k-i)``; its determinant
-        vanishes exactly at the characteristic roots.
-        """
-        out = np.eye(self.p, dtype=np.result_type(float, lam)) * lam ** self.k
-        for i, m in enumerate(self.phi, start=1):
-            out = out - m * lam ** (self.k - i)
-        return out
-
 
 @dataclass(frozen=True)
 class RootSet:
@@ -166,17 +155,17 @@ class RegionSpec:
         if not (0.0 < self.rho <= 1.0):
             raise DomainError(f"rho must lie in (0, 1], got {self.rho}")
 
-    def in_near_unit(self, z: complex, tol: float = BOUNDARY_TOL) -> bool:
-        return abs(z) <= 1.0 + tol and abs(1.0 - z) <= (1.0 - self.rho) + tol
+    def in_near_unit(self, z: complex) -> bool:
+        return abs(z) <= 1.0 + BOUNDARY_TOL and abs(1.0 - z) <= (1.0 - self.rho) + BOUNDARY_TOL
 
     def in_stable(self, z: complex) -> bool:
         return abs(z) < self.rho
 
-    def near_boundary(self, z: complex, tol: float = BOUNDARY_TOL) -> bool:
+    def near_boundary(self, z: complex) -> bool:
         return (
-            abs(abs(z) - 1.0) <= tol
-            or abs(abs(1.0 - z) - (1.0 - self.rho)) <= tol
-            or abs(abs(z) - self.rho) <= tol
+            abs(abs(z) - 1.0) <= BOUNDARY_TOL
+            or abs(abs(1.0 - z) - (1.0 - self.rho)) <= BOUNDARY_TOL
+            or abs(abs(z) - self.rho) <= BOUNDARY_TOL
         )
 
 
@@ -522,18 +511,6 @@ class LambdaParam:
                 raise DomainError(f"expected {n_angles} rotation angles, got {len(self.angles)}")
             if self.family == "symmetric" and any(isinstance(v, complex) for v in eigs):
                 raise DomainError("symmetric family requires real eigenvalue parameters")
-
-    @property
-    def theta(self) -> tuple:
-        """Flat parameter vector: eigenvalue parameters then angles."""
-        flat = []
-        for v in self.eigenvalues:
-            if isinstance(v, complex):
-                flat.extend([v.real, v.imag])
-            else:
-                flat.append(v)
-        flat.extend(self.angles)
-        return tuple(flat)
 
 
 def _plane_rotation(q: int, i: int, j: int, theta: float) -> np.ndarray:

@@ -1,0 +1,75 @@
+"""Every defaulted parameter of the library is set by some caller.
+
+A default that no call overrides is a constant in disguise: it adds a
+configuration nothing exercises.  The scan is purely syntactic.  Calls
+are matched to definitions by bare name (a method by its attribute
+name, ``__init__`` by its class name), so a name clash can only mark a
+parameter as used, never report one wrongly.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "qcvar"
+#: directories whose calls count as callers; perfbench drives the library too
+CALLER_DIRS = ("src", "tests", "demos", "perfbench")
+
+
+def _defaulted_parameters():
+    """Yield (module, qualified name, call name, parameter, call position or None)."""
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = parents.get(node)
+            is_method = isinstance(owner, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+            )
+            call_name = owner.name if is_method and node.name == "__init__" else node.name
+            qualname = f"{owner.name}.{node.name}" if is_method else node.name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            shift = 1 if is_method else 0  # self / cls is not written at the call
+            first = len(positional) - len(args.defaults)
+            for pos in range(first, len(positional)):
+                yield path.stem, qualname, call_name, positional[pos].arg, pos - shift
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield path.stem, qualname, call_name, arg.arg, None
+
+
+def _calls_by_name():
+    """Map each called bare name to (positional count, keywords, open-ended) triples."""
+    calls: dict = {}
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is None:
+                    continue
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {kw.arg for kw in node.keywords}
+                # *args or **kwargs may set any parameter
+                open_ended = starred or None in keywords
+                calls.setdefault(name, []).append((len(node.args), keywords, open_ended))
+    return calls
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    calls = _calls_by_name()
+    unset = []
+    for module, function, call_name, param, pos in _defaulted_parameters():
+        sites = calls.get(call_name, [])
+        if not any(
+            open_ended or param in keywords or (pos is not None and n_pos > pos)
+            for n_pos, keywords, open_ended in sites
+        ):
+            unset.append(f"{module}.{function}({param})")
+    assert not unset, "defaulted parameters that no call sets: " + ", ".join(unset)

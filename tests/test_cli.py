@@ -249,13 +249,20 @@ class TestSharedInference:
             [_round15(lam[0, 0]), _round15(lo), _round15(hi)] for lam, lo, hi in want.conditional
         ]
 
-    def test_ci_alpha_budget_exit_code(self, q1_inputs, capsys):
+    def test_ci_alpha_budget_exit_code(self, q1_inputs, tmp_path, capsys):
         data_path, _, table_path = q1_inputs
         rc = main(_ci_argv(data_path, table_path, alpha1="0.6", alpha2="0.5"))
         captured = capsys.readouterr()
         assert rc == 2
         assert "overall_level" not in captured.out
         assert "alpha1 + alpha2" in captured.err
+        # the budget is checked before a table is simulated
+        new_table = tmp_path / "never.tbl"
+        rc = main(_ci_argv(data_path, str(new_table), alpha1="0.6", alpha2="0.5")
+                  + ["--build-table", "--reps", "1000", "--steps", "100"])
+        assert rc == 2
+        assert "alpha1 + alpha2" in capsys.readouterr().err
+        assert not new_table.exists()
 
     def test_lr_nonscalar_lambda0_uses_shared_localisation(self, tmp_path):
         n = 200
@@ -302,4 +309,7 @@ class TestSharedInference:
         table = load_table(str(table_path))
         assert table.q == 2
         assert all(np.array_equal(e.c, e.c[0, 0] * np.eye(2)) for e in table.entries)
+        # each node once: no float-drift twin of the node at 0
+        c_values = np.sort([e.c[0, 0] for e in table.entries])
+        assert np.diff(c_values).min() > 1e-9
         assert "bonferroni confidence set" in out
