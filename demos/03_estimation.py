@@ -49,8 +49,8 @@ print(f"\nOLS: loglik {ols.loglik:.3f}, root {s_ols.lam_near[0, 0]:.4f}, "
       f"a_hat {s_ols.a[0, 0]:.4f}")
 
 # ---------------------------------------------------------------------------
-# Restricted fit at a hypothesised (a, lambda) is closed form; profiling
-# over a at fixed lambda is a small simplex search.
+# Restricted fit at a hypothesised (a, lambda) is closed form; so is the
+# profile over a at a scalar lambda, which solves a reduced-rank eigenproblem.
 # ---------------------------------------------------------------------------
 lam0 = np.array([[lam_true]])
 fixed = restricted_fit(np.array([[a_true]]), lam0, y, k=1, det="trend")
@@ -61,8 +61,9 @@ print(f"profile over a     : loglik {prof.loglik:.3f}, a_hat {prof.a_hat[0, 0]:.
 print("LR for a = a_true  :", 2.0 * (prof.loglik - fixed.loglik))
 
 # ---------------------------------------------------------------------------
-# For a scalar dynamics block the same maximisation has a closed form
-# via reduced-rank regression; the logliks agree to optimizer precision.
+# That eigenproblem is reduced-rank regression: profile_a takes a from
+# rrr_fit, so the two logliks agree to rounding.  A simplex search over a
+# remains for non-scalar blocks and for a fixed entry of a.
 # ---------------------------------------------------------------------------
 rrr = rrr_fit(lam_true, q=1, data=y, k=1, det="trend")
 print(f"\nreduced-rank fit   : loglik {rrr.loglik:.6f}  (gap to profile: "

@@ -5,8 +5,11 @@ convention: the quadratic form of the concentrated loglikelihood is
 weighted by the *unrestricted* OLS variance estimator, which is held
 fixed inside every restricted maximisation.  Restricted fits impose the
 linear constraint ``Phi @ col{[a; I] lam0^(k-i)} = [a; I] lam0^k`` and
-have a closed form; the outer profile over the subspace coefficients
-``a`` is a small derivative-free search.
+have a closed form.  For a scalar block ``lam0 * I_q`` the outer profile
+over the subspace coefficients ``a`` has a closed form too: its argmax is
+the reduced-rank regression of :func:`rrr_fit`.  A small derivative-free
+search over ``a`` remains for non-scalar blocks, for a fixed entry of
+``a`` and for ``lam0 = 0`` with ``k > 1``.
 """
 
 from __future__ import annotations
@@ -341,11 +344,16 @@ def profile_a(
 ) -> FitResult:
     """Profile the concentrated loglikelihood over the subspace matrix a.
 
-    Runs a Nelder-Mead simplex search (with restarts from the incumbent
-    optimum) over the free entries of a, each candidate evaluated by the
-    closed-form :func:`restricted_fit`.  With ``fixed_entry=(i, j, a0)``
-    the (i, j) coordinate is frozen at ``a0`` and excluded from the
-    search, which is the restricted side of the coefficient LR test.
+    For a scalar block ``lam0 * I_q`` with no fixed entry the profile has
+    a closed form: :func:`restricted_fit` at the ``a`` of :func:`rrr_fit`,
+    whose reduced-rank eigenproblem shares its argmax; ``init`` is then
+    unused.  Otherwise (a non-scalar block, a fixed entry, or ``lam0 = 0``
+    with ``k > 1``, where :func:`rrr_fit` is undefined) a Nelder-Mead
+    simplex search with restarts from the incumbent optimum runs over the
+    free entries of a, each candidate evaluated by the closed-form
+    :func:`restricted_fit`.  With ``fixed_entry=(i, j, a0)`` the (i, j)
+    coordinate is frozen at ``a0`` and excluded from the search, which is
+    the restricted side of the coefficient LR test.
     """
     dz = _as_design(data, k, det, design)
     lam0 = np.atleast_2d(np.asarray(lam0, dtype=float))
@@ -359,6 +367,15 @@ def profile_a(
 
     if r * q == 0:
         return restricted_fit(np.zeros((r, q)), lam0, data, k, det, design=dz)
+
+    if fixed_entry is None and np.array_equal(lam0, lam0[0, 0] * np.eye(q)):
+        try:
+            a_hat = rrr_fit(lam0[0, 0], q, data, k, det, design=dz).a_hat
+        except DomainError:
+            pass  # lam0 = 0 with k > 1: only the search is defined there
+        else:
+            fit = restricted_fit(a_hat, lam0, data, k, det, design=dz)
+            return replace(fit, status="converged")
 
     a_start = np.asarray(init, dtype=float).reshape(r, q) if init is not None else _init_a(
         lam0, data, k, det, dz

@@ -339,20 +339,21 @@ def build_table(
         if same_meta:
             done = {_entry_key(e.c): e for e in prev.entries}
 
-    entries = []
+    entries: dict[tuple, TableEntry] = {}
     for c in grid:
         key = _entry_key(c)
+        if key in entries:
+            continue  # a node listed twice is simulated and stored once
         if key in done:
-            entries.append(done[key])
+            entries[key] = done[key]
         else:
             config = replace(template, c_star=c)
             stats, redrawn = simulate_statistics(config)
             qs, ses = quantiles_with_se(stats, config.levels)
-            entries.append(
-                TableEntry(c=c, quantiles=tuple(qs), se=tuple(ses), redrawn=redrawn)
-            )
+            entries[key] = TableEntry(c=c, quantiles=tuple(qs), se=tuple(ses), redrawn=redrawn)
+        ordered = list(entries.values())
         if template.q == 1:
-            entries.sort(key=lambda e: float(e.c[0, 0]))
+            ordered.sort(key=lambda e: float(e.c[0, 0]))
         table = QuantileTable(
             q=template.q,
             det=template.det,
@@ -360,7 +361,7 @@ def build_table(
             reps=template.reps,
             seed=template.seed,
             levels=template.levels,
-            entries=tuple(entries),
+            entries=tuple(ordered),
         )
         if path is not None:
             save_table(table, path)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import qcvar.limitdist as limitdist
 from conftest import make_instance
 from qcvar.cli import _round15, ingest_csv, main
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
@@ -171,6 +172,25 @@ class TestCommands:
         assert rc == 0
         assert "overall_level: 0.95" in out
         assert "bonferroni confidence set" in out
+
+    def test_critvals_repeated_node_simulated_once(self, tmp_path, monkeypatch, capsys):
+        runs = []
+        original = limitdist.simulate_statistics
+
+        def counted(config):
+            runs.append(config.c_star)
+            return original(config)
+
+        monkeypatch.setattr(limitdist, "simulate_statistics", counted)
+        table_path = tmp_path / "cv.tbl"
+        rc = main([
+            "critvals", "--q", "1", "--det", "trend", "--c-grid=-5,0,0",
+            "--steps", "100", "--reps", "1000", "--table", str(table_path),
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        assert len(runs) == 2
+        assert [float(e.c[0, 0]) for e in load_table(str(table_path)).entries] == [-5.0, 0.0]
 
     def test_ci_missing_table_exit_code(self, tmp_path, sample_csv, capsys):
         rc = main([

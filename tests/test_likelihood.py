@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import qcvar.likelihood as likelihood
 from conftest import make_instance
 from qcvar.dgp import DgpSpec, build_var, simulate
 from qcvar.exceptions import ConditionWarning, DomainError
@@ -200,6 +202,99 @@ class TestProfileA:
         y, _ = simulate(DgpSpec.simple(coeffs, 100), 2)
         with pytest.raises(DomainError):
             profile_a(np.array([[0.98]]), y, 1, "trend", fixed_entry=(2, 0, 0.0))
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``likelihood.<name>`` so that each call is counted."""
+    calls = []
+    original = getattr(likelihood, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(likelihood, name, counted)
+    return calls
+
+
+class TestProfileADispatch:
+    """Which scalar and non-scalar blocks take the closed form."""
+
+    def test_scalar_block_takes_closed_form(self, monkeypatch):
+        y = TestRrrFit()._sim(3)
+        searches = _count_calls(monkeypatch, "minimize")
+        fits = _count_calls(monkeypatch, "restricted_fit")
+        fit = profile_a(np.array([[0.97]]), y, 2, "trend")
+        assert len(fits) == 1 and not searches
+        assert fit.status == "converged"
+        rrr = rrr_fit(0.97, 1, y, 2, "trend")
+        np.testing.assert_array_equal(fit.a_hat, rrr.a_hat)
+
+    def test_lambda0_zero_k2_falls_back_to_search(self, monkeypatch):
+        y = TestRrrFit()._sim(3)
+        searches = _count_calls(monkeypatch, "minimize")
+        fit = profile_a(np.zeros((1, 1)), y, 2, "trend")
+        assert searches
+        assert np.isfinite(fit.loglik) and np.all(np.isfinite(fit.a_hat))
+
+    def test_non_scalar_block_searches(self, monkeypatch):
+        y = TestRrrFit()._sim(3)
+        searches = _count_calls(monkeypatch, "minimize")
+        fit = profile_a(np.array([[0.98, 0.01], [0.01, 0.95]]), y, 2, "trend")
+        assert searches and np.isfinite(fit.loglik)
+
+    def test_fixed_entry_searches_below_free_optimum(self, monkeypatch):
+        y = TestRrrFit()._sim(3)
+        lam0 = np.array([[0.97]])
+        free = profile_a(lam0, y, 2, "trend")
+        searches = _count_calls(monkeypatch, "minimize")
+        pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 0, float(free.a_hat[0, 0]) + 0.1))
+        assert searches
+        assert pinned.loglik <= free.loglik + 1e-10
+
+
+def _search_from(a_start, lam0, y, k, det):
+    """An independent simplex search over a; returns its best loglik."""
+    shape = a_start.shape
+
+    def objective(x):
+        return -restricted_fit(x.reshape(shape), lam0, y, k, det).loglik
+
+    res = minimize(objective, a_start.ravel(), method="Nelder-Mead",
+                   options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": 1000 * a_start.size})
+    return -min(res.fun, objective(a_start.ravel()))
+
+
+_ORACLE_SYSTEMS = [(p, k, q) for p in (2, 3, 4, 5) for k in (1, 2, 3) for q in (1, 2) if q < p]
+
+
+class TestClosedFormOracle:
+    """The closed-form profile against a simplex search it does not share."""
+
+    def _check(self, lam0, y, k, det):
+        q = lam0.shape[0]
+        closed = profile_a(lam0, y, k, det)
+        assert closed.loglik >= _search_from(closed.a_hat, lam0, y, k, det) - 1e-9
+        a_ols = split(ols_fit(y, k, det).coeffs, q, warn_ill_conditioned=False).a
+        assert _search_from(a_ols, lam0, y, k, det) <= closed.loglik + 1e-10
+        return closed
+
+    @pytest.mark.parametrize("p,k,q", _ORACLE_SYSTEMS)
+    def test_no_search_beats_closed_form(self, p, k, q):
+        coeffs = make_instance(10 * p + 3 * k + q, p=p, k=k, q=q)
+        y, _ = simulate(DgpSpec.simple(coeffs, 200), 7 * p + k)
+        for det in ("trend", "const", "none"):
+            for lam in (0.9, 0.99, 1.0):
+                self._check(lam * np.eye(q), y, k, det)
+
+    def test_local_optimum_of_the_search(self):
+        # p=3, k=2 data on which a simplex search from the OLS split stalls
+        # at lam0 = -0.3 (loglik -749.968 against the global -749.649)
+        rng = np.random.default_rng(5)
+        coeffs = build_var(rng.normal(size=(2, 1)), np.array([[0.99]]), 2, rng=rng)
+        y, _ = simulate(DgpSpec.simple(coeffs, 500), 200_000)
+        closed = self._check(np.array([[-0.3]]), y, 2, "trend")
+        assert closed.loglik > -749.7
 
 
 class TestRrrFit:
