@@ -321,13 +321,7 @@ def _init_a(lam0: np.ndarray, data, k, det, dz: Design) -> np.ndarray:
     q = lam0.shape[0]
     r = dz.p - q
     try:
-        sp = split(ols_fit(data, k, det, design=dz).coeffs, q, warn_ill_conditioned=False)
-        return sp.a
-    except QcvarError:
-        pass
-    try:
-        lam_scalar = float(np.clip(np.mean(np.linalg.eigvals(lam0).real), 0.0, 1.0))
-        return rrr_fit(lam_scalar, q, data, k, det, design=dz).a_hat
+        return split(ols_fit(data, k, det, design=dz).coeffs, q, warn_ill_conditioned=False).a
     except QcvarError:
         return np.zeros((r, q))
 
@@ -374,8 +368,7 @@ def profile_a(
         except DomainError:
             pass  # lam0 = 0 with k > 1: only the search is defined there
         else:
-            fit = restricted_fit(a_hat, lam0, data, k, det, design=dz)
-            return replace(fit, status="converged")
+            return restricted_fit(a_hat, lam0, data, k, det, design=dz)
 
     a_start = np.asarray(init, dtype=float).reshape(r, q) if init is not None else _init_a(
         lam0, data, k, det, dz
@@ -660,16 +653,13 @@ def profile_lambda(
         hi = min(1.0, float(best_lam[0, 0]) + step)
 
         def neg_profile(lam_scalar: float) -> float:
-            return -profile_a(
-                lam_scalar * np.eye(lambda_space.q), data, k, det,
-                design=dz, init=best_fit.a_hat,
-            ).loglik
+            return -profile_a(lam_scalar * np.eye(lambda_space.q), data, k, det, design=dz).loglik
 
         res = minimize_scalar(neg_profile, bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-8})
         if -res.fun > best_fit.loglik:
             lam_ref = float(res.x) * np.eye(lambda_space.q)
-            fit_ref = profile_a(lam_ref, data, k, det, design=dz, init=best_fit.a_hat)
+            fit_ref = profile_a(lam_ref, data, k, det, design=dz)
             if fit_ref.loglik > best_fit.loglik:
                 best_param = LambdaParam(
                     "scalar", lambda_space.q, (float(res.x),), rho=lambda_space.rho

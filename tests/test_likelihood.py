@@ -253,12 +253,12 @@ class TestProfileADispatch:
         assert pinned.loglik <= free.loglik + 1e-10
 
 
-def _search_from(a_start, lam0, y, k, det):
+def _search_from(a_start, lam0, y, k, det, dz):
     """An independent simplex search over a; returns its best loglik."""
     shape = a_start.shape
 
     def objective(x):
-        return -restricted_fit(x.reshape(shape), lam0, y, k, det).loglik
+        return -restricted_fit(x.reshape(shape), lam0, y, k, det, design=dz).loglik
 
     res = minimize(objective, a_start.ravel(), method="Nelder-Mead",
                    options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": 1000 * a_start.size})
@@ -273,10 +273,11 @@ class TestClosedFormOracle:
 
     def _check(self, lam0, y, k, det):
         q = lam0.shape[0]
-        closed = profile_a(lam0, y, k, det)
-        assert closed.loglik >= _search_from(closed.a_hat, lam0, y, k, det) - 1e-9
-        a_ols = split(ols_fit(y, k, det).coeffs, q, warn_ill_conditioned=False).a
-        assert _search_from(a_ols, lam0, y, k, det) <= closed.loglik + 1e-10
+        dz = make_design(y, k, det)
+        closed = profile_a(lam0, y, k, det, design=dz)
+        assert closed.loglik >= _search_from(closed.a_hat, lam0, y, k, det, dz) - 1e-9
+        a_ols = split(ols_fit(y, k, det, design=dz).coeffs, q, warn_ill_conditioned=False).a
+        assert _search_from(a_ols, lam0, y, k, det, dz) <= closed.loglik + 1e-10
         return closed
 
     @pytest.mark.parametrize("p,k,q", _ORACLE_SYSTEMS)
