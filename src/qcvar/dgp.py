@@ -4,7 +4,9 @@
 prescribed normalised right basis [a; I_q] and dynamics block, by a
 least-norm correction of a stable base draw onto the defining linear
 constraint.  ``local_sequence`` produces drifting sequences with the
-near-unit block I + C/n, and ``simulate`` generates seeded sample paths.
+near-unit block I + C/n, and ``simulate`` generates seeded sample paths
+by one banded unit-lower-triangular solve of (I - Phi(L)) x = eps with a
+zero presample.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import linear_sum_assignment
 
-from .exceptions import ConstructionError, DomainError
+from .exceptions import ConstructionError, DomainError, NumericalError
 from .spectral import VarCoefficients, companion, constraint_matrices, roots
 
 __all__ = [
@@ -64,6 +67,8 @@ class DgpSpec:
             raise DomainError("sigma must be positive definite") from exc
         if mu.shape != (p,) or delta.shape != (p,):
             raise DomainError("mu and delta must be p-vectors")
+        if not (np.isfinite(mu).all() and np.isfinite(delta).all()):
+            raise DomainError("mu and delta must be finite")
         if self.n < 1:
             raise DomainError("sample size must be positive")
         object.__setattr__(self, "sigma", sigma)
@@ -299,11 +304,22 @@ def simulate(
     callable ``f(rng, n, p) -> (n, p) array`` to substitute a custom
     i.i.d. sampler (it is scaled by the Cholesky factor of sigma).
 
+    The recursion x_t = eps_t + sum_i Phi_i x_{t-i}, with x_t = 0 for
+    t <= 0, is solved as one banded unit-lower-triangular system
+    (I - Phi(L)) x = eps, stacked time-major, by LAPACK's ``dtbtrs``.
+
     Returns
     -------
     (y, eps) : pair of (n, p) arrays
         The observed path and the innovations that generated it.
         Deterministic given (spec, seed).
+
+    Raises
+    ------
+    DomainError
+        When a custom sampler returns the wrong shape or non-finite values.
+    NumericalError
+        When the path is not finite (explosive coefficients overflow).
     """
     coeffs, n, p, k = spec.coeffs, spec.n, spec.coeffs.p, spec.coeffs.k
     rng = np.random.default_rng(seed)
@@ -315,15 +331,21 @@ def simulate(
         )
         if draw.shape != (n, p):
             raise DomainError(f"innovation sampler returned shape {draw.shape}, expected {(n, p)}")
+        if not np.isfinite(draw).all():
+            raise DomainError("innovation sampler returned non-finite values")
         eps = draw @ np.linalg.cholesky(spec.sigma).T
 
-    x = np.zeros((n + k, p))  # rows 0..k-1 are the zero presample
-    for t in range(n):
-        acc = eps[t].copy()
-        for i in range(1, k + 1):
-            acc += coeffs.phi[i - 1] @ x[k + t - i]
-        x[k + t] = acc
-    x = x[k:]
-    t_idx = np.arange(1, n + 1)[:, None]
-    y = spec.mu[None, :] + spec.delta[None, :] * t_idx + x
+    # Stacked time-major, (I - Phi(L)) x = eps is unit lower-triangular with
+    # lower bandwidth kp + p - 1, and every p-th column of its band is the same.
+    pat = np.zeros(((k + 1) * p, p))
+    i, j = np.indices((p, p))
+    for lag, phi in enumerate(coeffs.phi, start=1):
+        pat[lag * p + i - j, j] = -phi
+    x, info = dtbtrs(np.tile(pat, n), eps.reshape(-1, 1), uplo="L", diag="U")
+    if info != 0:
+        raise NumericalError(f"banded triangular solve failed (LAPACK info {info})")
+    y = spec.mu + spec.delta * np.arange(1, n + 1)[:, None] + x.reshape(n, p)
+    bad = ~np.isfinite(y).all(axis=1)
+    if bad.any():
+        raise NumericalError(f"simulated path is not finite from t={bad.argmax() + 1} of {n}")
     return y, eps

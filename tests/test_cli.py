@@ -113,6 +113,19 @@ class TestCommands:
         main(argv)
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("payload, code", [
+        ({"phi": [[[5.0]]]}, 3),  # explosive: the path overflows
+        ({"phi": [[[0.5]]], "mu": [float("nan")]}, 2),
+    ])
+    def test_simulate_non_finite_path_exits_nonzero(self, tmp_path, capsys, payload, code):
+        coeffs_path, out_path = tmp_path / "c.json", tmp_path / "path.csv"
+        json.dump(payload, open(coeffs_path, "w"))
+        rc = main(["simulate", "--coeffs", str(coeffs_path), "--n", "1000",
+                   "--format", "csv", "--output", str(out_path)])
+        assert rc == code
+        assert "finite" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_fit_json_byte_identical(self, tmp_path, sample_csv):
         out1, out2 = tmp_path / "f1.json", tmp_path / "f2.json"
         argv = ["fit", "--data", sample_csv, "--k", "1", "--q", "1", "--rho", "0.9",

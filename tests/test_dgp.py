@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qcvar.dgp as dgp
 from conftest import make_instance
 from qcvar.dgp import DgpSpec, NearUnitBase, build_var, local_sequence, simulate
-from qcvar.exceptions import ConstructionError, DomainError
+from qcvar.exceptions import ConstructionError, DomainError, NumericalError
 from qcvar.representation import qcs_basis
 from qcvar.spectral import VarCoefficients, roots, split
 
@@ -169,3 +172,87 @@ class TestSimulate:
             variances[n] = np.mean(acc)
         ratio = variances[2000] / variances[500]
         assert 0.5 <= ratio <= 2.0
+
+
+def _reference_path(coeffs, eps):
+    """The recursion x_t = eps_t + sum_i Phi_i x_{t-i}, one step at a time."""
+    n, p, k = eps.shape[0], coeffs.p, coeffs.k
+    x = np.zeros((n + k, p))  # rows 0..k-1 are the zero presample
+    for t in range(n):
+        x[k + t] = eps[t] + sum(coeffs.phi[i - 1] @ x[k + t - i] for i in range(1, k + 1))
+    return x[k:]
+
+
+class TestSimulateOracle:
+    @pytest.mark.parametrize("p", range(1, 6))
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_banded_solve_matches_recursion(self, p, k):
+        for n in sorted({1, k, 500}):
+            # a stable near-unit system, and one with a root at modulus 1 + 1/n
+            explosive = local_sequence(
+                np.array([[1.0]]), n,
+                NearUnitBase(a=np.full((p - 1, 1), 0.5), k=k, stationary=10 * p + k),
+            ).realized
+            assert np.abs(roots(explosive).roots[0]) == pytest.approx(1.0 + 1.0 / n, rel=1e-9)
+            for coeffs in (make_instance(10 * p + k, p=p, k=k, q=1), explosive):
+                x, eps = simulate(DgpSpec.simple(coeffs, n), n + p + k)
+                ref = _reference_path(coeffs, eps)
+                scale = np.abs(ref).max()
+                assert np.abs(x - ref).max() <= 1e-12 * scale
+                # residual identity x_t - sum_i Phi_i x_{t-i} = eps_t
+                padded = np.vstack([np.zeros((k, p)), x])
+                fitted = sum(
+                    padded[k - i: k - i + n] @ phi.T for i, phi in enumerate(coeffs.phi, start=1)
+                )
+                bound = 1e-12 * scale * (1.0 + sum(np.abs(m).sum(axis=1).max() for m in coeffs.phi))
+                assert np.abs(x - fitted - eps).max() <= bound
+
+
+class TestSimulateNonFinite:
+    def test_nan_sampler_rejected(self):
+        spec = DgpSpec.simple(make_instance(0, p=2, k=1, q=1), 20)
+        with pytest.raises(DomainError, match="non-finite"):
+            simulate(spec, 0, innovations=lambda rng, n, p: np.full((n, p), np.nan))
+
+    def test_explosive_path_raises(self):
+        spec = DgpSpec.simple(VarCoefficients.from_matrices([np.array([[5.0]])]), 1000)
+        with pytest.raises(NumericalError, match="not finite"):
+            simulate(spec, 0)
+
+    def test_solver_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(dgp, "dtbtrs", lambda ab, b, **kw: (b, -1))
+        spec = DgpSpec.simple(make_instance(0, p=2, k=1, q=1), 20)
+        with pytest.raises(NumericalError, match="info -1"):
+            simulate(spec, 0)
+
+    @pytest.mark.parametrize("field", ["mu", "delta"])
+    def test_non_finite_deterministics_rejected(self, field):
+        kw = dict(mu=np.zeros(2), delta=np.zeros(2))
+        kw[field] = np.array([0.0, np.inf])
+        with pytest.raises(DomainError, match="finite"):
+            DgpSpec(coeffs=make_instance(0, p=2, k=1, q=1), sigma=np.eye(2), n=10, **kw)
+
+
+class TestSimulateInvariances:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        p=st.integers(2, 3),
+        k=st.integers(1, 2),
+        n=st.integers(1, 200),
+        c=st.floats(0.1, 10.0),
+        mu=st.floats(-1e3, 1e3),
+        delta=st.floats(-10.0, 10.0),
+    )
+    def test_deterministics_additive_and_sigma_scaling(self, seed, p, k, n, c, mu, delta):
+        coeffs = make_instance(seed, p=p, k=k, q=1)
+        sigma = np.eye(p) + 0.3 * np.ones((p, p))
+        base = DgpSpec(coeffs=coeffs, sigma=sigma, mu=np.zeros(p), delta=np.zeros(p), n=n)
+        x, _ = simulate(base, seed)
+        mu_v, delta_v = np.full(p, mu), np.linspace(-1.0, 1.0, p) * delta
+        shifted = DgpSpec(coeffs=coeffs, sigma=sigma, mu=mu_v, delta=delta_v, n=n)
+        y, _ = simulate(shifted, seed)
+        assert np.array_equal(y, x + (mu_v + delta_v * np.arange(1, n + 1)[:, None]))
+        scaled = DgpSpec(coeffs=coeffs, sigma=c * c * sigma, mu=np.zeros(p), delta=np.zeros(p), n=n)
+        xc, _ = simulate(scaled, seed)
+        assert np.abs(xc - c * x).max() <= 1e-13 * np.abs(c * x).max()
