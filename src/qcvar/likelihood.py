@@ -7,9 +7,10 @@ fixed inside every restricted maximisation.  Restricted fits impose the
 linear constraint ``Phi @ col{[a; I] lam0^(k-i)} = [a; I] lam0^k`` and
 have a closed form.  For a scalar block ``lam0 * I_q`` the outer profile
 over the subspace coefficients ``a`` has a closed form too: its argmax is
-the reduced-rank regression of :func:`rrr_fit`.  A small derivative-free
-search over ``a`` remains for non-scalar blocks, for a fixed entry of
-``a`` and for ``lam0 = 0`` with ``k > 1``.
+the reduced-rank regression of :func:`rrr_fit`, or with an entry of ``a``
+fixed at q = 1 the known-cointegrating-vector regression.  A small search
+over ``a`` remains for non-scalar blocks, a fixed entry at q >= 2 and for
+``lam0 = 0`` with ``k > 1``.
 """
 
 from __future__ import annotations
@@ -338,16 +339,16 @@ def profile_a(
 ) -> FitResult:
     """Profile the concentrated loglikelihood over the subspace matrix a.
 
-    For a scalar block ``lam0 * I_q`` with no fixed entry the profile has
-    a closed form: :func:`restricted_fit` at the ``a`` of :func:`rrr_fit`,
-    whose reduced-rank eigenproblem shares its argmax; ``init`` is then
-    unused.  Otherwise (a non-scalar block, a fixed entry, or ``lam0 = 0``
-    with ``k > 1``, where :func:`rrr_fit` is undefined) a Nelder-Mead
-    simplex search with restarts from the incumbent optimum runs over the
-    free entries of a, each candidate evaluated by the closed-form
-    :func:`restricted_fit`.  With ``fixed_entry=(i, j, a0)`` the (i, j)
-    coordinate is frozen at ``a0`` and excluded from the search, which is
-    the restricted side of the coefficient LR test.
+    With ``fixed_entry=(i, j, a0)`` the (i, j) coordinate is frozen at
+    ``a0``, the restricted side of the coefficient LR test.  For a scalar
+    block ``lam0 * I_q`` the profile has a closed form, :func:`restricted_fit`
+    at the ``a`` of a reduced-rank eigenproblem that shares its argmax:
+    :func:`rrr_fit` with no fixed entry, and at q=1 the known-vector
+    regression (Johansen & Juselius 1992) with one; ``init`` is then
+    unused.  Otherwise (a non-scalar block, a fixed entry at q >= 2, or
+    ``lam0 = 0`` with ``k > 1``, where the eigenproblem is undefined) a
+    Nelder-Mead simplex search with restarts from the incumbent optimum
+    runs over the free entries of a, each evaluated by :func:`restricted_fit`.
     """
     dz = _as_design(data, k, det, design)
     lam0 = np.atleast_2d(np.asarray(lam0, dtype=float))
@@ -356,15 +357,18 @@ def profile_a(
 
     if fixed_entry is not None:
         i, j, a0 = fixed_entry
-        if not (0 <= i < r and 0 <= j < q):
-            raise DomainError(f"fixed entry ({i}, {j}) outside the {r}x{q} coefficient block")
+        if not (0 <= i < r and 0 <= j < q and np.isfinite(a0)):
+            raise DomainError(f"fixed entry a[{i}, {j}] = {a0} is not a finite value in the "
+                              f"{r}x{q} coefficient block")
 
     if r * q == 0:
         return restricted_fit(np.zeros((r, q)), lam0, data, k, det, design=dz)
 
-    if fixed_entry is None and np.array_equal(lam0, lam0[0, 0] * np.eye(q)):
+    known_vector = fixed_entry is not None and q == 1 and r > 1
+    if np.array_equal(lam0, lam0[0, 0] * np.eye(q)) and (fixed_entry is None or known_vector):
         try:
-            a_hat = rrr_fit(lam0[0, 0], q, data, k, det, design=dz).a_hat
+            a_hat = (_known_vector_a(lam0[0, 0], fixed_entry[0], fixed_entry[2], dz) if known_vector
+                     else rrr_fit(lam0[0, 0], q, data, k, det, design=dz).a_hat)
         except DomainError:
             pass  # lam0 = 0 with k > 1: only the search is defined there
         else:
@@ -414,35 +418,13 @@ def profile_a(
     return replace(fit, status=status)
 
 
-def rrr_fit(
-    lambda0: float,
-    q: int,
-    data: np.ndarray,
-    k: int,
-    det: str,
-    *,
-    design: Optional[Design] = None,
-) -> FitResult:
-    """Rank-restricted fit for the scalar block ``lam0 * I_q``.
-
-    Quasi-differences the data at ``lambda0`` and solves the canonical
-    correlation eigenproblem between the quasi-differences and lagged
-    levels (free regressors partialled out), which maximises the
-    likelihood under a rank p-q restriction on the level coefficient.
-    The recovered coefficients are mapped back to the levels VAR and
-    evaluated under the common OLS variance weight, so the result is
-    directly comparable with :func:`profile_a` at the same block.
-    """
-    dz = _as_design(data, k, det, design)
-    lambda0 = float(lambda0)
-    p, n, n_eff = dz.p, dz.n, dz.n_eff
-    if not 0 <= q <= p:
-        raise DomainError(f"q must lie in [0, {p}], got {q}")
+def _partialled_moments(lambda0: float, dz: Design):
+    """Quasi-differences Z0, lagged levels Z1, free regressors Z2; S00, S01, S11 given Z2."""
+    k, n, n_eff = dz.k, dz.n, dz.n_eff
     if lambda0 == 0.0 and k > 1:
         raise DomainError(
             "lambda0 = 0 with k > 1 degenerates the quasi-difference transform"
         )
-    r = p - q
     y = dz.data
 
     dy = y[1:] - lambda0 * y[:-1]  # quasi-differences, index t = 2..n
@@ -464,6 +446,73 @@ def rrr_fit(
     S00 = R0.T @ R0 / n_eff
     S11 = R1.T @ R1 / n_eff
     S01 = R0.T @ R1 / n_eff
+    return Z0, Z1, Z2, S00, S01, S11
+
+
+def _canonical_basis(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray, rank: int) -> np.ndarray:
+    """The ``rank`` leading canonical-correlation directions of the levels."""
+    try:
+        target = S01.T @ cho_solve(cho_factor(S00), S01)
+        vals, vecs = eigh(0.5 * (target + target.T), S11)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"canonical correlation eigenproblem failed: {exc}") from exc
+    return vecs[:, ::-1][:, :rank]  # descending eigenvalue order
+
+
+def _normalise(beta: np.ndarray) -> np.ndarray:
+    """The ``a`` of the p x r basis ``beta`` rescaled to ``[I_r; -a']``."""
+    r = beta.shape[1]
+    try:
+        return -np.linalg.solve(beta[:r].T, beta[r:].T)
+    except np.linalg.LinAlgError as exc:
+        raise NormalizationError(
+            "leading block of the estimated quasi-cointegrating basis is "
+            "singular; consider reordering the series"
+        ) from exc
+
+
+def _known_vector_a(lambda0: float, i: int, a0: float, dz: Design) -> np.ndarray:
+    """Profile argmax of ``a`` at q=1 given ``a[i, 0] = a0``, i.e. column i of ``beta = [I_r; -a']``
+    known to be ``b = e_i - a0 e_p``: with ``b'R1`` partialled out, the rank ``r - 1`` canonical
+    problem on a complement ``E`` of ``b`` (columns of ``I_p``) gives the rest."""
+    _, _, _, S00, S01, S11 = _partialled_moments(lambda0, dz)
+    eye = np.eye(dz.p)
+    b = (eye[i] - a0 * eye[-1]) / max(1.0, abs(a0))
+    E = np.delete(eye, np.argmax(np.abs(b)), axis=1)  # b's largest entry: a well-posed complement
+    s0b, s1b = np.stack([S01 @ b, S11 @ b]) / np.sqrt(b @ S11 @ b)
+    psi = _canonical_basis(S00 - np.outer(s0b, s0b), (S01 - np.outer(s0b, s1b)) @ E,
+                           E.T @ (S11 - np.outer(s1b, s1b)) @ E, dz.p - 2)
+    a = _normalise(np.column_stack([b, E @ psi]))
+    a[i, 0] = a0
+    return a
+
+
+def rrr_fit(
+    lambda0: float,
+    q: int,
+    data: np.ndarray,
+    k: int,
+    det: str,
+    *,
+    design: Optional[Design] = None,
+) -> FitResult:
+    """Rank-restricted fit for the scalar block ``lam0 * I_q``.
+
+    Quasi-differences the data at ``lambda0`` and solves the canonical
+    correlation eigenproblem between the quasi-differences and lagged
+    levels (free regressors partialled out), which maximises the
+    likelihood under a rank p-q restriction on the level coefficient.
+    The recovered coefficients are mapped back to the levels VAR and
+    evaluated under the common OLS variance weight, so the result is
+    directly comparable with :func:`profile_a` at the same block.
+    """
+    dz = _as_design(data, k, det, design)
+    lambda0 = float(lambda0)
+    p, n_eff = dz.p, dz.n_eff
+    if not 0 <= q <= p:
+        raise DomainError(f"q must lie in [0, {p}], got {q}")
+    r = p - q
+    Z0, Z1, Z2, S00, S01, S11 = _partialled_moments(lambda0, dz)
 
     if r == 0:
         pi_hat = np.zeros((p, p))
@@ -472,12 +521,7 @@ def rrr_fit(
         pi_hat = np.linalg.solve(S11, S01.T).T
         beta_hat = np.eye(p)
     else:
-        try:
-            target = S01.T @ cho_solve(cho_factor(S00), S01)
-            vals, vecs = eigh(0.5 * (target + target.T), S11)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"canonical correlation eigenproblem failed: {exc}") from exc
-        beta_hat = vecs[:, ::-1][:, :r]  # descending eigenvalue order
+        beta_hat = _canonical_basis(S00, S01, S11, r)
         alpha_hat = S01 @ beta_hat @ np.linalg.inv(beta_hat.T @ S11 @ beta_hat)
         pi_hat = alpha_hat @ beta_hat.T
 
@@ -499,23 +543,11 @@ def rrr_fit(
     coeffs = VarCoefficients.from_matrices(phi)
 
     lam0 = lambda0 * np.eye(q)
-    a_hat = None
-    if 0 < q < p:
-        b1 = beta_hat.T[:, :r]
-        b2 = beta_hat.T[:, r:]
-        try:
-            a_hat = -np.linalg.solve(b1, b2)
-        except np.linalg.LinAlgError as exc:
-            raise NormalizationError(
-                "leading block of the estimated quasi-cointegrating basis is "
-                "singular; consider reordering the series"
-            ) from exc
-    elif q == p:
-        a_hat = np.zeros((0, p))
+    a_hat = _normalise(beta_hat) if q > 0 else None
     theta = np.hstack([coef2[: dz.n_det].T, coeffs.stacked]) if dz.n_det else coeffs.stacked
 
     resid_norm = None
-    if a_hat is not None and q > 0:
+    if q > 0:
         _, M, N = constraint_matrices(a_hat, lam0, k)
         resid_norm = float(np.linalg.norm(coeffs.stacked @ M - N))
     return FitResult(

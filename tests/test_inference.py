@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from conftest import make_instance
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
 from qcvar.exceptions import QcvarError, TableCoverageError
 from qcvar.inference import (
@@ -48,6 +55,23 @@ class TestChi2:
         for level in (0.5, 0.9, 0.95, 0.99):
             oracle = brentq(lambda x: math.erf(math.sqrt(x / 2.0)) - level, 1e-12, 50.0)
             assert chi2_quantile(level) == pytest.approx(oracle, abs=1e-9)
+
+    def test_equals_scipy_stats_to_the_bit(self):
+        from scipy.stats import chi2
+
+        levels = np.concatenate([np.linspace(0.0, 1.0, 10_001), [0.9, 0.95, 0.975, 0.99]])
+        ours = np.array([chi2_quantile(level) for level in levels])
+        np.testing.assert_array_equal(ours, chi2.ppf(levels, 1))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats adds about half a second to every CLI command
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, qcvar, qcvar.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestLrLambda:
@@ -102,6 +126,28 @@ class TestLrCoefficient:
             ]
             diffs = np.diff(values)
             assert (diffs >= -1e-6).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        k=st.sampled_from([1, 2]),
+        i=st.sampled_from([0, 1]),
+        shift=st.floats(0.05, 0.5),
+        sign=st.sampled_from([-1.0, 1.0]),
+        scales=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+    )
+    def test_invariant_to_rescaling_each_series(self, seed, k, i, shift, sign, scales):
+        # y -> y D maps a to D_r a D_q^-1, so a0 -> d_i a0 / d_p, and leaves the LR unchanged
+        y, _ = simulate(DgpSpec.simple(make_instance(seed, p=3, k=k, q=1), 300), seed)
+        d = np.array(scales)
+        lam0 = np.array([[0.98]])
+        a0 = float(profile_a(lam0, y, k, "trend").a_hat[i, 0]) + sign * shift
+        base = lr_coefficient(a0, i, 0, lam0, y, k, "trend")
+        scaled = lr_coefficient(d[i] * a0 / d[2], i, 0, lam0, y * d, k, "trend")
+        assert scaled.value == pytest.approx(base.value, rel=1e-8)
+        np.testing.assert_allclose(
+            scaled.fit_restricted.a_hat, d[:2, None] * base.fit_restricted.a_hat / d[2], rtol=1e-8
+        )
 
 
 class TestCiLambda:

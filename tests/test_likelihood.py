@@ -202,6 +202,8 @@ class TestProfileA:
         y, _ = simulate(DgpSpec.simple(coeffs, 100), 2)
         with pytest.raises(DomainError):
             profile_a(np.array([[0.98]]), y, 1, "trend", fixed_entry=(2, 0, 0.0))
+        with pytest.raises(DomainError):
+            profile_a(np.array([[0.98]]), y, 1, "trend", fixed_entry=(0, 0, float("nan")))
 
 
 def _count_calls(monkeypatch, name):
@@ -236,6 +238,9 @@ class TestProfileADispatch:
         fit = profile_a(np.zeros((1, 1)), y, 2, "trend")
         assert searches
         assert np.isfinite(fit.loglik) and np.all(np.isfinite(fit.a_hat))
+        n_free_searches = len(searches)
+        pinned = profile_a(np.zeros((1, 1)), y, 2, "trend", fixed_entry=(0, 0, 0.3))
+        assert len(searches) > n_free_searches and pinned.a_hat[0, 0] == 0.3
 
     def test_non_scalar_block_searches(self, monkeypatch):
         y = TestRrrFit()._sim(3)
@@ -243,50 +248,97 @@ class TestProfileADispatch:
         fit = profile_a(np.array([[0.98, 0.01], [0.01, 0.95]]), y, 2, "trend")
         assert searches and np.isfinite(fit.loglik)
 
-    def test_fixed_entry_searches_below_free_optimum(self, monkeypatch):
+    def test_fixed_entry_at_q1_takes_closed_form(self, monkeypatch):
         y = TestRrrFit()._sim(3)
         lam0 = np.array([[0.97]])
         free = profile_a(lam0, y, 2, "trend")
+        a0 = float(free.a_hat[0, 0]) + 0.1
         searches = _count_calls(monkeypatch, "minimize")
-        pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 0, float(free.a_hat[0, 0]) + 0.1))
+        fits = _count_calls(monkeypatch, "restricted_fit")
+        pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 0, a0))
+        assert len(fits) == 1 and not searches
+        assert pinned.a_hat[0, 0] == a0 and pinned.status == "converged"
+        assert pinned.loglik <= free.loglik + 1e-10
+
+    def test_fixed_entry_searches_below_free_optimum(self, monkeypatch):
+        # at q >= 2 the fixed entry pins one coordinate of a column of a,
+        # not a whole column of beta, and the search remains
+        y = TestRrrFit()._sim(3)
+        lam0 = 0.97 * np.eye(2)
+        free = profile_a(lam0, y, 2, "trend")
+        searches = _count_calls(monkeypatch, "minimize")
+        pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, float(free.a_hat[0, 1]) + 0.1))
         assert searches
         assert pinned.loglik <= free.loglik + 1e-10
 
 
-def _search_from(a_start, lam0, y, k, det, dz):
-    """An independent simplex search over a; returns its best loglik."""
-    shape = a_start.shape
+def _search_from(a_start, lam0, y, k, det, dz, frozen=None):
+    """An independent simplex search over a, keeping the ``frozen`` (i, j)
+    entry at its start value; returns its best loglik."""
+    free = np.ones(a_start.shape, dtype=bool)
+    if frozen is not None:
+        free[frozen] = False
 
     def objective(x):
-        return -restricted_fit(x.reshape(shape), lam0, y, k, det, design=dz).loglik
+        a = a_start.copy()
+        a[free] = x
+        return -restricted_fit(a, lam0, y, k, det, design=dz).loglik
 
-    res = minimize(objective, a_start.ravel(), method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": 1000 * a_start.size})
-    return -min(res.fun, objective(a_start.ravel()))
+    res = minimize(objective, a_start[free], method="Nelder-Mead",
+                   options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": 1000 * int(free.sum())})
+    return -min(res.fun, objective(a_start[free]))
 
 
 _ORACLE_SYSTEMS = [(p, k, q) for p in (2, 3, 4, 5) for k in (1, 2, 3) for q in (1, 2) if q < p]
 
 
+def _oracle_data(p, k, q):
+    coeffs = make_instance(10 * p + 3 * k + q, p=p, k=k, q=q)
+    y, _ = simulate(DgpSpec.simple(coeffs, 200), 7 * p + k)
+    return y
+
+
 class TestClosedFormOracle:
     """The closed-form profile against a simplex search it does not share."""
 
-    def _check(self, lam0, y, k, det):
+    def _check(self, lam0, y, k, det, dz=None, fixed_entry=None):
         q = lam0.shape[0]
-        dz = make_design(y, k, det)
-        closed = profile_a(lam0, y, k, det, design=dz)
-        assert closed.loglik >= _search_from(closed.a_hat, lam0, y, k, det, dz) - 1e-9
+        dz = dz if dz is not None else make_design(y, k, det)
+        closed = profile_a(lam0, y, k, det, design=dz, fixed_entry=fixed_entry)
+        frozen = None if fixed_entry is None else fixed_entry[:2]
+        assert closed.loglik >= _search_from(closed.a_hat, lam0, y, k, det, dz, frozen) - 1e-9
         a_ols = split(ols_fit(y, k, det, design=dz).coeffs, q, warn_ill_conditioned=False).a
-        assert _search_from(a_ols, lam0, y, k, det, dz) <= closed.loglik + 1e-10
+        if fixed_entry is not None:
+            a_ols[frozen] = fixed_entry[2]
+        assert _search_from(a_ols, lam0, y, k, det, dz, frozen) <= closed.loglik + 1e-10
         return closed
 
     @pytest.mark.parametrize("p,k,q", _ORACLE_SYSTEMS)
     def test_no_search_beats_closed_form(self, p, k, q):
-        coeffs = make_instance(10 * p + 3 * k + q, p=p, k=k, q=q)
-        y, _ = simulate(DgpSpec.simple(coeffs, 200), 7 * p + k)
+        y = _oracle_data(p, k, q)
         for det in ("trend", "const", "none"):
             for lam in (0.9, 0.99, 1.0):
                 self._check(lam * np.eye(q), y, k, det)
+
+    @pytest.mark.parametrize("p,k", [(p, k) for p in (3, 4, 5) for k in (1, 2, 3)])
+    def test_no_search_beats_known_vector(self, p, k):
+        # q=1 with a[i, 0] fixed: the known-cointegrating-vector closed form
+        y = _oracle_data(p, k, 1)
+        for det in ("trend", "const", "none"):
+            dz = make_design(y, k, det)
+            for lam in (0.9, 0.99, 1.0):
+                lam0 = lam * np.eye(1)
+                a_hat = profile_a(lam0, y, k, det, design=dz).a_hat
+                for i in range(p - 1):
+                    for a0 in a_hat[i, 0] + np.array([-0.1, 0.1]):
+                        closed = self._check(lam0, y, k, det, dz, (i, 0, float(a0)))
+                        assert closed.a_hat[i, 0] == a0
+
+    @pytest.mark.parametrize("a0", [-1e12, -1e9, 1e6, 1e9, 1e12])
+    def test_known_vector_far_from_optimum(self, a0):
+        # b = e_i - a0 e_p is then nearly e_p, so e_p cannot be in its complement
+        y = _oracle_data(3, 2, 1)
+        self._check(np.array([[0.99]]), y, 2, "trend", fixed_entry=(1, 0, a0))
 
     def test_local_optimum_of_the_search(self):
         # p=3, k=2 data on which a simplex search from the OLS split stalls
