@@ -61,8 +61,9 @@ print(f"profile over a     : loglik {prof.loglik:.3f}, a_hat {prof.a_hat[0, 0]:.
 print("LR for a = a_true  :", 2.0 * (prof.loglik - fixed.loglik))
 
 # ---------------------------------------------------------------------------
-# That eigenproblem is reduced-rank regression: profile_a takes a from
-# rrr_fit, so the two logliks agree to rounding.  At q=1 a fixed entry of a
+# That eigenproblem is reduced-rank regression of the quasi-differences on
+# the lag-k levels, defined at every lambda, zero included: profile_a takes a
+# from rrr_fit, so the two logliks agree to rounding.  At q=1 a fixed entry of a
 # fixes one column of the cointegrating basis, a known vector with a closed
 # form too; a simplex search over a remains for non-scalar blocks and for a
 # fixed entry at q>=2.

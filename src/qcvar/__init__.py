@@ -70,7 +70,6 @@ from .representation import (
     b_matrix,
     decay_profile,
     irf,
-    irf_path,
     jacobians,
     qcs_basis,
     state_decompose,

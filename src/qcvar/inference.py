@@ -3,9 +3,7 @@ block and for scalar quasi-cointegrating coefficients.
 
 The LR for a hypothesised dynamics block compares the restricted profile
 fit against the unrestricted maximum of the fixed-weight loglikelihood,
-which is attained exactly at the OLS fit (``reference="ols"``, the
-default); a grid-profiled reference over the dynamics search space is
-available as ``reference="grid"``.  Conditional confidence intervals
+which is attained exactly at the OLS fit.  Conditional confidence intervals
 for a single subspace coefficient invert the chi-square(1) LR test by
 bracketed bisection, and the Bonferroni set unions those intervals over
 a confidence set for the dynamics block.
@@ -111,47 +109,24 @@ class ConfidenceSet:
         return any(lo - 1e-12 <= value <= hi + 1e-12 for lo, hi in self.intervals)
 
 
-def _reference_loglik(
-    data,
-    k: int,
-    det: str,
-    lambda_space: Optional[LambdaGrid],
-    reference: str,
-    design: Design,
-) -> tuple[float, Optional[FitResult]]:
-    if reference == "ols":
-        fit = ols_fit(data, k, det, design=design)
-        return fit.loglik, fit
-    if reference == "grid":
-        if lambda_space is None:
-            raise QcvarError("reference='grid' requires a lambda_space")
-        prof = profile_lambda(lambda_space, data, k, det, design=design, refine=True)
-        return prof.loglik, prof.best_fit
-    raise QcvarError(f"unknown reference {reference!r}")
-
-
 def lr_lambda(
     lambda0: np.ndarray,
     data: np.ndarray,
     k: int,
     det: str,
-    lambda_space: Optional[LambdaGrid] = None,
     *,
-    reference: str = "ols",
     design: Optional[Design] = None,
 ) -> LrStatistic:
     """LR statistic for the hypothesis that the near-unit block equals lambda0.
 
-    ``2 * [max loglik - profile loglik at lambda0]``, where the
-    reference maximum is the exact unrestricted (OLS) maximum by
-    default, or the refined grid profile over ``lambda_space`` with
-    ``reference="grid"``.
+    ``2 * [max loglik - profile loglik at lambda0]``, where the maximum
+    is the exact unrestricted (OLS) one.
     """
     dz = _as_design(data, k, det, design)
     lambda0 = np.atleast_2d(np.asarray(lambda0, dtype=float))
     restricted = profile_a(lambda0, data, k, det, design=dz)
-    ref_loglik, ref_fit = _reference_loglik(data, k, det, lambda_space, reference, dz)
-    value = _clamp_lr(2.0 * (ref_loglik - restricted.loglik), "lr_lambda")
+    ref_fit = ols_fit(data, k, det, design=dz)
+    value = _clamp_lr(2.0 * (ref_fit.loglik - restricted.loglik), "lr_lambda")
     return LrStatistic(
         kind="lambda",
         value=value,
@@ -225,7 +200,6 @@ def ci_lambda(
     lambda_space: LambdaGrid,
     table: QuantileTable,
     *,
-    reference: str = "ols",
     design: Optional[Design] = None,
 ) -> ConfidenceSet:
     """Level 1 - alpha1 confidence set for the near-unit dynamics block.
@@ -241,7 +215,7 @@ def ci_lambda(
     dz = _as_design(data, k, det, design)
     n = dz.n
     level = 1.0 - alpha1
-    ref_loglik, _ = _reference_loglik(data, k, det, lambda_space, reference, dz)
+    ref_loglik = ols_fit(data, k, det, design=dz).loglik
     accepted = []
     diagnostics = []
     missing = []

@@ -6,11 +6,11 @@ weighted by the *unrestricted* OLS variance estimator, which is held
 fixed inside every restricted maximisation.  Restricted fits impose the
 linear constraint ``Phi @ col{[a; I] lam0^(k-i)} = [a; I] lam0^k`` and
 have a closed form.  For a scalar block ``lam0 * I_q`` the outer profile
-over the subspace coefficients ``a`` has a closed form too: its argmax is
-the reduced-rank regression of :func:`rrr_fit`, or with an entry of ``a``
-fixed at q = 1 the known-cointegrating-vector regression.  A small search
-over ``a`` remains for non-scalar blocks, a fixed entry at q >= 2 and for
-``lam0 = 0`` with ``k > 1``.
+over the subspace coefficients ``a`` has a closed form too, at every
+``lam0``: its argmax is the reduced-rank regression of :func:`rrr_fit`, or
+with an entry of ``a`` fixed at q = 1 the known-cointegrating-vector
+regression.  A small search over ``a`` remains for non-scalar blocks and a
+fixed entry at q >= 2.
 """
 
 from __future__ import annotations
@@ -129,7 +129,6 @@ class Design:
             W[:, n_det + (i - 1) * p: n_det + i * p] = data[k - i: n - i]
         Y = data[k:]
 
-        self.data = data
         self.k, self.det, self.p = k, det, p
         self.n, self.n_eff, self.n_det, self.d = n, n_eff, n_det, d
         self.t_center, self.t_scale = t_center, t_scale
@@ -345,10 +344,11 @@ def profile_a(
     at the ``a`` of a reduced-rank eigenproblem that shares its argmax:
     :func:`rrr_fit` with no fixed entry, and at q=1 the known-vector
     regression (Johansen & Juselius 1992) with one; ``init`` is then
-    unused.  Otherwise (a non-scalar block, a fixed entry at q >= 2, or
-    ``lam0 = 0`` with ``k > 1``, where the eigenproblem is undefined) a
+    unused.  Otherwise (a non-scalar block or a fixed entry at q >= 2) a
     Nelder-Mead simplex search with restarts from the incumbent optimum
-    runs over the free entries of a, each evaluated by :func:`restricted_fit`.
+    runs over the free entries of a, each evaluated by :func:`restricted_fit`;
+    its status is the optimizer's unless :func:`restricted_fit` reports the
+    constraint infeasible at the result.
     """
     dz = _as_design(data, k, det, design)
     lam0 = np.atleast_2d(np.asarray(lam0, dtype=float))
@@ -366,13 +366,9 @@ def profile_a(
 
     known_vector = fixed_entry is not None and q == 1 and r > 1
     if np.array_equal(lam0, lam0[0, 0] * np.eye(q)) and (fixed_entry is None or known_vector):
-        try:
-            a_hat = (_known_vector_a(lam0[0, 0], fixed_entry[0], fixed_entry[2], dz) if known_vector
-                     else rrr_fit(lam0[0, 0], q, data, k, det, design=dz).a_hat)
-        except DomainError:
-            pass  # lam0 = 0 with k > 1: only the search is defined there
-        else:
-            return restricted_fit(a_hat, lam0, data, k, det, design=dz)
+        a_hat = (_known_vector_a(lam0[0, 0], fixed_entry[0], fixed_entry[2], dz) if known_vector
+                 else rrr_fit(lam0[0, 0], q, data, k, det, design=dz).a_hat)
+        return restricted_fit(a_hat, lam0, data, k, det, design=dz)
 
     a_start = np.asarray(init, dtype=float).reshape(r, q) if init is not None else _init_a(
         lam0, data, k, det, dz
@@ -415,38 +411,32 @@ def profile_a(
             break
 
     fit = restricted_fit(to_matrix(x), lam0, data, k, det, design=dz)
-    return replace(fit, status=status)
+    return fit if fit.status != "converged" else replace(fit, status=status)
 
 
 def _partialled_moments(lambda0: float, dz: Design):
-    """Quasi-differences Z0, lagged levels Z1, free regressors Z2; S00, S01, S11 given Z2."""
-    k, n, n_eff = dz.k, dz.n, dz.n_eff
-    if lambda0 == 0.0 and k > 1:
-        raise DomainError(
-            "lambda0 = 0 with k > 1 degenerates the quasi-difference transform"
-        )
-    y = dz.data
+    """Column maps ``t0, t1, T2`` of ``dz.W`` giving the quasi-differences ``Z0 = Y - W t0``, the
+    lag-k levels ``Z1 = W t1`` and the free regressors ``Z2 = W T2`` (deterministic terms and
+    lagged quasi-differences); the coefficients ``C0, C1`` of Z0 and Z1 on Z2; S00, S01, S11
+    given Z2.  ``Z0 = Z1 Pi' + Z2 G'`` reparametrises the levels VAR for every lambda0, with
+    ``Pi = sum_i Phi_i lambda0^(k-i) - lambda0^k I``."""
+    p, n_det = dz.p, dz.n_det
+    eye = np.eye(dz.d)
+    lags = [eye[:, n_det + i * p: n_det + (i + 1) * p] for i in range(dz.k)]  # y_{t-1}, ..., y_{t-k}
+    t0, t1 = lambda0 * lags[0], lags[-1]
+    T2 = np.hstack([eye[:, :n_det]] + [lags[i] - lambda0 * lags[i + 1] for i in range(dz.k - 1)])
+    Z0 = dz.Y - dz.W @ t0
+    Z1 = dz.W @ t1
+    Z2 = dz.W @ T2
+    C0, *_ = np.linalg.lstsq(Z2, Z0, rcond=None)
+    C1, *_ = np.linalg.lstsq(Z2, Z1, rcond=None)
+    R0 = Z0 - Z2 @ C0
+    R1 = Z1 - Z2 @ C1
 
-    dy = y[1:] - lambda0 * y[:-1]  # quasi-differences, index t = 2..n
-    Z0 = dy[k - 1:]
-    Z1 = y[k - 1: n - 1]
-    z2_cols = [dz.W[:, : dz.n_det]] if dz.n_det else []
-    for i in range(1, k):
-        z2_cols.append(dy[k - 1 - i: n - 1 - i])
-    Z2 = np.hstack(z2_cols) if z2_cols else np.empty((n_eff, 0))
-
-    if Z2.shape[1]:
-        coef0, *_ = np.linalg.lstsq(Z2, Z0, rcond=None)
-        coef1, *_ = np.linalg.lstsq(Z2, Z1, rcond=None)
-        R0 = Z0 - Z2 @ coef0
-        R1 = Z1 - Z2 @ coef1
-    else:
-        R0, R1 = Z0, Z1
-
-    S00 = R0.T @ R0 / n_eff
-    S11 = R1.T @ R1 / n_eff
-    S01 = R0.T @ R1 / n_eff
-    return Z0, Z1, Z2, S00, S01, S11
+    S00 = R0.T @ R0 / dz.n_eff
+    S11 = R1.T @ R1 / dz.n_eff
+    S01 = R0.T @ R1 / dz.n_eff
+    return t0, t1, T2, C0, C1, S00, S01, S11
 
 
 def _canonical_basis(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray, rank: int) -> np.ndarray:
@@ -475,7 +465,7 @@ def _known_vector_a(lambda0: float, i: int, a0: float, dz: Design) -> np.ndarray
     """Profile argmax of ``a`` at q=1 given ``a[i, 0] = a0``, i.e. column i of ``beta = [I_r; -a']``
     known to be ``b = e_i - a0 e_p``: with ``b'R1`` partialled out, the rank ``r - 1`` canonical
     problem on a complement ``E`` of ``b`` (columns of ``I_p``) gives the rest."""
-    _, _, _, S00, S01, S11 = _partialled_moments(lambda0, dz)
+    *_, S00, S01, S11 = _partialled_moments(lambda0, dz)
     eye = np.eye(dz.p)
     b = (eye[i] - a0 * eye[-1]) / max(1.0, abs(a0))
     E = np.delete(eye, np.argmax(np.abs(b)), axis=1)  # b's largest entry: a well-posed complement
@@ -499,12 +489,14 @@ def rrr_fit(
     """Rank-restricted fit for the scalar block ``lam0 * I_q``.
 
     Quasi-differences the data at ``lambda0`` and solves the canonical
-    correlation eigenproblem between the quasi-differences and lagged
+    correlation eigenproblem between the quasi-differences and the lag-k
     levels (free regressors partialled out), which maximises the
-    likelihood under a rank p-q restriction on the level coefficient.
-    The recovered coefficients are mapped back to the levels VAR and
-    evaluated under the common OLS variance weight, so the result is
-    directly comparable with :func:`profile_a` at the same block.
+    likelihood under a rank p-q restriction on the level coefficient
+    ``Pi = sum_i Phi_i lambda0^(k-i) - lambda0^k I``; this holds at every
+    ``lambda0``, zero included.  The recovered coefficients are mapped back
+    to the levels VAR and evaluated under the common OLS variance weight,
+    so the result is directly comparable with :func:`profile_a` at the
+    same block.
     """
     dz = _as_design(data, k, det, design)
     lambda0 = float(lambda0)
@@ -512,7 +504,7 @@ def rrr_fit(
     if not 0 <= q <= p:
         raise DomainError(f"q must lie in [0, {p}], got {q}")
     r = p - q
-    Z0, Z1, Z2, S00, S01, S11 = _partialled_moments(lambda0, dz)
+    t0, t1, T2, C0, C1, S00, S01, S11 = _partialled_moments(lambda0, dz)
 
     if r == 0:
         pi_hat = np.zeros((p, p))
@@ -525,26 +517,13 @@ def rrr_fit(
         alpha_hat = S01 @ beta_hat @ np.linalg.inv(beta_hat.T @ S11 @ beta_hat)
         pi_hat = alpha_hat @ beta_hat.T
 
-    if Z2.shape[1]:
-        coef2, *_ = np.linalg.lstsq(Z2, Z0 - Z1 @ pi_hat.T, rcond=None)
-    else:
-        coef2 = np.empty((0, p))
-    det_block = coef2[: dz.n_det].T if dz.n_det else None
-    psi = [coef2[dz.n_det + (i - 1) * p: dz.n_det + i * p].T for i in range(1, k)]
-
-    phi = [None] * k
-    if k == 1:
-        phi[0] = lambda0 * np.eye(p) + pi_hat
-    else:
-        phi[0] = lambda0 * np.eye(p) + pi_hat + psi[0]
-        for j in range(2, k):
-            phi[j - 1] = psi[j - 1] - lambda0 * psi[j - 2]
-        phi[k - 1] = -lambda0 * psi[k - 2]
-    coeffs = VarCoefficients.from_matrices(phi)
+    # Y = W t0 + Z1 Pi' + Z2 (C0 - C1 Pi') in the coefficients of W
+    theta = (t0 + t1 @ pi_hat.T + T2 @ (C0 - C1 @ pi_hat.T)).T
+    det_block, phi_block = dz.split_theta(theta)
+    coeffs = VarCoefficients.from_stacked(phi_block, k)
 
     lam0 = lambda0 * np.eye(q)
     a_hat = _normalise(beta_hat) if q > 0 else None
-    theta = np.hstack([coef2[: dz.n_det].T, coeffs.stacked]) if dz.n_det else coeffs.stacked
 
     resid_norm = None
     if q > 0:

@@ -71,20 +71,6 @@ def irf(split_: SpectralSplit, s: int) -> ImpulseResponse:
     return ImpulseResponse(s, near + stable, near, stable)
 
 
-def irf_path(split_: SpectralSplit, s_max: int) -> np.ndarray:
-    """Stacked impulse responses for horizons 1..s_max, shape (s_max, p, p)."""
-    p, kp = split_.p, split_.k * split_.p
-    lam = split_.lam
-    R = np.hstack([split_.r_near, split_.r_stable])
-    L = np.hstack([split_.l_near, split_.l_stable])
-    out = np.empty((s_max, p, p))
-    power = np.linalg.matrix_power(lam, split_.k)
-    for s in range(1, s_max + 1):
-        out[s - 1] = R @ power @ L.T
-        power = power @ lam
-    return out
-
-
 @dataclass(frozen=True)
 class QcsBasis:
     """Basis of the quasi-cointegrating space, normalised as [I_r, -A].

@@ -75,31 +75,6 @@ class TestChi2:
 
 
 class TestLrLambda:
-    def test_zero_at_grid_argmax_with_grid_reference(self):
-        y, _ = sim_local(0)
-        grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.01)
-        prof = profile_lambda(grid, y, 1, "trend")
-        stat = lr_lambda(prof.best_lam, y, 1, "trend", grid, reference="grid")
-        # refinement can only push the reference above the node value
-        assert 0.0 <= stat.value <= 0.2
-
-    def test_finer_grid_weakly_raises_value(self):
-        y, _ = sim_local(1)
-        lams = [np.array([[v]]) for v in np.linspace(0.9, 1.0, 21)]
-        fine = LambdaGrid(family="scalar", q=1, rho=0.9, candidates=tuple(lams))
-        coarse = LambdaGrid(family="scalar", q=1, rho=0.9, candidates=tuple(lams[::4]))
-        lam0 = np.array([[0.93]])
-        v_fine = lr_lambda(lam0, y, 1, "trend", fine, reference="grid").value
-        v_coarse = lr_lambda(lam0, y, 1, "trend", coarse, reference="grid").value
-        assert v_fine >= v_coarse - 1e-8
-
-    def test_ols_reference_dominates_grid(self):
-        y, lam_true = sim_local(2)
-        grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.01)
-        v_ols = lr_lambda(lam_true, y, 1, "trend").value
-        v_grid = lr_lambda(lam_true, y, 1, "trend", grid, reference="grid").value
-        assert v_ols >= v_grid - 1e-8
-
     def test_nonnegative(self):
         y, lam_true = sim_local(3)
         assert lr_lambda(lam_true, y, 1, "trend").value >= 0.0
@@ -155,7 +130,7 @@ class TestCiLambda:
         y, _ = sim_local(6)
         grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.01)
         sets = {
-            alpha1: ci_lambda(alpha1, y, 1, "trend", grid, small_table, reference="grid")
+            alpha1: ci_lambda(alpha1, y, 1, "trend", grid, small_table)
             for alpha1 in (0.999, 0.5, 0.05, 0.001)
         }
         sizes = [len(sets[a].accepted) for a in (0.999, 0.5, 0.05, 0.001)]

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.optimize import minimize
 
 import qcvar.likelihood as likelihood
 from conftest import make_instance
 from qcvar.dgp import DgpSpec, build_var, simulate
 from qcvar.exceptions import ConditionWarning, DomainError
+from qcvar.inference import lr_coefficient
 from qcvar.likelihood import (
+    DET_CASES,
     LambdaGrid,
     concentrated_loglik,
     make_design,
@@ -197,6 +200,16 @@ class TestProfileA:
         )
         assert pinned.loglik == pytest.approx(free.loglik, abs=1e-8)
 
+    def test_lambda0_zero_k2_free_dominates_pinned(self):
+        # the free profile is the maximum, so no pinned fit lies above it
+        y = TestRrrFit()._sim(3)
+        lam0 = np.zeros((1, 1))
+        free = profile_a(lam0, y, 2, "trend")
+        pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 0, 0.3))
+        assert free.loglik >= pinned.loglik - 1e-10
+        lr = lr_coefficient(0.3, 0, 0, lam0, y, 2, "trend").value
+        assert np.isfinite(lr) and lr < 1.0
+
     def test_fixed_entry_bounds(self):
         coeffs = build_var(np.array([[0.5]]), np.array([[0.98]]), 1, seed=6)
         y, _ = simulate(DgpSpec.simple(coeffs, 100), 2)
@@ -232,15 +245,17 @@ class TestProfileADispatch:
         rrr = rrr_fit(0.97, 1, y, 2, "trend")
         np.testing.assert_array_equal(fit.a_hat, rrr.a_hat)
 
-    def test_lambda0_zero_k2_falls_back_to_search(self, monkeypatch):
+    def test_lambda0_zero_k2_takes_closed_form(self, monkeypatch):
         y = TestRrrFit()._sim(3)
+        lam0 = np.zeros((1, 1))
         searches = _count_calls(monkeypatch, "minimize")
-        fit = profile_a(np.zeros((1, 1)), y, 2, "trend")
-        assert searches
-        assert np.isfinite(fit.loglik) and np.all(np.isfinite(fit.a_hat))
-        n_free_searches = len(searches)
-        pinned = profile_a(np.zeros((1, 1)), y, 2, "trend", fixed_entry=(0, 0, 0.3))
-        assert len(searches) > n_free_searches and pinned.a_hat[0, 0] == 0.3
+        fits = _count_calls(monkeypatch, "restricted_fit")
+        free = profile_a(lam0, y, 2, "trend")
+        assert len(fits) == 1 and not searches
+        np.testing.assert_array_equal(free.a_hat, rrr_fit(0.0, 1, y, 2, "trend").a_hat)
+        pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 0, 0.3))
+        assert len(fits) == 2 and not searches
+        assert pinned.a_hat[0, 0] == 0.3 and pinned.status == "converged"
 
     def test_non_scalar_block_searches(self, monkeypatch):
         y = TestRrrFit()._sim(3)
@@ -270,6 +285,14 @@ class TestProfileADispatch:
         pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, float(free.a_hat[0, 1]) + 0.1))
         assert searches
         assert pinned.loglik <= free.loglik + 1e-10
+
+    def test_search_keeps_infeasible_status(self):
+        # a fixed entry this large leaves the subspace constraint unmet to rounding
+        y = TestRrrFit()._sim(3)
+        lam0 = 0.97 * np.eye(2)
+        pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, 1e12))
+        assert restricted_fit(pinned.a_hat, lam0, y, 2, "trend").status == "constraint-infeasible"
+        assert pinned.status == "constraint-infeasible"
 
 
 def _search_from(a_start, lam0, y, k, det, dz, frozen=None):
@@ -340,6 +363,16 @@ class TestClosedFormOracle:
         y = _oracle_data(3, 2, 1)
         self._check(np.array([[0.99]]), y, 2, "trend", fixed_entry=(1, 0, a0))
 
+    @pytest.mark.parametrize("p,k,q", [(p, k, q) for p, k, q in _ORACLE_SYSTEMS if k > 1])
+    def test_no_search_beats_closed_form_at_zero(self, p, k, q):
+        # lam0 = 0 restricts Phi_k alone, through the lag-k levels; one det case a system
+        y = _oracle_data(p, k, q)
+        det = DET_CASES[(p + k + q) % 3]
+        dz = make_design(y, k, det)
+        a_hat = self._check(np.zeros((q, q)), y, k, det, dz).a_hat
+        if q == 1 and p > 2:
+            self._check(np.zeros((1, 1)), y, k, det, dz, (0, 0, float(a_hat[0, 0]) + 0.1))
+
     def test_local_optimum_of_the_search(self):
         # p=3, k=2 data on which a simplex search from the OLS split stalls
         # at lam0 = -0.3 (loglik -749.968 against the global -749.649)
@@ -348,6 +381,33 @@ class TestClosedFormOracle:
         y, _ = simulate(DgpSpec.simple(coeffs, 500), 200_000)
         closed = self._check(np.array([[-0.3]]), y, 2, "trend")
         assert closed.loglik > -749.7
+
+
+def _lag_one_rrr(lam0, y, k, det):
+    """Rank p-1 regression of the quasi-differences on the lag-1 level, given the lagged
+    quasi-differences, mapped back to the levels VAR by its own recursion (needs lam0 != 0
+    when k > 1); returns the deterministic block and the stacked lag coefficients."""
+    n, p = y.shape
+    dz = make_design(y, k, det)
+    n_det, D = dz.n_det, dz.W[:, :dz.n_det]
+    dy = y[1:] - lam0 * y[:-1]
+    Z0, Z1 = dy[k - 1:], y[k - 1: n - 1]
+    Z2 = np.hstack([D] + [dy[k - 1 - i: n - 1 - i] for i in range(1, k)])
+
+    R0, R1 = (Z - Z2 @ np.linalg.lstsq(Z2, Z, rcond=None)[0] for Z in (Z0, Z1))
+    S00, S01, S11 = R0.T @ R0, R0.T @ R1, R1.T @ R1
+    _, vecs = eigh(S01.T @ np.linalg.solve(S00, S01), S11)
+    beta = vecs[:, ::-1][:, : p - 1]
+    pi = S01 @ beta @ np.linalg.solve(beta.T @ S11 @ beta, beta.T)
+    coef2 = np.linalg.lstsq(Z2, Z0 - Z1 @ pi.T, rcond=None)[0]
+    psi = [coef2[n_det + (i - 1) * p: n_det + i * p].T for i in range(1, k)]
+    if k == 1:
+        phi = [lam0 * np.eye(p) + pi]
+    else:
+        phi = [lam0 * np.eye(p) + pi + psi[0]]
+        phi += [psi[j - 1] - lam0 * psi[j - 2] for j in range(2, k)]
+        phi.append(-lam0 * psi[k - 2])
+    return (coef2[:n_det].T if n_det else None), np.hstack(phi)
 
 
 class TestRrrFit:
@@ -371,10 +431,26 @@ class TestRrrFit:
         svals = np.linalg.svd(fit.coeffs.phi[0], compute_uv=False)
         assert svals[-1] <= 1e-10 * svals[0]
 
-    def test_lambda0_zero_k2_rejected(self):
+    def test_lambda0_zero_k2_rank_restriction(self):
+        # at lambda0 = 0 the restricted level coefficient is Phi_k
         y = self._sim(2)
-        with pytest.raises(DomainError):
-            rrr_fit(0.0, 1, y, 2, "trend")
+        fit = rrr_fit(0.0, 1, y, 2, "trend")
+        svals = np.linalg.svd(fit.coeffs.phi[1], compute_uv=False)
+        assert svals[-1] <= 1e-10 * svals[0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_lag_one_form(self, k):
+        # the lag-1 level form is the same model, so both give one fit
+        y = self._sim(k, k=k)
+        for det in ("trend", "none"):
+            for lam0 in (-0.3, 0.5, 0.98, 1.0):
+                fit = rrr_fit(lam0, 1, y, k, det)
+                det_block, phi = _lag_one_rrr(lam0, y, k, det)
+                scale = np.abs(phi).max()
+                assert np.abs(fit.coeffs.stacked - phi).max() <= 1e-12 * scale
+                if det_block is not None:
+                    raw = make_design(y, k, det).unscale_det(det_block)
+                    assert np.abs(fit.det_coeffs - raw).max() <= 1e-12 * np.abs(raw).max()
 
     def test_matches_profile_loglik(self):
         for seed in (0, 1, 2):

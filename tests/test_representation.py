@@ -11,7 +11,6 @@ from qcvar.representation import (
     b_matrix,
     decay_profile,
     irf,
-    irf_path,
     jacobians,
     qcs_basis,
     state_decompose,
@@ -52,10 +51,8 @@ class TestIrf:
             s = split(coeffs, 1)
             F = companion(coeffs)
             power = np.eye(F.shape[0])
-            path = irf_path(s, 50)
             for h in range(1, 51):
                 power = power @ F
-                assert np.allclose(path[h - 1], power[:2, :2], atol=1e-8)
                 resp = irf(s, h)
                 assert np.allclose(resp.value, power[:2, :2], atol=1e-8)
                 assert np.allclose(resp.near_part + resp.stable_part, resp.value,
