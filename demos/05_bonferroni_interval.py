@@ -57,7 +57,7 @@ print(f"critical-value table: {len(table.entries)} localisation nodes")
 # ---------------------------------------------------------------------------
 grid = LambdaGrid(family="scalar", q=1, rho=rho, eig_step=0.005)
 block = ci_lambda(0.025, y, k=1, det="trend", lambda_space=grid, table=table)
-lams = [float(lam[0, 0]) for _, lam, _, _ in block.accepted]
+lams = [float(lam[0, 0]) for lam, _, _ in block.accepted]
 print(f"\naccepted dynamics blocks: {len(lams)} nodes, "
       f"lambda in [{min(lams):.3f}, {max(lams):.3f}] (truth 0.99)")
 

@@ -35,7 +35,7 @@ from .exceptions import (
 from .inference import (
     bonferroni_ci, bonferroni_level, chi2_quantile, localisation, lr_coefficient, lr_lambda,
 )
-from .likelihood import LambdaGrid, make_design, ols_fit, profile_lambda
+from .likelihood import DET_CASES, LambdaGrid, make_design, ols_fit, profile_lambda
 from .limitdist import LimitDistConfig, build_table, load_table, lookup
 from .representation import irf
 from .spectral import (
@@ -53,11 +53,10 @@ __all__ = ["Dataset", "ingest_csv", "main"]
 
 @dataclass(frozen=True)
 class Dataset:
-    """A parsed data matrix with column labels and provenance."""
+    """A parsed data matrix (n observations of p series) and its column labels."""
 
     names: tuple
     values: np.ndarray
-    source: str
 
     @property
     def n(self) -> int:
@@ -126,7 +125,7 @@ def ingest_csv(path: str, notices: Optional[list] = None) -> Dataset:
     if bad:
         listed = "; ".join(bad[:20])
         raise DomainError(f"{path}: missing or non-numeric cells: {listed}")
-    return Dataset(names=tuple(header[start_col:]), values=values, source=path)
+    return Dataset(names=tuple(header[start_col:]), values=values)
 
 
 def _load_coeffs_json(path: str) -> tuple[VarCoefficients, dict]:
@@ -273,6 +272,22 @@ def _resolve_rho(args) -> float:
     return 0.9
 
 
+def _floats(text: str, option: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"{option} takes comma-separated numbers, got {text!r}") from exc
+
+
+def _check_block(p: int, q: int, coef: Optional[tuple] = None) -> None:
+    """Reject, before any fit, a q outside [1, p] or an index outside the (p-q) x q matrix a."""
+    if not 1 <= q <= p:
+        raise DomainError(f"--q {q} must lie in [1, p] = [1, {p}]")
+    if coef is not None and not (0 <= coef[0] < p - q and 0 <= coef[1] < q):
+        raise DomainError(f"--coef {coef[0]},{coef[1]} needs 0 <= i < {p - q} and 0 <= j < {q} "
+                          f"(a is {p - q}x{q}, 0-based)")
+
+
 def _coef_pair(text: str) -> tuple[int, int]:
     try:
         i, j = (int(v) for v in text.split(","))
@@ -324,6 +339,7 @@ def cmd_fit(args) -> int:
     rho = _resolve_rho(args)
     notices: list = []
     ds = ingest_csv(args.data, notices)
+    _check_block(ds.p, args.q)
     grid = LambdaGrid(family=args.family, q=args.q, rho=rho, eig_step=args.grid_step)
     config = dict(
         command="fit", source=args.data, k=args.k, q=args.q, rho=rho, det=args.det,
@@ -396,7 +412,7 @@ def cmd_irf(args) -> int:
 
 
 def _parse_lambda0(text: str, q: int) -> np.ndarray:
-    vals = [float(v) for v in text.split(",")]
+    vals = _floats(text, "--lambda0")
     if len(vals) == 1:
         return vals[0] * np.eye(q)
     if len(vals) == q * q:
@@ -408,6 +424,7 @@ def cmd_lr(args) -> int:
     rho = _resolve_rho(args)
     notices: list = []
     ds = ingest_csv(args.data, notices)
+    _check_block(ds.p, args.q, args.coef)
     lam0 = _parse_lambda0(args.lambda0, args.q)
     config = dict(
         command="lr", source=args.data, k=args.k, q=args.q, rho=rho, det=args.det,
@@ -461,7 +478,10 @@ def cmd_ci(args) -> int:
     for note in notices:
         em.add_scalars("notice", {"message": note})
 
-    bonferroni_level(args.alpha1, args.alpha2)  # reject a bad budget before any simulation
+    # reject bad input before any simulation or fit
+    _check_block(ds.p, args.q, args.coef)
+    lambda_space = LambdaGrid(family="scalar", q=args.q, rho=rho, eig_step=args.grid_step)
+    bonferroni_level(args.alpha1, args.alpha2)
     if os.path.exists(args.table):
         table = load_table(args.table)
     elif args.build_table:
@@ -482,14 +502,14 @@ def cmd_ci(args) -> int:
         )
 
     design = make_design(ds.values, args.k, args.det)
-    grid = LambdaGrid(family="scalar", q=args.q, rho=rho, eig_step=args.grid_step)
     result = bonferroni_ci(
-        args.alpha1, args.alpha2, i, j, ds.values, args.k, args.det, grid, table, design=design
+        args.alpha1, args.alpha2, i, j, ds.values, args.k, args.det, lambda_space, table,
+        design=design,
     )
     em.add_table(
         "dynamics-block confidence set (accepted nodes)",
         ["lambda", "lr", "critical"],
-        [[float(lam[0, 0]), lr, crit] for _, lam, lr, crit in result.accepted],
+        [[float(lam[0, 0]), lr, crit] for lam, lr, crit in result.accepted],
     )
     if not result.accepted:
         em.add_scalars("warning", {"message": "empty block set; using grid argmax fallback"})
@@ -512,19 +532,15 @@ def cmd_ci(args) -> int:
 
 
 def cmd_critvals(args) -> int:
-    grid_vals = [float(v) for v in args.c_grid.split(",")]
-    if args.q == 1:
-        grid = [np.array([[v]]) for v in grid_vals]
-    else:
-        if len(grid_vals) % (args.q * args.q):
-            raise DomainError(
-                f"--c-grid must supply multiples of q*q={args.q * args.q} values for q>1"
-            )
-        grid = [
-            np.asarray(grid_vals[s: s + args.q * args.q]).reshape(args.q, args.q)
-            for s in range(0, len(grid_vals), args.q * args.q)
-        ]
-    levels = tuple(float(v) for v in args.levels.split(","))
+    grid_vals = _floats(args.c_grid, "--c-grid")
+    if args.q < 1 or len(grid_vals) % (args.q * args.q):
+        raise DomainError(f"--c-grid must supply a multiple of q*q values for a positive q; "
+                          f"got {len(grid_vals)} values at q = {args.q}")
+    grid = [
+        np.asarray(grid_vals[s: s + args.q * args.q]).reshape(args.q, args.q)
+        for s in range(0, len(grid_vals), args.q * args.q)
+    ]
+    levels = tuple(_floats(args.levels, "--levels"))
     template = LimitDistConfig(
         q=args.q, c_star=grid[0], det=args.det, steps=args.steps,
         reps=args.reps, seed=args.seed, levels=levels,
@@ -595,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--data", help="CSV file of observed series")
     src.add_argument("--coeffs", help="JSON file with inline lag matrices")
     sub.add_argument("--k", type=int, default=1, help="lag order (data mode)")
-    sub.add_argument("--det", choices=("trend", "const", "none"), default="trend")
+    sub.add_argument("--det", choices=DET_CASES, default="trend")
     add_rho_group(sub)
     _common_output_args(sub)
     sub.set_defaults(func=cmd_roots)
@@ -604,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--data", required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--det", choices=("trend", "const", "none"), default="trend")
+    sub.add_argument("--det", choices=DET_CASES, default="trend")
     sub.add_argument("--family", choices=("scalar", "symmetric"), default="scalar")
     sub.add_argument("--grid-step", type=float, default=None, dest="grid_step",
                      help="eigenvalue grid step (default 0.005 scalar, 0.01 symmetric)")
@@ -623,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--data", required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--det", choices=("trend", "const", "none"), default="trend")
+    sub.add_argument("--det", choices=DET_CASES, default="trend")
     sub.add_argument("--lambda0", required=True, help="scalar or q*q comma-separated entries")
     sub.add_argument("--coef", type=_coef_pair, help="coefficient indices i,j (0-based)")
     sub.add_argument("--a0", type=float, help="hypothesised coefficient value")
@@ -636,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--data", required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--det", choices=("trend", "const", "none"), default="trend")
+    sub.add_argument("--det", choices=DET_CASES, default="trend")
     sub.add_argument("--alpha1", type=float, default=0.025)
     sub.add_argument("--alpha2", type=float, default=0.025)
     sub.add_argument("--coef", type=_coef_pair, required=True, help="indices i,j (0-based)")
@@ -652,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("critvals", help="build or extend a critical-value table")
     sub.add_argument("--q", type=int, default=1)
-    sub.add_argument("--det", choices=("trend", "const", "none"), default="trend")
+    sub.add_argument("--det", choices=DET_CASES, default="trend")
     sub.add_argument("--c-grid", required=True, dest="c_grid",
                      help="comma-separated localisation values (q*q per node for q>1); "
                           "write --c-grid=-5,... to protect a leading minus sign")

@@ -86,15 +86,14 @@ class DgpSpec:
 class NearUnitBase:
     """Fixed ingredients of a local-to-unity sequence.
 
-    ``stationary`` is held constant along the sequence: either an
-    explicit stable base coefficient matrix (p-by-kp), a pair
+    ``stationary`` is held constant along the sequence: either a pair
     ``(r_stable, lam_stable)`` for the exact k = 1 similarity
     construction, or an integer seed from which a stable base is drawn.
     """
 
     a: np.ndarray
     k: int
-    stationary: Union[np.ndarray, tuple, int]
+    stationary: Union[tuple, int]
 
     def __post_init__(self):
         object.__setattr__(self, "a", np.atleast_2d(np.asarray(self.a, dtype=float)))
@@ -105,7 +104,6 @@ class LocalSequence:
     """A realised element of a drifting near-unit sequence."""
 
     c: np.ndarray
-    base: NearUnitBase
     n: int
     realized: VarCoefficients
 
@@ -144,18 +142,20 @@ def build_var(
     lam_near: np.ndarray,
     k: int,
     *,
-    stationary: Union[np.ndarray, tuple, None] = None,
+    stationary: Optional[tuple] = None,
     seed: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
     max_modulus: float = 1.0,
 ) -> VarCoefficients:
     """Construct VAR(k) coefficients with prescribed near-unit block.
 
-    The returned coefficients are the least-norm correction of a stable
-    base onto the linear constraint ``Phi @ col{[a; I] lam^(k-i)} =
-    [a; I] lam^k``, which forces the characteristic polynomial to have
+    The returned coefficients are the least-norm correction of a drawn
+    stable base onto the linear constraint ``Phi @ col{[a; I] lam^(k-i)}
+    = [a; I] lam^k``, which forces the characteristic polynomial to have
     roots at the eigenvalues of ``lam_near`` with [a; I_q] as the
-    normalised right basis.
+    normalised right basis; or, given ``stationary``, the exact k = 1
+    similarity ``[r_near, r_stable] diag(lam_near, lam_stable)
+    [r_near, r_stable]^{-1}``.
 
     Parameters
     ----------
@@ -167,19 +167,19 @@ def build_var(
     k : int
         Lag order.
     stationary : optional
-        Explicit stable part: a p-by-kp base coefficient matrix (or
-        list of k blocks), or a ``(r_stable, lam_stable)`` pair for the
-        exact similarity construction (k = 1 only).  When omitted, a
-        stable base is drawn from ``rng``/``seed`` and redrawn (up to
-        ``MAX_TRIES`` times) until the remaining roots clear the
-        ``ROOT_GAP`` modulus margin below the smallest near-unit
-        eigenvalue.
+        A ``(r_stable, lam_stable)`` pair for the exact similarity
+        construction (k = 1 only).  When omitted, a stable base is drawn
+        from ``rng``/``seed`` and redrawn (up to ``MAX_TRIES`` times)
+        until the remaining roots clear the ``ROOT_GAP`` modulus margin
+        below the smallest near-unit eigenvalue.
 
     Raises
     ------
+    DomainError
+        When ``stationary`` is given but is not a pair.
     ConstructionError
-        When the retry budget is exhausted or an explicit stable part
-        violates the root gap.
+        When the retry budget is exhausted or ``lam_stable`` violates
+        the root gap.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     lam_near = np.atleast_2d(np.asarray(lam_near, dtype=float))
@@ -202,7 +202,9 @@ def build_var(
 
     r_near, M, N = constraint_matrices(a, lam_near, k)
 
-    if isinstance(stationary, tuple):
+    if stationary is not None:
+        if not isinstance(stationary, tuple):
+            raise DomainError("stationary must be an (r_stable, lam_stable) pair")
         if k != 1:
             raise DomainError("the (r_stable, lam_stable) construction requires k = 1")
         r_stable = np.atleast_2d(np.asarray(stationary[0], dtype=float)).reshape(p, p - q)
@@ -223,27 +225,12 @@ def build_var(
             raise ConstructionError("similarity basis [r_near, r_stable] is singular") from exc
         return VarCoefficients.from_matrices([phi1])
 
-    if stationary is not None:
-        if isinstance(stationary, (list,)):
-            base = np.hstack([np.asarray(m, dtype=float) for m in stationary])
-        else:
-            base = np.asarray(stationary, dtype=float)
-        if base.shape != (p, k * p):
-            raise DomainError(f"stable base must be {p}x{k * p}, got {base.shape}")
-        candidates = [base]
-        redraw = False
-    else:
-        rng = rng if rng is not None else np.random.default_rng(seed)
-        candidates = None
-        redraw = True
-
+    rng = rng if rng is not None else np.random.default_rng(seed)
     gram_solve = np.linalg.solve(M.T @ M, M.T)  # (M^T M)^{-1} M^T
 
     target_radius = min(0.6 * floor, 0.5)
-    offending = None
-    tries = MAX_TRIES if redraw else 1
-    for _ in range(tries):
-        base = candidates[0] if not redraw else _draw_stable_base(rng, p, k, target_radius)
+    for _ in range(MAX_TRIES):
+        base = _draw_stable_base(rng, p, k, target_radius)
         phi = base + (N - base @ M) @ gram_solve
         coeffs = VarCoefficients.from_stacked(phi, k)
         all_roots = roots(coeffs).roots
@@ -254,10 +241,9 @@ def build_var(
         if rest.size == 0 or np.abs(rest).max() < floor:
             return coeffs
         offending = rest
-    detail = np.array2string(np.asarray(offending), precision=4) if offending is not None else ""
     raise ConstructionError(
-        f"could not place the remaining roots below modulus {floor:.6g} "
-        f"after {tries} tries; offending roots {detail}"
+        f"could not place the remaining roots below modulus {floor:.6g} after {MAX_TRIES} "
+        f"tries; offending roots {np.array2string(np.asarray(offending), precision=4)}"
     )
 
 
@@ -289,7 +275,7 @@ def local_sequence(c: np.ndarray, n: int, base: NearUnitBase) -> LocalSequence:
         realized = build_var(
             base.a, lam, base.k, stationary=stationary, max_modulus=1.0 + 1.0 / n
         )
-    return LocalSequence(c=c, base=base, n=n, realized=realized)
+    return LocalSequence(c=c, n=n, realized=realized)
 
 
 def simulate(

@@ -74,13 +74,14 @@ def _clamp_lr(value: float, context: str) -> float:
 
 @dataclass(frozen=True)
 class LrStatistic:
-    """A likelihood-ratio statistic and the two fits behind it."""
+    """A likelihood-ratio statistic and the restricted fit behind it.
 
-    kind: str
+    ``fit_restricted`` is the profile fit under the null: at the
+    hypothesised block for :func:`lr_lambda`, with the coefficient also
+    frozen for :func:`lr_coefficient`.
+    """
+
     value: float
-    null_lambda: np.ndarray
-    null_coef: Optional[tuple]
-    fit_unrestricted: Optional[FitResult]
     fit_restricted: FitResult
 
 
@@ -89,21 +90,24 @@ class ConfidenceSet:
     """A confidence set, reported as disjoint intervals or grid nodes.
 
     For the dynamics block, ``accepted`` holds the accepted grid nodes
-    as (param, lam, lr, critical value) tuples.  For scalar
-    coefficients, ``intervals`` is a minimal union of disjoint [lo, hi]
-    pairs and ``hull`` their envelope.  A Bonferroni set also keeps the
-    conditional pieces it unites in ``conditional``, as (lam, lo, hi)
-    tuples.  ``diagnostics`` records grid resolution, failed fits and
-    fallback events.
+    as (lam, lr, critical value) tuples.  ``intervals`` is a minimal
+    union of disjoint [lo, hi] pairs (for a scalar dynamics grid, the
+    runs of accepted nodes) and ``hull`` their envelope.  A Bonferroni set also
+    keeps the conditional pieces it unites in ``conditional``, as
+    (lam, lo, hi) tuples.  ``diagnostics`` records grid resolution,
+    failed fits and fallback events.
     """
 
-    kind: str
     level: float
     intervals: tuple = ()
     accepted: tuple = ()
-    hull: Optional[tuple] = None
     diagnostics: tuple = ()
     conditional: tuple = ()
+
+    @property
+    def hull(self) -> Optional[tuple]:
+        """(lowest lo, highest hi) of ``intervals``, or None when empty."""
+        return (self.intervals[0][0], self.intervals[-1][1]) if self.intervals else None
 
     def contains(self, value: float) -> bool:
         return any(lo - 1e-12 <= value <= hi + 1e-12 for lo, hi in self.intervals)
@@ -127,14 +131,7 @@ def lr_lambda(
     restricted = profile_a(lambda0, data, k, det, design=dz)
     ref_fit = ols_fit(data, k, det, design=dz)
     value = _clamp_lr(2.0 * (ref_fit.loglik - restricted.loglik), "lr_lambda")
-    return LrStatistic(
-        kind="lambda",
-        value=value,
-        null_lambda=lambda0,
-        null_coef=None,
-        fit_unrestricted=ref_fit,
-        fit_restricted=restricted,
-    )
+    return LrStatistic(value=value, fit_restricted=restricted)
 
 
 def lr_coefficient(
@@ -165,14 +162,7 @@ def lr_coefficient(
         design=dz, fixed_entry=(i, j, float(a0)), init=fit_u.a_hat,
     )
     value = _clamp_lr(2.0 * (fit_u.loglik - fit_r.loglik), "lr_coefficient")
-    return LrStatistic(
-        kind="coefficient",
-        value=value,
-        null_lambda=lambda0,
-        null_coef=(i, j, float(a0)),
-        fit_unrestricted=fit_u,
-        fit_restricted=fit_r,
-    )
+    return LrStatistic(value=value, fit_restricted=fit_r)
 
 
 def localisation(n: int, lam0: np.ndarray, fit: FitResult, design: Design) -> np.ndarray:
@@ -219,7 +209,7 @@ def ci_lambda(
     accepted = []
     diagnostics = []
     missing = []
-    for param, lam in lambda_space.points():
+    for lam in lambda_space.points():
         try:
             fit = profile_a(lam, data, k, det, design=dz)
         except QcvarError as exc:
@@ -233,7 +223,7 @@ def ci_lambda(
             missing.append(c_query)
             continue
         if value <= crit:
-            accepted.append((param, lam, value, crit))
+            accepted.append((lam, value, crit))
     if missing:
         listed = ", ".join(np.array2string(m, precision=4) for m in missing[:8])
         raise TableCoverageError(
@@ -243,14 +233,12 @@ def ci_lambda(
     intervals = ()
     if lambda_space.family == "scalar":
         # nodes further apart than one grid step start a new run
-        lams = [float(lam[0, 0]) for _, lam, _, _ in accepted]
+        lams = [float(lam[0, 0]) for lam, _, _ in accepted]
         intervals = _merge_intervals([(v, v) for v in lams], 1.5 * lambda_space.resolved_eig_step)
     return ConfidenceSet(
-        kind="lambda",
         level=level,
         intervals=intervals,
         accepted=tuple(accepted),
-        hull=(intervals[0][0], intervals[-1][1]) if intervals else None,
         diagnostics=tuple(diagnostics),
     )
 
@@ -313,28 +301,14 @@ def ci_coefficient_given_lambda(
 
     lo, hi = bounds["lower"], bounds["upper"]
     if not np.isfinite(lo) or not np.isfinite(hi):
-        return ConfidenceSet(
-            kind="coefficient",
-            level=1.0 - alpha2,
-            intervals=((lo, hi),),
-            hull=(lo, hi),
-            diagnostics=tuple(diagnostics),
-        )
+        return ConfidenceSet(level=1.0 - alpha2, intervals=((lo, hi),),
+                             diagnostics=tuple(diagnostics))
 
     # scan for multimodality across the bracketed range
     grid = np.linspace(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), SCAN_POINTS)
     values = np.array([g(v) for v in grid])
-    inside = values <= 0.0
-    runs = []
-    start = None
-    for idx, ok in enumerate(inside):
-        if ok and start is None:
-            start = idx
-        elif not ok and start is not None:
-            runs.append((start, idx - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(grid) - 1))
+    # runs of accepted scan points: index pairs one apart join
+    runs = _merge_intervals([(idx, idx) for idx in np.flatnonzero(values <= 0.0).tolist()], 1)
 
     if len(runs) <= 1:
         intervals = ((lo, hi),)
@@ -349,13 +323,8 @@ def ci_coefficient_given_lambda(
             intervals.append((float(left), float(right)))
         intervals = tuple(intervals)
 
-    return ConfidenceSet(
-        kind="coefficient",
-        level=1.0 - alpha2,
-        intervals=tuple(intervals),
-        hull=(intervals[0][0], intervals[-1][1]),
-        diagnostics=tuple(diagnostics),
-    )
+    return ConfidenceSet(level=1.0 - alpha2, intervals=tuple(intervals),
+                         diagnostics=tuple(diagnostics))
 
 
 def _merge_intervals(intervals: Sequence[tuple], gap: float) -> tuple:
@@ -407,7 +376,7 @@ def bonferroni_ci(
     block_set = ci_lambda(alpha1, data, k, det, lambda_space, table, design=dz)
     diagnostics = list(block_set.diagnostics)
     if block_set.accepted:
-        lams = [lam for _, lam, _, _ in block_set.accepted]
+        lams = [lam for lam, _, _ in block_set.accepted]
     else:
         warnings.warn(
             "the dynamics-block confidence set is empty at this grid resolution; "
@@ -428,11 +397,9 @@ def bonferroni_ci(
         conditional.extend((lam, lo, hi) for lo, hi in cset.intervals)
     intervals = _merge_intervals([(lo, hi) for _, lo, hi in conditional], 1e-12)
     return ConfidenceSet(
-        kind="bonferroni",
         level=level,
         intervals=intervals,
         accepted=block_set.accepted,
-        hull=(intervals[0][0], intervals[-1][1]) if intervals else None,
         diagnostics=tuple(diagnostics),
         conditional=tuple(conditional),
     )

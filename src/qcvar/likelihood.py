@@ -87,7 +87,6 @@ class FitResult:
     n_eff: int
     constraint_residual: Optional[float] = None
     a_hat: Optional[np.ndarray] = None
-    lam0: Optional[np.ndarray] = None
 
 
 class Design:
@@ -285,7 +284,7 @@ def restricted_fit(
 
     if q == 0:
         res = ols_fit(data, k, det, design=dz)
-        return replace(res, constraint_residual=0.0, a_hat=a, lam0=lam0)
+        return replace(res, constraint_residual=0.0, a_hat=a)
 
     _, M, N = constraint_matrices(a, lam0, k)
     K = np.vstack([np.zeros((dz.n_det, q)), M])
@@ -312,7 +311,6 @@ def restricted_fit(
         n_eff=dz.n_eff,
         constraint_residual=resid_norm,
         a_hat=a,
-        lam0=lam0,
     )
 
 
@@ -358,8 +356,8 @@ def profile_a(
     if fixed_entry is not None:
         i, j, a0 = fixed_entry
         if not (0 <= i < r and 0 <= j < q and np.isfinite(a0)):
-            raise DomainError(f"fixed entry a[{i}, {j}] = {a0} is not a finite value in the "
-                              f"{r}x{q} coefficient block")
+            raise DomainError(f"fixed entry a[{i}, {j}] = {a0} needs 0 <= i < {r}, 0 <= j < {q} "
+                              "and a finite value")
 
     if r * q == 0:
         return restricted_fit(np.zeros((r, q)), lam0, data, k, det, design=dz)
@@ -539,7 +537,6 @@ def rrr_fit(
         n_eff=n_eff,
         constraint_residual=resid_norm,
         a_hat=a_hat,
-        lam0=lam0,
     )
 
 
@@ -547,12 +544,14 @@ def rrr_fit(
 class LambdaGrid:
     """Deterministic grid over the near-unit dynamics search space.
 
-    For the scalar family the grid is uniform on [rho, 1] with the given
-    eigenvalue step (default 0.005).  For the symmetric family with
-    q = 2 it is the tensor product of ordered eigenvalue pairs (step
+    :meth:`points` lists the q-by-q candidate blocks.  For the scalar
+    family they are ``lam * I_q`` with lam uniform on [rho, 1] at the
+    given eigenvalue step (default 0.005).  For the symmetric family with
+    q = 2 they are the tensor product of ordered eigenvalue pairs (step
     ``eig_step``, default 0.01) and rotation angles on [0, pi/2) (step
     ``angle_step``).  Explicit candidate matrices may be supplied
-    instead via ``candidates``.
+    instead via ``candidates``.  A q below 1, a rho above 1 or a step
+    that is not positive raises :class:`DomainError`.
     """
 
     family: str = "scalar"
@@ -562,27 +561,30 @@ class LambdaGrid:
     angle_step: float = float(np.pi / 16)
     candidates: Optional[tuple] = None
 
+    def __post_init__(self):
+        if self.q < 1 or not self.rho <= 1.0:
+            raise DomainError(f"a dynamics grid needs q >= 1 and rho <= 1, got q = {self.q}, "
+                              f"rho = {self.rho}")
+        if self.eig_step is not None and not self.eig_step > 0:
+            raise DomainError(f"the eigenvalue grid step must be positive, got {self.eig_step}")
+
     @property
     def resolved_eig_step(self) -> float:
         if self.eig_step is not None:
             return self.eig_step
         return 0.005 if self.family == "scalar" else 0.01
 
-    def points(self) -> list[tuple[Optional[LambdaParam], np.ndarray]]:
+    def points(self) -> list[np.ndarray]:
         step = self.resolved_eig_step
         if self.candidates is not None:
-            return [(None, np.atleast_2d(np.asarray(c, dtype=float))) for c in self.candidates]
+            return [np.atleast_2d(np.asarray(c, dtype=float)) for c in self.candidates]
         if self.family == "scalar":
             if self.rho >= 1.0:
                 lams = np.array([1.0])
             else:
                 n_pts = int(round((1.0 - self.rho) / step)) + 1
                 lams = np.linspace(self.rho, 1.0, max(n_pts, 2))
-            out = []
-            for lam in lams:
-                param = LambdaParam("scalar", self.q, (float(lam),), rho=self.rho)
-                out.append((param, lambda_materialize(param)))
-            return out
+            return [float(lam) * np.eye(self.q) for lam in lams]
         if self.family == "symmetric" and self.q == 2:
             n_eig = int(round((1.0 - self.rho) / step)) + 1
             eigs = np.linspace(self.rho, 1.0, max(n_eig, 2))
@@ -594,10 +596,9 @@ class LambdaGrid:
                     for ang in angles:
                         if e1 == e2 and ang > 0:
                             continue  # rotation is redundant for equal eigenvalues
-                        param = LambdaParam(
+                        out.append(lambda_materialize(LambdaParam(
                             "symmetric", 2, (float(e1), float(e2)), (float(ang),), rho=self.rho
-                        )
-                        out.append((param, lambda_materialize(param)))
+                        )))
             return out
         raise DomainError(
             f"no automatic grid for family {self.family!r} with q = {self.q}; "
@@ -607,10 +608,13 @@ class LambdaGrid:
 
 @dataclass(frozen=True)
 class ProfileLambdaResult:
-    """Grid profile over the near-unit dynamics space."""
+    """Grid profile over the near-unit dynamics space.
+
+    ``trace`` holds a (lam, loglik, status) tuple for each grid block that
+    was fitted and ``failures`` a (lam, message) tuple for each that failed.
+    """
 
     best_lam: np.ndarray
-    best_param: Optional[LambdaParam]
     best_fit: FitResult
     trace: tuple
     failures: tuple
@@ -644,19 +648,19 @@ def profile_lambda(
     failures = []
     best = None
     warm = None
-    for param, lam in pts:
+    for lam in pts:
         try:
             fit = profile_a(lam, data, k, det, design=dz, init=warm)
         except QcvarError as exc:
-            failures.append((param, lam, f"{type(exc).__name__}: {exc}"))
+            failures.append((lam, f"{type(exc).__name__}: {exc}"))
             continue
         warm = fit.a_hat
-        trace.append((param, lam, fit.loglik, fit.status))
-        if best is None or fit.loglik > best[2].loglik:
-            best = (param, lam, fit)
+        trace.append((lam, fit.loglik, fit.status))
+        if best is None or fit.loglik > best[1].loglik:
+            best = (lam, fit)
     if best is None:
         raise NumericalError("every grid point failed; see failures for details")
-    best_param, best_lam, best_fit = best
+    best_lam, best_fit = best
 
     if refine and lambda_space.candidates is None and lambda_space.family == "scalar":
         step = lambda_space.resolved_eig_step
@@ -672,14 +676,10 @@ def profile_lambda(
             lam_ref = float(res.x) * np.eye(lambda_space.q)
             fit_ref = profile_a(lam_ref, data, k, det, design=dz)
             if fit_ref.loglik > best_fit.loglik:
-                best_param = LambdaParam(
-                    "scalar", lambda_space.q, (float(res.x),), rho=lambda_space.rho
-                )
                 best_lam, best_fit = lam_ref, fit_ref
 
     return ProfileLambdaResult(
         best_lam=best_lam,
-        best_param=best_param,
         best_fit=best_fit,
         trace=tuple(trace),
         failures=tuple(failures),

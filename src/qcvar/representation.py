@@ -115,14 +115,13 @@ def decay_profile(split_: SpectralSplit, b: np.ndarray, s_max: int) -> np.ndarra
 class StateDecomposition:
     """Near-unit / stable state paths underlying an observed sample path.
 
-    Satisfies ``x_t = phi_near z_near[t-1] + phi_stable z_stable[t-1] + eps_t``
-    (with zero states before the sample) up to the reported residual.
+    With ``split_`` the split the states were read with, the paths satisfy
+    ``x_t = r_near lam_near^k z_near[t-1] + r_stable lam_stable^k z_stable[t-1]
+    + eps_t`` (with zero states before the sample) up to ``residual``.
     """
 
     z_near: np.ndarray
     z_stable: np.ndarray
-    phi_near: np.ndarray
-    phi_stable: np.ndarray
     residual: np.ndarray
 
 
@@ -155,13 +154,7 @@ def state_decompose(split_: SpectralSplit, x: np.ndarray, eps: np.ndarray) -> St
     z_near_lag = np.vstack([np.zeros((1, q)), z_near[:-1]])
     z_stable_lag = np.vstack([np.zeros((1, k * p - q)), z_stable[:-1]])
     residual = x - z_near_lag @ phi_near.T - z_stable_lag @ phi_stable.T - eps
-    return StateDecomposition(
-        z_near=z_near,
-        z_stable=z_stable,
-        phi_near=phi_near,
-        phi_stable=phi_stable,
-        residual=residual,
-    )
+    return StateDecomposition(z_near=z_near, z_stable=z_stable, residual=residual)
 
 
 def _check_block_eig_separation(split_: SpectralSplit) -> None:
@@ -213,12 +206,11 @@ class PerturbationJacobians:
     """First differentials of the subspace functionals A and lam_near.
 
     ``vec(dA) = j_a @ vec(dPhi @ big_r_near)`` and likewise for
-    ``j_lam``; ``b`` is the underlying pq-by-pq kernel.
+    ``j_lam``; both are built on the pq-by-pq kernel :func:`b_matrix`.
     """
 
     j_a: np.ndarray
     j_lam: np.ndarray
-    b: np.ndarray
 
 
 def jacobians(split_: SpectralSplit) -> PerturbationJacobians:
@@ -235,7 +227,7 @@ def jacobians(split_: SpectralSplit) -> PerturbationJacobians:
     g_t = np.hstack([np.zeros((q, r)), iq])  # selector of the trailing q rows
     commutator = np.kron(split_.lam_near.T, iq) - np.kron(iq, split_.lam_near)
     j_lam = commutator @ np.kron(iq, g_t) @ B + np.kron(iq, split_.l_near.T)
-    return PerturbationJacobians(j_a=j_a, j_lam=j_lam, b=B)
+    return PerturbationJacobians(j_a=j_a, j_lam=j_lam)
 
 
 def adjustment_alpha(coeffs: VarCoefficients, qcs: QcsBasis) -> np.ndarray:

@@ -128,10 +128,6 @@ class RootSet:
     def __len__(self):
         return len(self.roots)
 
-    @property
-    def moduli(self) -> np.ndarray:
-        return np.abs(self.roots)
-
 
 def _sort_roots(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=complex)
@@ -175,7 +171,6 @@ class Classification:
 
     q: int
     labels: tuple
-    boundary: tuple
 
 
 @dataclass(frozen=True)
@@ -311,7 +306,7 @@ def classify(rootset: RootSet, region: RegionSpec) -> Classification:
             stacklevel=2,
         )
     q = sum(1 for lab in labels if lab == "near-unit")
-    return Classification(q=q, labels=tuple(labels), boundary=tuple(boundary))
+    return Classification(q=q, labels=tuple(labels))
 
 
 def _check_separation(moduli: np.ndarray, q: int, sorted_roots: np.ndarray) -> None:

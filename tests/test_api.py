@@ -1,10 +1,13 @@
-"""Every defaulted parameter of the library is set by some caller.
+"""Every defaulted parameter of the library is set by some caller, and
+every record member is read by some caller.
 
 A default that no call overrides is a constant in disguise: it adds a
-configuration nothing exercises.  The scan is purely syntactic.  Calls
-are matched to definitions by bare name (a method by its attribute
-name, ``__init__`` by its class name), so a name clash can only mark a
-parameter as used, never report one wrongly.
+configuration nothing exercises.  A dataclass field or property that no
+code reads is output nothing consumes.  The scans are purely syntactic.
+Calls are matched to definitions by bare name (a method by its attribute
+name, ``__init__`` by its class name), and member reads by attribute
+name, so a name clash can only mark a parameter or member as used, never
+report one wrongly.
 """
 
 import ast
@@ -73,3 +76,49 @@ def test_every_defaulted_parameter_has_a_caller():
         ):
             unset.append(f"{module}.{function}({param})")
     assert not unset, "defaulted parameters that no call sets: " + ", ".join(unset)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _record_members():
+    """Yield (module, class, member) for each dataclass field and each property."""
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields = _is_dataclass(cls)
+            for node in cls.body:
+                if fields and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield path.stem, cls.name, node.target.id
+                elif isinstance(node, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list
+                ):
+                    yield path.stem, cls.name, node.name
+
+
+def _attribute_reads():
+    reads = set()
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            reads.update(
+                node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            )
+    return reads
+
+
+def test_every_record_member_has_a_reader():
+    reads = _attribute_reads()
+    unread = [
+        f"{module}.{cls}.{member}" for module, cls, member in _record_members() if member not in reads
+    ]
+    assert not unread, "record members that no code reads: " + ", ".join(unread)

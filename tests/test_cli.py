@@ -222,6 +222,32 @@ class TestCommands:
         capsys.readouterr()
         assert rc == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ci", "--q", "1", "--coef", "5,0"], "--coef 5,0 needs 0 <= i < 1"),
+        (["ci", "--q", "2", "--coef", "0,0"], "--coef 0,0 needs 0 <= i < 0"),
+        (["lr", "--q", "1", "--lambda0", "0.98", "--coef=-1,0", "--a0", "0.3"], "0 <= i < 1"),
+        (["lr", "--q", "1", "--lambda0", "abc"], "--lambda0 takes comma-separated numbers"),
+        (["fit", "--q", "1", "--grid-step", "0"], "step must be positive"),
+        (["fit", "--q", "1", "--grid-step", "-0.1"], "step must be positive"),
+        (["ci", "--q", "1", "--coef", "0,0", "--grid-step", "0"], "step must be positive"),
+        (["fit", "--q", "3"], "--q 3 must lie in"),
+        (["ci", "--q", "3", "--coef", "0,0"], "--q 3 must lie in"),
+        (["critvals", "--c-grid=abc"], "--c-grid takes comma-separated numbers"),
+        (["critvals", "--c-grid=-5,0", "--levels", "0.9,x"], "--levels takes comma-separated"),
+        (["critvals", "--q", "0", "--c-grid=0"], "positive q"),
+    ])
+    def test_bad_argument_is_an_input_error(self, tmp_path, capsys, argv, message):
+        """Each exits 2 before any fit, table build or simulation, naming what is wrong."""
+        data = tmp_path / "p2.csv"
+        write_csv(data, ["x", "y"], np.cumsum(np.random.default_rng(1).normal(size=(100, 2)), axis=0))
+        table = ["--table", str(tmp_path / "cv.tbl")] if argv[0] in ("ci", "critvals") else []
+        source = [] if argv[0] == "critvals" else ["--data", str(data), "--k", "1"]
+        rc = main(argv + table + source)
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert message in err and err.startswith("error (input)")
+        assert not (tmp_path / "cv.tbl").exists()
+
     def test_separation_error_exit_code(self, tmp_path, capsys):
         # conjugate roots far from both regions: classification fails
         th = 0.5

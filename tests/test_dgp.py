@@ -53,6 +53,11 @@ class TestBuildVar:
                 stationary=(np.array([[1.0], [0.0]]), np.array([[0.9499]])),
             )
 
+    @pytest.mark.parametrize("stationary", [np.zeros((2, 2)), [np.zeros((2, 2))]])
+    def test_stable_part_must_be_a_pair(self, stationary):
+        with pytest.raises(DomainError, match="pair"):
+            build_var(np.array([[1.0]]), np.array([[0.95]]), 1, stationary=stationary)
+
     def test_modulus_cap(self):
         with pytest.raises(DomainError):
             build_var(np.array([[1.0]]), np.array([[1.01]]), 1, seed=0)

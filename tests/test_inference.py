@@ -137,16 +137,16 @@ class TestCiLambda:
         assert sizes == sorted(sizes)
         assert sizes[-1] == len(grid.points())  # alpha1 -> 0 accepts everything
         accepted_at_999 = {
-            float(lam[0, 0]) for _, lam, _, _ in sets[0.999].accepted
+            float(lam[0, 0]) for lam, _, _ in sets[0.999].accepted
         }
-        accepted_at_05 = {float(lam[0, 0]) for _, lam, _, _ in sets[0.05].accepted}
+        accepted_at_05 = {float(lam[0, 0]) for lam, _, _ in sets[0.05].accepted}
         assert accepted_at_999 <= accepted_at_05
 
     def test_coverage_contains_truth_typically(self, small_table):
         y, lam_true = sim_local(7)
         grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.01)
         cset = ci_lambda(0.05, y, 1, "trend", grid, small_table)
-        lams = [float(lam[0, 0]) for _, lam, _, _ in cset.accepted]
+        lams = [float(lam[0, 0]) for lam, _, _ in cset.accepted]
         assert lams, "95% block set should not be empty here"
         assert min(lams) - 0.01 <= float(lam_true[0, 0]) <= max(lams) + 0.01
 
@@ -210,7 +210,7 @@ class TestBonferroni:
         grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.02)
         bset = bonferroni_ci(0.05, 0.05, 0, 0, y, 1, "trend", grid, small_table)
         assert bset.accepted
-        for _, lam, _, _ in bset.accepted:
+        for lam, _, _ in bset.accepted:
             cond = ci_coefficient_given_lambda(0.05, 0, 0, lam, y, 1, "trend")
             for lo, hi in cond.intervals:
                 assert bset.contains(lo + 1e-9) and bset.contains(hi - 1e-9)
