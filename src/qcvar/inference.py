@@ -4,9 +4,11 @@ block and for scalar quasi-cointegrating coefficients.
 The LR for a hypothesised dynamics block compares the restricted profile
 fit against the unrestricted maximum of the fixed-weight loglikelihood,
 which is attained exactly at the OLS fit.  Conditional confidence intervals
-for a single subspace coefficient invert the chi-square(1) LR test by
-bracketed bisection, and the Bonferroni set unions those intervals over
-a confidence set for the dynamics block.
+for a single subspace coefficient invert the chi-square(1) LR test: at
+q = 1 from the partialled moments at the dynamics block, built once per
+interval (exactly, as a quadratic inequality, when r = 1), otherwise by
+bracketed bisection.  The Bonferroni set unions those intervals over a
+confidence set for the dynamics block.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.optimize import brentq
 from scipy.special import gammaincinv
 
@@ -26,6 +29,7 @@ from .likelihood import (
     FitResult,
     LambdaGrid,
     _as_design,
+    _known_vector_lr,
     ols_fit,
     profile_a,
     profile_lambda,
@@ -169,13 +173,14 @@ def localisation(n: int, lam0: np.ndarray, fit: FitResult, design: Design) -> np
     """Feasible localisation argument n(lam0 - I), similarity-transformed.
 
     This is the point at which the block LR statistic at ``lam0`` looks
-    up its critical value.  For q = 1 the transform is the identity.
-    For q >= 2 the plug-in scale is ``l_near' sigma l_near`` computed
+    up its critical value.  For a scalar block (q = 1 included) the
+    transform is the identity, since ``c_star(c I, delta) = c I``.
+    Otherwise the plug-in scale is ``l_near' sigma l_near`` computed
     from ``fit``, the restricted fit at ``lam0``.
     """
     q = lam0.shape[0]
     c_raw = n * (lam0 - np.eye(q))
-    if q == 1:
+    if np.array_equal(lam0, lam0[0, 0] * np.eye(q)):
         return c_raw
     sp = split(fit.coeffs, q, warn_ill_conditioned=False)
     delta = sp.l_near.T @ design.sigma_ols @ sp.l_near
@@ -256,21 +261,44 @@ def ci_coefficient_given_lambda(
 ) -> ConfidenceSet:
     """Conditional confidence interval for a[i, j] given the dynamics block.
 
-    Inverts the chi-square(1) LR test by geometric bracket expansion
-    from the conditional optimum followed by bisection (endpoint
-    tolerance 1e-6).  A scan across the bracketed range detects
-    multimodal profiles, which are reported as unions of intervals; a
-    flat profile yields an unbounded side, reported in diagnostics.
+    Inverts the chi-square(1) LR test.  At q = 1 the LR depends on the
+    data only through the partialled moments at ``lambda0``, built once
+    per call (:func:`~qcvar.likelihood._known_vector_lr`).  With r = 1 the
+    accepted set solves a quadratic inequality in the coefficient exactly
+    (:func:`_quadratic_set`): an interval, two rays, a half-line or the
+    whole line, with the unbounded shapes noted in diagnostics.  Otherwise,
+    over that moment curve when q = 1 and over :func:`lr_coefficient`
+    probes when q >= 2, the test is inverted by geometric bracket
+    expansion from the conditional optimum followed by bisection (endpoint
+    tolerance 1e-6).  A scan across the bracketed range detects multimodal
+    profiles, which are reported as unions of intervals; a flat profile
+    yields an unbounded side, reported in diagnostics.
     """
     dz = _as_design(data, k, det, design)
     lambda0 = np.atleast_2d(np.asarray(lambda0, dtype=float))
-    fit_u = profile_a(lambda0, data, k, det, design=dz)
-    center = float(fit_u.a_hat[i, j])
-    threshold = chi2_quantile(1.0 - alpha2)
+    q = lambda0.shape[0]
+    r = dz.p - q
+    if not (0 <= i < r and 0 <= j < q):
+        raise DomainError(f"coefficient a[{i}, {j}] needs 0 <= i < {r} and 0 <= j < {q}")
+    level = 1.0 - alpha2
+    threshold = chi2_quantile(level)
 
-    def g(a0: float) -> float:
-        lr = lr_coefficient(a0, i, j, lambda0, data, k, det, design=dz, fit_at_lambda0=fit_u)
-        return lr.value - threshold
+    if q == 1:
+        A, S11, center, lr = _known_vector_lr(float(lambda0[0, 0]), i, dz)
+        if r == 1:
+            intervals = _quadratic_set(A, S11, threshold / dz.n_eff)
+            unbounded = ("accepted set is unbounded",) if not np.isfinite(intervals).all() else ()
+            return ConfidenceSet(level=level, intervals=intervals, diagnostics=unbounded)
+
+        def g(a0: float) -> float:
+            return lr(a0) - threshold
+    else:
+        fit_u = profile_a(lambda0, data, k, det, design=dz)
+        center = float(fit_u.a_hat[i, j])
+
+        def g(a0: float) -> float:
+            lr = lr_coefficient(a0, i, j, lambda0, data, k, det, design=dz, fit_at_lambda0=fit_u)
+            return lr.value - threshold
 
     # curvature-based initial half-width: LR ~ curv * (a - center)^2
     h = 1e-4 * (1.0 + abs(center))
@@ -301,8 +329,7 @@ def ci_coefficient_given_lambda(
 
     lo, hi = bounds["lower"], bounds["upper"]
     if not np.isfinite(lo) or not np.isfinite(hi):
-        return ConfidenceSet(level=1.0 - alpha2, intervals=((lo, hi),),
-                             diagnostics=tuple(diagnostics))
+        return ConfidenceSet(level=level, intervals=((lo, hi),), diagnostics=tuple(diagnostics))
 
     # scan for multimodality across the bracketed range
     grid = np.linspace(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), SCAN_POINTS)
@@ -323,8 +350,31 @@ def ci_coefficient_given_lambda(
             intervals.append((float(left), float(right)))
         intervals = tuple(intervals)
 
-    return ConfidenceSet(level=1.0 - alpha2, intervals=tuple(intervals),
-                         diagnostics=tuple(diagnostics))
+    return ConfidenceSet(level=level, intervals=tuple(intervals), diagnostics=tuple(diagnostics))
+
+
+def _quadratic_set(A: np.ndarray, S11: np.ndarray, slack: float) -> tuple:
+    """The a0 with ``mu1 - b'Ab / b'S11b <= slack`` for ``b = (1, -a0)``, exactly.
+
+    ``mu1`` is the top eigenvalue of the 2 x 2 pair (A, S11), so the set is
+    ``b'Mb = m00 - 2 m01 a0 + m11 a0^2 >= 0`` with ``M = A - (mu1 - slack) S11``,
+    which has a positive direction whenever ``slack > 0``.  The roots come
+    from the numerically stable formula.  The set is the whole line when M
+    is semidefinite, a half-line when m11 vanishes to the rounding of its
+    subtraction, and otherwise an interval (m11 < 0) or two rays (m11 > 0).
+    """
+    tau = eigh(A, S11, eigvals_only=True)[-1] - slack
+    M = A - tau * S11
+    m00, m01, m11 = M[0, 0], 0.5 * (M[0, 1] + M[1, 0]), M[1, 1]
+    disc = m01 * m01 - m00 * m11
+    if disc <= 0.0:
+        return ((-np.inf, np.inf),)
+    if abs(m11) <= 8.0 * np.finfo(float).eps * (abs(A[1, 1]) + abs(tau) * S11[1, 1]):
+        root = float(m00 / (2.0 * m01))
+        return ((-np.inf, root),) if m01 > 0 else ((root, np.inf),)
+    s = m01 + np.copysign(np.sqrt(disc), m01)
+    lo, hi = sorted((float(s / m11), float(m00 / s)))
+    return ((lo, hi),) if m11 < 0 else ((-np.inf, lo), (hi, np.inf))
 
 
 def _merge_intervals(intervals: Sequence[tuple], gap: float) -> tuple:

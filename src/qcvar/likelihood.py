@@ -475,6 +475,44 @@ def _known_vector_a(lambda0: float, i: int, a0: float, dz: Design) -> np.ndarray
     return a
 
 
+def _known_vector_lr(lambda0: float, i: int, dz: Design):
+    """The q=1 coefficient LR as a curve in ``a0 = a[i, 0]``, from one set of partialled moments.
+
+    With ``A = S10 Sigma^-1 S01`` (``Sigma`` the OLS weight), the fixed-weight loglik at a basis
+    ``beta`` is a constant plus ``(n_eff/2) tr[(beta'S11 beta)^-1 beta'A beta]``.  Its maximum over
+    rank-r bases is the sum of the top r eigenvalues of (A, S11).  With column i of beta known to be
+    ``b = e_i - a0 e_p`` (:func:`_known_vector_a`) it is ``b'Ab / b'S11b`` plus the top r - 1
+    eigenvalues of the pair partialled by ``P = I - b b'S11 / b'S11b`` on the complement ``E``.
+    Returns ``(A, S11, a_hat, lr)``: ``a_hat`` is the profile argmax of ``a[i, 0]`` and ``lr(a0)``
+    the LR of ``a[i, 0] = a0``, :func:`~qcvar.inference.lr_coefficient`'s value up to rounding."""
+    *_, S00, S01, S11 = _partialled_moments(lambda0, dz)
+    if dz._sigma_ols_cho is None:
+        raise SingularDesignError("the OLS residual covariance is singular; the fixed-weight "
+                                  "loglikelihood is undefined")
+    A = S01.T @ cho_solve(dz._sigma_ols_cho, S01)
+    A = 0.5 * (A + A.T)
+    try:
+        mu, V = eigh(A, S11)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"canonical correlation eigenproblem failed: {exc}") from exc
+    r = dz.p - 1
+    top = mu[-r:].sum()
+    eye = np.eye(dz.p)
+
+    def lr(a0: float) -> float:
+        b = (eye[i] - a0 * eye[-1]) / max(1.0, abs(a0))
+        s1b = S11 @ b
+        bsb = b @ s1b
+        value = top - b @ A @ b / bsb
+        if r > 1:
+            E = np.delete(eye, np.argmax(np.abs(b)), axis=1)
+            PE = E - np.outer(b, s1b @ E) / bsb
+            value -= eigh(PE.T @ A @ PE, PE.T @ S11 @ PE, eigvals_only=True)[1:].sum()
+        return dz.n_eff * value
+
+    return A, S11, float(_normalise(V[:, ::-1][:, :r])[i, 0]), lr
+
+
 def rrr_fit(
     lambda0: float,
     q: int,
@@ -659,7 +697,8 @@ def profile_lambda(
         if best is None or fit.loglik > best[1].loglik:
             best = (lam, fit)
     if best is None:
-        raise NumericalError("every grid point failed; see failures for details")
+        raise NumericalError(f"every grid point failed ({len(failures)} points); the first "
+                             f"failed with {failures[0][1]}")
     best_lam, best_fit = best
 
     if refine and lambda_space.candidates is None and lambda_space.family == "scalar":

@@ -258,6 +258,19 @@ class TestCommands:
         capsys.readouterr()
         assert rc == 3
 
+    def test_every_grid_point_failed_names_the_cause(self, tmp_path, capsys):
+        # a constant second series leaves the levels moment matrix singular at every lambda
+        rng = np.random.default_rng(0)
+        path = tmp_path / "constant.csv"
+        write_csv(path, ["x", "c"], np.column_stack([np.cumsum(rng.normal(size=200)),
+                                                      np.zeros(200)]))
+        with pytest.warns(UserWarning, match="ill conditioned"):
+            rc = main(["fit", "--data", str(path), "--k", "1", "--q", "1", "--grid-step", "0.05"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "every grid point failed (3 points)" in err
+        assert "NumericalError: canonical correlation eigenproblem failed" in err
+
     def test_half_life_and_rho_mutually_exclusive(self, sample_csv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["roots", "--data", sample_csv, "--k", "1",

@@ -8,16 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 from scipy.optimize import brentq
 
+import qcvar.likelihood as likelihood
 from conftest import make_instance
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
-from qcvar.exceptions import QcvarError, TableCoverageError
+from qcvar.exceptions import QcvarError, RootSeparationError, TableCoverageError
 from qcvar.inference import (
+    _quadratic_set,
     bonferroni_ci,
     chi2_quantile,
     ci_coefficient_given_lambda,
     ci_lambda,
+    localisation,
     lr_coefficient,
     lr_lambda,
 )
@@ -167,6 +171,122 @@ class TestCiLambda:
         assert abs(c_set.hull[1] - f_set.hull[1]) <= 0.01 + 1e-12
 
 
+    def test_scalar_q2_block_skips_the_split(self, tmp_path, monkeypatch):
+        # c_star(c I, delta) = c I, so a scalar block needs no separation of the fitted roots
+        n = 100
+        y, _ = simulate(DgpSpec.simple(make_instance(3, p=3, k=1, q=2), n), 1)
+        template = LimitDistConfig(q=2, c_star=np.zeros((2, 2)), det="trend", steps=100,
+                                   reps=1000, seed=4, levels=(0.95,))
+        table = build_table([c * np.eye(2) for c in (-10.0, -5.0, 0.0)], template,
+                            str(tmp_path / "q2.tbl"))
+
+        def no_split(*args, **kwargs):
+            raise RootSeparationError("split called")
+
+        monkeypatch.setattr("qcvar.inference.split", no_split)
+        grid = LambdaGrid(family="scalar", q=2, rho=0.9, eig_step=0.05)
+        cset = ci_lambda(0.05, y, 1, "trend", grid, table)
+        assert cset.accepted and not cset.diagnostics
+        dz = make_design(y, 1, "trend")
+        for lam in grid.points():
+            fit = profile_a(lam, y, 1, "trend", design=dz)
+            np.testing.assert_array_equal(localisation(n, lam, fit, dz), n * (lam - np.eye(2)))
+
+
+def _lr_r1(A, S11, a0):
+    """LR / n_eff of a[0, 0] = a0 at r = 1, for each a0, straight from its definition."""
+    b = np.stack([np.ones_like(a0), -a0])
+    quad = np.einsum("in,ij,jn->n", b, A, b) / np.einsum("in,ij,jn->n", b, S11, b)
+    return eigh(A, S11, eigvals_only=True)[-1] - quad
+
+
+class TestQuadraticSet:
+    S11 = np.array([[2.0, 0.3], [0.3, 1.0]])
+    A = np.array([[3.0, 1.0], [1.0, 0.5]])
+
+    def _check_against_grid(self, A, S11, slack, intervals):
+        grid = np.concatenate([np.linspace(-60.0, 60.0, 24_001), [-1e6, -1e3, 1e3, 1e6]])
+        inside = np.any([(lo <= grid) & (grid <= hi) for lo, hi in intervals], axis=0)
+        lr = _lr_r1(A, S11, grid)
+        # membership agrees wherever the LR is not within rounding of the threshold
+        decided = np.abs(lr - slack) > 1e-9
+        np.testing.assert_array_equal(inside[decided], (lr <= slack)[decided])
+
+    def _gaps(self, A, S11):
+        mu = eigh(A, S11, eigvals_only=True)
+        at_infinity = mu[-1] - A[1, 1] / S11[1, 1]  # LR / n_eff as |a0| grows
+        return mu[-1] - mu[0], at_infinity
+
+    def test_interval(self):
+        spread, at_infinity = self._gaps(self.A, self.S11)
+        slack = 0.5 * at_infinity
+        intervals = _quadratic_set(self.A, self.S11, slack)
+        assert len(intervals) == 1 and np.isfinite(intervals).all()
+        self._check_against_grid(self.A, self.S11, slack, intervals)
+
+    def test_two_rays(self):
+        spread, at_infinity = self._gaps(self.A, self.S11)
+        assert at_infinity < spread
+        slack = 0.5 * (at_infinity + spread)
+        intervals = _quadratic_set(self.A, self.S11, slack)
+        lo_ray, hi_ray = intervals
+        assert lo_ray[0] == -np.inf and hi_ray[1] == np.inf
+        assert np.isfinite([lo_ray[1], hi_ray[0]]).all() and lo_ray[1] < hi_ray[0]
+        self._check_against_grid(self.A, self.S11, slack, intervals)
+
+    def test_half_line(self):
+        # eigenvalues 2 and 0; the LR at infinity is exactly 1, so a slack of 1 zeroes m11
+        A, S11 = np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2)
+        intervals = _quadratic_set(A, S11, 1.0)
+        assert intervals == ((-np.inf, 0.0),)
+        self._check_against_grid(A, S11, 1.0, intervals)
+        # mirrored: the accepted half-line points the other way
+        flipped = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert _quadratic_set(flipped, S11, 1.0) == ((0.0, np.inf),)
+
+    def test_whole_line(self):
+        spread, _ = self._gaps(self.A, self.S11)
+        intervals = _quadratic_set(self.A, self.S11, 1.01 * spread)
+        assert intervals == ((-np.inf, np.inf),)
+        self._check_against_grid(self.A, self.S11, 1.01 * spread, intervals)
+
+
+def _bisection_oracle(alpha2, i, lam0, y, k):
+    """Bracket expansion, brentq and the multimodality scan over lr_coefficient probes."""
+    dz = make_design(y, k, "trend")
+    fit_u = profile_a(lam0, y, k, "trend", design=dz)
+    center = float(fit_u.a_hat[i, 0])
+    threshold = chi2_quantile(1.0 - alpha2)
+
+    def g(a0):
+        return lr_coefficient(a0, i, 0, lam0, y, k, "trend", design=dz,
+                              fit_at_lambda0=fit_u).value - threshold
+
+    h = 1e-4 * (1.0 + abs(center))
+    curv = (g(center + h) + g(center - h) + 2.0 * threshold) / (2.0 * h * h)
+    half = 2.0 / np.sqrt(curv) if curv > 0 else 2.0 * (1.0 + abs(center))
+    bounds = []
+    for sign in (-1.0, 1.0):
+        width = half
+        while g(center + sign * width) <= 0.0:
+            width *= 2.0
+            assert width < 1e12 * half, "unbounded side"
+        found = center + sign * width
+        inner = center + sign * (width / 2.0 if width > half else 0.0)
+        if g(inner) > 0.0:
+            inner = center
+        bounds.append(brentq(g, *sorted((found, inner)), xtol=1e-6))
+    lo, hi = bounds
+    grid = np.linspace(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), 21)
+    accepted = np.array([g(v) for v in grid]) <= 0.0
+    assert (np.diff(accepted.astype(int)) != 0).sum() == 2, "multimodal profile"
+    return ((lo, hi),)
+
+
+def _p3_data(seed, n=400):
+    return simulate(DgpSpec.simple(make_instance(seed, p=3, k=2, q=1), n), seed)[0]
+
+
 class TestCiCoefficient:
     def test_center_inside(self):
         y, lam_true = sim_local(9)
@@ -189,6 +309,57 @@ class TestCiCoefficient:
         for endpoint in (lo, hi):
             stat = lr_coefficient(endpoint, 0, 0, lam_true, y, 1, "trend")
             assert stat.value == pytest.approx(thr, abs=1e-2)
+
+
+    @pytest.mark.parametrize("system", ["p2", "p3"])
+    def test_matches_bisection_oracle(self, system):
+        for seed in range(4):
+            y, k, rows = (sim_local(20 + seed)[0], 1, (0,)) if system == "p2" else (
+                _p3_data(seed), 2, (0, 1))
+            for lam in (0.95, 0.97, 0.98, 0.99, 1.0):
+                lam0 = np.array([[lam]])
+                for i in rows:
+                    cset = ci_coefficient_given_lambda(0.05, i, 0, lam0, y, k, "trend")
+                    oracle = _bisection_oracle(0.05, i, lam0, y, k)
+                    assert len(cset.intervals) == 1 and not cset.diagnostics
+                    np.testing.assert_allclose(cset.intervals, oracle, rtol=0.0, atol=1e-6)
+
+    def test_r1_endpoints_invert_the_test_exactly(self):
+        thr = chi2_quantile(0.95)
+        for seed in (11, 12, 13):
+            y, lam_true = sim_local(seed)
+            (lo, hi), = ci_coefficient_given_lambda(0.05, 0, 0, lam_true, y, 1, "trend").intervals
+            for endpoint in (lo, hi):
+                stat = lr_coefficient(endpoint, 0, 0, lam_true, y, 1, "trend")
+                assert stat.value == pytest.approx(thr, rel=1e-8)
+
+    def test_moment_curve_matches_lr_coefficient(self):
+        for seed, p, k in ((0, 3, 2), (1, 3, 1), (2, 4, 1)):
+            y = simulate(DgpSpec.simple(make_instance(seed, p=p, k=k, q=1), 300), seed)[0]
+            dz = make_design(y, k, "trend")
+            for lam in (0.0, 0.95, 1.0):
+                for i in range(p - 1):
+                    _, _, center, lr = likelihood._known_vector_lr(lam, i, dz)
+                    for a0 in center + np.array([-5.0, -0.3, 0.0, 0.01, 0.4, 50.0]):
+                        want = lr_coefficient(a0, i, 0, np.array([[lam]]), y, k, "trend",
+                                              design=dz).value
+                        assert lr(a0) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("system", ["p2", "p3"])
+    def test_moments_built_once_per_interval(self, system, monkeypatch):
+        y, k = (sim_local(9)[0], 1) if system == "p2" else (_p3_data(9), 2)
+        calls = {"_partialled_moments": 0, "restricted_fit": 0}
+        for name in calls:
+            original = getattr(likelihood, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(likelihood, name, counted)
+        ci_coefficient_given_lambda(0.05, 0, 0, np.array([[0.98]]), y, k, "trend")
+        assert calls["_partialled_moments"] == 1
+        assert calls["restricted_fit"] <= 1
 
 
 class TestBonferroni:
