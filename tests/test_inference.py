@@ -218,7 +218,7 @@ class TestQuadraticSet:
         return mu[-1] - mu[0], at_infinity
 
     def test_interval(self):
-        spread, at_infinity = self._gaps(self.A, self.S11)
+        _, at_infinity = self._gaps(self.A, self.S11)
         slack = 0.5 * at_infinity
         intervals = _quadratic_set(self.A, self.S11, slack)
         assert len(intervals) == 1 and np.isfinite(intervals).all()
