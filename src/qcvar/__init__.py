@@ -76,7 +76,6 @@ from .representation import (
 )
 from .spectral import (
     Classification,
-    LambdaParam,
     RegionSpec,
     RootSet,
     SpectralSplit,
@@ -85,7 +84,6 @@ from .spectral import (
     companion,
     constraint_matrices,
     half_life_to_radius,
-    lambda_materialize,
     radius_to_half_life,
     reconstruct,
     roots,

@@ -9,12 +9,14 @@ have a closed form.  For a scalar block ``lam0 * I_q`` the outer profile
 over the subspace coefficients ``a`` has a closed form too, at every
 ``lam0``: its argmax is the reduced-rank regression of :func:`rrr_fit`, or
 with an entry of ``a`` fixed at q = 1 the known-cointegrating-vector
-regression.  A small search over ``a`` remains for non-scalar blocks and a
-fixed entry at q >= 2.
+regression.  For non-scalar blocks and a fixed entry at q >= 2 a Newton
+search over ``a`` runs on the Wald form of the restricted loglik, which
+needs no fit per step; :func:`restricted_fit` reports its result.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -31,9 +33,7 @@ from .exceptions import (
     QcvarError,
     SingularDesignError,
 )
-from .spectral import (
-    LambdaParam, VarCoefficients, constraint_matrices, lambda_materialize, split,
-)
+from .spectral import VarCoefficients, constraint_matrices, split
 
 __all__ = [
     "DET_CASES",
@@ -51,13 +51,6 @@ __all__ = [
 ]
 
 DET_CASES = ("trend", "const", "none")
-
-#: Nelder-Mead tolerances of the profile search over a: simplex size and
-#: objective change.
-NM_XATOL = 1e-7
-NM_FATOL = 1e-8
-#: Restarts of the profile search from its incumbent optimum.
-NM_RESTARTS = 5
 
 
 def _check_det(det: str) -> str:
@@ -171,14 +164,16 @@ class Design:
         out = self.YtY - cross - cross.T + theta @ self.WtW @ theta.T
         return 0.5 * (out + out.T)
 
+    def solve_weight(self, x: np.ndarray) -> np.ndarray:
+        """``Sigma_ols^-1 x``, the OLS variance weight applied to x."""
+        if self._sigma_ols_cho is None:
+            raise SingularDesignError("the OLS residual covariance is singular; the fixed-weight "
+                                      "loglikelihood is undefined")
+        return cho_solve(self._sigma_ols_cho, x)
+
     def loglik_fixed_weight(self, theta: np.ndarray) -> float:
         """Concentrated loglik of theta under the OLS variance weight."""
-        if self._sigma_ols_cho is None:
-            raise SingularDesignError(
-                "the OLS residual covariance is singular; the fixed-weight "
-                "loglikelihood is undefined"
-            )
-        quad = np.trace(cho_solve(self._sigma_ols_cho, self.ssr(theta)))
+        quad = np.trace(self.solve_weight(self.ssr(theta)))
         return -0.5 * self.n_eff * self.logdet_sigma_ols - 0.5 * quad
 
     def unscale_det(self, det_block: np.ndarray) -> Optional[np.ndarray]:
@@ -324,6 +319,36 @@ def _init_a(lam0: np.ndarray, data, k, det, dz: Design) -> np.ndarray:
         return np.zeros((r, q))
 
 
+def _wald_form(lam0: np.ndarray, dz: Design):
+    """The search objective ``f(a) = 2 (loglik_ols - restricted_fit(a).loglik)`` and its gradient.
+
+    The constraint ``Phi M = N`` is linear in Phi, so under the fixed OLS weight Sigma ``f`` is the
+    Wald form ``tr(Sigma^-1 g G^-1 g')`` exactly, with ``g = Phi_hat M - N`` and ``G = M'HM`` (H the
+    lag block of ``dz.Q``).  With ``P = Sigma^-1 g G^-1``, ``X = G^-1 g'P`` and ``J = HMX``, its
+    gradient is ``2 E'[sum_i (Phi_hat_i'P - J_i)(lam0^(k-i))' - P (lam0^k)']``, E the first r
+    columns of I_p.  Returns ``value_and_grad(a) -> (f, r x q gradient)``.
+    """
+    k, p, q = dz.k, dz.p, lam0.shape[0]
+    phi = dz.theta_ols[:, dz.n_det:]
+    H = dz.Q[dz.n_det:, dz.n_det:]
+    powers = [np.linalg.matrix_power(lam0, j).T for j in range(k + 1)]
+
+    def value_and_grad(a: np.ndarray) -> tuple[float, np.ndarray]:
+        _, M, N = constraint_matrices(a, lam0, k)
+        g = phi @ M - N
+        HM = H @ M
+        try:
+            G_inv = np.linalg.inv(M.T @ HM)
+        except np.linalg.LinAlgError as exc:
+            raise SingularDesignError("restricted design is singular at this (a, lam0)") from exc
+        P = dz.solve_weight(g) @ G_inv
+        B = phi.T @ P - HM @ (G_inv @ (g.T @ P))  # row block i: Phi_hat_i'P - J_i
+        D = sum(B[(i - 1) * p: i * p] @ powers[k - i] for i in range(1, k + 1)) - P @ powers[k]
+        return float(np.sum(P * g)), 2.0 * D[: p - q]
+
+    return value_and_grad
+
+
 def profile_a(
     lam0: np.ndarray,
     data: np.ndarray,
@@ -343,10 +368,13 @@ def profile_a(
     :func:`rrr_fit` with no fixed entry, and at q=1 the known-vector
     regression (Johansen & Juselius 1992) with one; ``init`` is then
     unused.  Otherwise (a non-scalar block or a fixed entry at q >= 2) a
-    Nelder-Mead simplex search with restarts from the incumbent optimum
-    runs over the free entries of a, each evaluated by :func:`restricted_fit`;
-    its status is the optimizer's unless :func:`restricted_fit` reports the
-    constraint infeasible at the result.
+    trust-region Newton search from ``init`` (default: the OLS split)
+    minimises the Wald form of :func:`_wald_form` over the free entries of
+    a, with its analytic gradient and a central-difference Hessian of that
+    gradient.  Its status is ``converged`` once the Newton decrement falls
+    to the rounding of the objective and ``max-iter`` if it stops before
+    that, unless :func:`restricted_fit`, run once at the result, reports
+    the constraint infeasible there.
     """
     dz = _as_design(data, k, det, design)
     lam0 = np.atleast_2d(np.asarray(lam0, dtype=float))
@@ -383,33 +411,47 @@ def profile_a(
     if n_free == 0:
         return restricted_fit(base, lam0, data, k, det, design=dz)
 
-    def to_matrix(x: np.ndarray) -> np.ndarray:
-        out = base.copy()
-        out[mask] = x
-        return out
+    value_and_grad = _wald_form(lam0, dz)
 
-    def objective(x: np.ndarray) -> float:
-        return -restricted_fit(to_matrix(x), lam0, data, k, det, design=dz).loglik
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        a = base.copy()
+        a[mask] = x
+        f, grad = value_and_grad(a)
+        return f, grad[mask]
 
-    x = base[mask].astype(float)
-    best_val = objective(x)
-    status = "converged"
-    for _ in range(NM_RESTARTS + 1):
-        res = minimize(
-            objective,
-            x,
-            method="Nelder-Mead",
-            options={"xatol": NM_XATOL, "fatol": NM_FATOL, "maxiter": 400 * max(1, n_free)},
-        )
-        improved = best_val - res.fun
-        if res.fun < best_val:
-            best_val, x = res.fun, res.x
-        status = "converged" if res.success else "max-iter"
-        if improved < 10 * NM_FATOL:
-            break
+    hessians = {}  # by the bytes of each point the search visited
 
-    fit = restricted_fit(to_matrix(x), lam0, data, k, det, design=dz)
-    return fit if fit.status != "converged" else replace(fit, status=status)
+    def hessian(x: np.ndarray) -> np.ndarray:
+        h = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
+        hess = np.column_stack([(objective(x + e)[1] - objective(x - e)[1]) / (2.0 * h_j)
+                                for h_j, e in zip(h, np.diag(h))])
+        hessians[x.tobytes()] = hess = 0.5 * (hess + hess.T)
+        return hess
+
+    converged = False
+
+    def stop_at_rounding(intermediate_result) -> None:
+        nonlocal converged
+        x, f = intermediate_result.x, intermediate_result.fun
+        if x.tobytes() not in hessians:
+            return
+        grad = objective(x)[1]
+        try:
+            decrement = grad @ cho_solve(cho_factor(hessians[x.tobytes()]), grad)
+        except (np.linalg.LinAlgError, ValueError):
+            return  # not yet in a convex region, or not finite
+        # the Newton step's predicted gain, decrement / 2, is below the objective's rounding
+        if decrement <= 64 * np.finfo(float).eps * max(1.0, abs(f)):
+            converged = True
+            raise StopIteration
+
+    res = minimize(objective, base[mask], method="trust-exact", jac=True, hess=hessian,
+                   callback=stop_at_rounding, options={"gtol": 0.0, "maxiter": 100})
+    a_hat = base.copy()
+    a_hat[mask] = res.x
+    fit = restricted_fit(a_hat, lam0, data, k, det, design=dz)
+    return fit if fit.status != "converged" else replace(fit, status="converged" if converged
+                                                          else "max-iter")
 
 
 def _partialled_moments(lambda0: float, dz: Design):
@@ -486,10 +528,7 @@ def _known_vector_lr(lambda0: float, i: int, dz: Design):
     Returns ``(A, S11, a_hat, lr)``: ``a_hat`` is the profile argmax of ``a[i, 0]`` and ``lr(a0)``
     the LR of ``a[i, 0] = a0``, :func:`~qcvar.inference.lr_coefficient`'s value up to rounding."""
     *_, S00, S01, S11 = _partialled_moments(lambda0, dz)
-    if dz._sigma_ols_cho is None:
-        raise SingularDesignError("the OLS residual covariance is singular; the fixed-weight "
-                                  "loglikelihood is undefined")
-    A = S01.T @ cho_solve(dz._sigma_ols_cho, S01)
+    A = S01.T @ dz.solve_weight(S01)
     A = 0.5 * (A + A.T)
     try:
         mu, V = eigh(A, S11)
@@ -585,8 +624,9 @@ class LambdaGrid:
     :meth:`points` lists the q-by-q candidate blocks.  For the scalar
     family they are ``lam * I_q`` with lam uniform on [rho, 1] at the
     given eigenvalue step (default 0.005).  For the symmetric family with
-    q = 2 they are the tensor product of ordered eigenvalue pairs (step
-    ``eig_step``, default 0.01) and rotation angles on [0, pi/2) (step
+    q = 2 they are ``R(theta) diag(e1, e2) R(theta)'``, R a plane rotation,
+    over the tensor product of ordered eigenvalue pairs e1 >= e2 on [rho, 1]
+    (step ``eig_step``, default 0.01) and angles theta on [0, pi/2) (step
     ``angle_step``).  Explicit candidate matrices may be supplied
     instead via ``candidates``.  A q below 1, a rho above 1 or a step
     that is not positive raises :class:`DomainError`.
@@ -634,9 +674,9 @@ class LambdaGrid:
                     for ang in angles:
                         if e1 == e2 and ang > 0:
                             continue  # rotation is redundant for equal eigenvalues
-                        out.append(lambda_materialize(LambdaParam(
-                            "symmetric", 2, (float(e1), float(e2)), (float(ang),), rho=self.rho
-                        )))
+                        c, s = math.cos(ang), math.sin(ang)
+                        Q = np.array([[c, -s], [s, c]])
+                        out.append(Q @ np.diag([e1, e2]) @ Q.T)
             return out
         raise DomainError(
             f"no automatic grid for family {self.family!r} with q = {self.q}; "
@@ -676,7 +716,9 @@ def profile_lambda(
     Evaluates :func:`profile_a` at every grid point, recording the full
     trace; failing grid points are recorded and skipped.  With
     ``refine=True`` (scalar family) the incumbent is polished by a
-    bounded continuous search between its neighbouring grid nodes.
+    bounded continuous search between its neighbouring grid nodes.  A
+    block that fails there is recorded in ``failures`` too, and ends the
+    polish at the grid's best node.
     """
     dz = _as_design(data, k, det, design)
     pts = lambda_space.points()
@@ -707,11 +749,19 @@ def profile_lambda(
         hi = min(1.0, float(best_lam[0, 0]) + step)
 
         def neg_profile(lam_scalar: float) -> float:
-            return -profile_a(lam_scalar * np.eye(lambda_space.q), data, k, det, design=dz).loglik
+            lam = lam_scalar * np.eye(lambda_space.q)
+            try:
+                return -profile_a(lam, data, k, det, design=dz).loglik
+            except QcvarError as exc:
+                failures.append((lam, f"{type(exc).__name__}: {exc}"))
+                raise
 
-        res = minimize_scalar(neg_profile, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-8})
-        if -res.fun > best_fit.loglik:
+        try:
+            res = minimize_scalar(neg_profile, bounds=(lo, hi), method="bounded",
+                                  options={"xatol": 1e-8})
+        except QcvarError:
+            res = None  # recorded above; the grid's best node stands
+        if res is not None and -res.fun > best_fit.loglik:
             lam_ref = float(res.x) * np.eye(lambda_space.q)
             fit_ref = profile_a(lam_ref, data, k, det, design=dz)
             if fit_ref.loglik > best_fit.loglik:

@@ -34,14 +34,12 @@ __all__ = [
     "RegionSpec",
     "Classification",
     "SpectralSplit",
-    "LambdaParam",
     "companion",
     "roots",
     "classify",
     "split",
     "reconstruct",
     "constraint_matrices",
-    "lambda_materialize",
     "half_life_to_radius",
     "radius_to_half_life",
 ]
@@ -457,105 +455,6 @@ def constraint_matrices(a: np.ndarray, lam: np.ndarray, k: int) -> tuple[np.ndar
     M = np.vstack(blocks[::-1])
     N = r_near @ power  # power == lam^k after the loop
     return r_near, M, N
-
-
-@dataclass(frozen=True)
-class LambdaParam:
-    """Parametrised point of the near-unit dynamics search space.
-
-    ``family`` is one of ``"scalar"`` (lam * I_q), ``"symmetric"``
-    (Q diag(eigs) Q^T) or ``"normal"`` (Q D Q^T with D block diagonal,
-    2-by-2 blocks [[a, b], [-b, a]] for complex pairs a +/- ib).  Q is
-    the product of the q(q-1)/2 plane rotations taken in lexicographic
-    plane order (1,2), (1,3), ..., (q-1,q).
-
-    ``eigenvalues`` holds the eigenvalue parameters: a single float for
-    the scalar family; q reals for the symmetric family; for the normal
-    family a mix of reals and complex entries a+ib (b > 0), each complex
-    entry standing for a conjugate pair and consuming two of the q
-    dimension slots.
-    """
-
-    family: str
-    q: int
-    eigenvalues: tuple
-    angles: tuple = ()
-    rho: float = 0.0
-
-    def __post_init__(self):
-        if self.family not in ("scalar", "symmetric", "normal"):
-            raise DomainError(f"unknown family {self.family!r}")
-        if self.q < 1:
-            raise DomainError("q must be a positive integer")
-        eigs = tuple(complex(v) if isinstance(v, complex) else float(v) for v in self.eigenvalues)
-        object.__setattr__(self, "eigenvalues", eigs)
-        object.__setattr__(self, "angles", tuple(float(t) for t in self.angles))
-        n_angles = self.q * (self.q - 1) // 2
-        if self.family == "scalar":
-            if len(eigs) != 1 or isinstance(eigs[0], complex):
-                raise DomainError("scalar family takes exactly one real eigenvalue parameter")
-            if self.angles:
-                raise DomainError("scalar family takes no rotation angles")
-        else:
-            slots = sum(2 if isinstance(v, complex) else 1 for v in eigs)
-            if slots != self.q:
-                raise DomainError(
-                    f"eigenvalue parameters fill {slots} of {self.q} dimension slots"
-                )
-            if len(self.angles) != n_angles:
-                raise DomainError(f"expected {n_angles} rotation angles, got {len(self.angles)}")
-            if self.family == "symmetric" and any(isinstance(v, complex) for v in eigs):
-                raise DomainError("symmetric family requires real eigenvalue parameters")
-
-
-def _plane_rotation(q: int, i: int, j: int, theta: float) -> np.ndarray:
-    out = np.eye(q)
-    c, s = math.cos(theta), math.sin(theta)
-    out[i, i] = c
-    out[j, j] = c
-    out[i, j] = -s
-    out[j, i] = s
-    return out
-
-
-def lambda_materialize(param: LambdaParam) -> np.ndarray:
-    """Materialise the q-by-q near-unit dynamics matrix Q D Q^T.
-
-    Eigenvalue moduli must lie in [rho, 1] (within a small numerical
-    slack); violations raise :class:`DomainError`.
-    """
-    q = param.q
-    slack = 1e-12
-    for v in param.eigenvalues:
-        m = abs(v)
-        if m > 1.0 + slack or m < param.rho - slack:
-            raise DomainError(
-                f"eigenvalue parameter {v} has modulus {m:.12g} outside [{param.rho}, 1]"
-            )
-    if param.family == "scalar":
-        return float(param.eigenvalues[0]) * np.eye(q)
-
-    D = np.zeros((q, q))
-    pos = 0
-    for v in param.eigenvalues:
-        if isinstance(v, complex):
-            a, b = v.real, v.imag
-            D[pos, pos] = a
-            D[pos + 1, pos + 1] = a
-            D[pos, pos + 1] = b
-            D[pos + 1, pos] = -b
-            pos += 2
-        else:
-            D[pos, pos] = v
-            pos += 1
-
-    Q = np.eye(q)
-    idx = 0
-    for i in range(q - 1):
-        for j in range(i + 1, q):
-            Q = Q @ _plane_rotation(q, i, j, param.angles[idx])
-            idx += 1
-    return Q @ D @ Q.T
 
 
 def half_life_to_radius(h: float) -> float:

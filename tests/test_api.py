@@ -1,9 +1,10 @@
-"""Every defaulted parameter of the library is set by some caller, and
-every record member is read by some caller.
+"""Every defaulted parameter of the library is set by some caller, every
+record member is read by some caller, and every module constant is read.
 
 A default that no call overrides is a constant in disguise: it adds a
 configuration nothing exercises.  A dataclass field or property that no
-code reads is output nothing consumes.  The scans are purely syntactic.
+code reads is output nothing consumes, and an UPPER_CASE module constant
+that no code reads is a setting nothing uses.  The scans are purely syntactic.
 Calls are matched to definitions by bare name (a method by its attribute
 name, ``__init__`` by its class name), and member reads by attribute
 name, so a name clash can only mark a parameter or member as used, never
@@ -11,6 +12,7 @@ report one wrongly.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,3 +124,32 @@ def test_every_record_member_has_a_reader():
         f"{module}.{cls}.{member}" for module, cls, member in _record_members() if member not in reads
     ]
     assert not unread, "record members that no code reads: " + ", ".join(unread)
+
+
+def _module_constants():
+    """Yield (module, name) for each UPPER_CASE name a library module assigns at top level."""
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id):
+                    yield path.stem, target.id
+
+
+def _name_reads():
+    reads = set()
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.add(node.attr)
+    return reads
+
+
+def test_every_module_constant_has_a_reader():
+    reads = _name_reads()
+    unread = [f"{module}.{name}" for module, name in _module_constants() if name not in reads]
+    assert not unread, "module constants that no code reads: " + ", ".join(unread)

@@ -271,6 +271,20 @@ class TestCommands:
         assert "every grid point failed (3 points)" in err
         assert "NumericalError: canonical correlation eigenproblem failed" in err
 
+    def test_failed_refine_point_keeps_the_grid_best(self, tmp_path):
+        # a constant second series equal to the intercept: the top node and a point the
+        # refine visits fail, and the grid's best node stands
+        rng = np.random.default_rng(0)
+        path, out = tmp_path / "intercept.csv", tmp_path / "fit.json"
+        values = np.column_stack([np.cumsum(rng.normal(size=200)), np.ones(200)])
+        write_csv(path, ["x", "c"], values)
+        with pytest.warns(UserWarning, match="ill conditioned"):
+            rc = main(["fit", "--data", str(path), "--k", "1", "--q", "1", "--grid-step", "0.05",
+                       "--format", "json", "--output", str(out)])
+        assert rc == 0
+        sections = {s["title"]: s for s in json.loads(out.read_text())["sections"]}
+        assert sections["profile estimate: near-unit dynamics"]["rows"] == [[0, 0.95]]
+
     def test_half_life_and_rho_mutually_exclusive(self, sample_csv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["roots", "--data", sample_csv, "--k", "1",

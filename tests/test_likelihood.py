@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.optimize import minimize
 
@@ -263,6 +267,15 @@ class TestProfileADispatch:
         fit = profile_a(np.array([[0.98, 0.01], [0.01, 0.95]]), y, 2, "trend")
         assert searches and np.isfinite(fit.loglik)
 
+    def test_non_scalar_block_fits_once(self, monkeypatch):
+        # the search runs on the Wald form; restricted_fit reports its result
+        y = TestRrrFit()._sim(3)
+        lam0 = np.array([[0.98, 0.01], [0.01, 0.95]])
+        fits = _count_calls(monkeypatch, "restricted_fit")
+        fit = profile_a(lam0, y, 2, "trend")
+        assert len(fits) == 1 and fit.status == "converged"
+        np.testing.assert_array_equal(fits[0][0], fit.a_hat)
+
     def test_fixed_entry_at_q1_takes_closed_form(self, monkeypatch):
         y = TestRrrFit()._sim(3)
         lam0 = np.array([[0.97]])
@@ -321,8 +334,16 @@ def _oracle_data(p, k, q):
     return y
 
 
+#: a symmetric block as the q=2 grid builds it, and a non-symmetric one
+_NON_SCALAR_BLOCKS = (
+    LambdaGrid(family="symmetric", q=2, rho=0.95, eig_step=0.04, angle_step=np.pi / 3).points()[2],
+    np.array([[0.985, 0.02], [-0.01, 0.96]]),
+)
+
+
 class TestClosedFormOracle:
-    """The closed-form profile against a simplex search it does not share."""
+    """The closed-form profile, and the Newton search where none exists, against a
+    simplex search they do not share."""
 
     def _check(self, lam0, y, k, det, dz=None, fixed_entry=None):
         q = lam0.shape[0]
@@ -373,6 +394,26 @@ class TestClosedFormOracle:
         if q == 1 and p > 2:
             self._check(np.zeros((1, 1)), y, k, det, dz, (0, 0, float(a_hat[0, 0]) + 0.1))
 
+    @pytest.mark.parametrize("p,k", [(p, k) for p in (3, 4, 5) for k in (1, 2, 3)])
+    def test_no_search_beats_newton_on_non_scalar_blocks(self, p, k):
+        y = _oracle_data(p, k, 2)
+        for det in DET_CASES:
+            dz = make_design(y, k, det)
+            for lam0 in _NON_SCALAR_BLOCKS:
+                self._check(lam0, y, k, det, dz)
+
+    @pytest.mark.parametrize("p,k", [(p, k) for p in (3, 4, 5) for k in (1, 2, 3)])
+    def test_no_search_beats_newton_with_fixed_entry(self, p, k):
+        # q=2 with one entry of a fixed, at a scalar and a non-scalar block; one det case a system
+        y = _oracle_data(p, k, 2)
+        det = DET_CASES[(p + k) % 3]
+        dz = make_design(y, k, det)
+        for lam0 in (0.99 * np.eye(2), _NON_SCALAR_BLOCKS[1]):
+            a_hat = profile_a(lam0, y, k, det, design=dz).a_hat
+            for i, j in {(0, 1), (p - 3, 0)}:
+                closed = self._check(lam0, y, k, det, dz, (i, j, float(a_hat[i, j]) - 0.1))
+                assert closed.a_hat[i, j] == float(a_hat[i, j]) - 0.1
+
     def test_local_optimum_of_the_search(self):
         # p=3, k=2 data on which a simplex search from the OLS split stalls
         # at lam0 = -0.3 (loglik -749.968 against the global -749.649)
@@ -381,6 +422,29 @@ class TestClosedFormOracle:
         y, _ = simulate(DgpSpec.simple(coeffs, 500), 200_000)
         closed = self._check(np.array([[-0.3]]), y, 2, "trend")
         assert closed.loglik > -749.7
+
+
+class TestWaldForm:
+    """The search objective of a non-scalar profile against restricted_fit and finite
+    differences."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_identity_and_gradient(self, k):
+        y = _oracle_data(4, k, 2)
+        rng = np.random.default_rng(k)
+        for det in DET_CASES:
+            dz = make_design(y, k, det)
+            for lam0 in _NON_SCALAR_BLOCKS + (0.97 * np.eye(2),):
+                value_and_grad = likelihood._wald_form(lam0, dz)
+                for a in rng.normal(size=(3, 2, 2)):
+                    f, grad = value_and_grad(a)
+                    fit = restricted_fit(a, lam0, y, k, det, design=dz)
+                    assert dz.loglik_ols - f / 2 == pytest.approx(fit.loglik, rel=1e-10, abs=0)
+                    h = 1e-6
+                    steps = h * np.eye(a.size).reshape(a.size, *a.shape)
+                    central = [(value_and_grad(a + e)[0] - value_and_grad(a - e)[0]) / (2 * h)
+                               for e in steps]
+                    np.testing.assert_allclose(grad.ravel(), central, rtol=1e-6, atol=1e-9 * f)
 
 
 def _lag_one_rrr(lam0, y, k, det):
@@ -494,6 +558,21 @@ class TestProfileLambda:
         fine = profile_lambda(grid, y, 2, "trend", refine=True)
         assert fine.loglik >= coarse.loglik - 1e-12
 
+    def test_failed_refine_keeps_grid_best(self):
+        # a constant series duplicates the intercept; the top node and a point of the polish fail
+        rng = np.random.default_rng(0)
+        y = np.column_stack([np.cumsum(rng.normal(size=200)), np.ones(200)])
+        grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditionWarning)
+            coarse = profile_lambda(grid, y, 1, "trend")
+            fine = profile_lambda(grid, y, 1, "trend", refine=True)
+        assert fine.best_lam[0, 0] == coarse.best_lam[0, 0] == 0.95
+        assert fine.loglik == coarse.loglik
+        assert len(fine.failures) > len(coarse.failures) == 1
+        for lam, msg in fine.failures:
+            assert 0.95 < lam[0, 0] <= 1.0 and "NumericalError" in msg
+
     def test_symmetric_grid_q2(self):
         coeffs = make_instance(8, p=3, k=1, q=2, lam_lo=0.95)
         y, _ = simulate(DgpSpec.simple(coeffs, 400), 31)
@@ -526,3 +605,76 @@ class TestProfileLambda:
             if float(prof.best_lam[0, 0]) >= 1.0 - 0.01 - 1e-12:
                 at_top += 1
         assert at_top > 25
+
+
+class TestLambdaGrid:
+    def test_scalar(self):
+        points = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.05).points()
+        assert np.allclose(np.concatenate(points).ravel(), [0.9, 0.95, 1.0], rtol=0, atol=1e-15)
+
+    def test_scalar_family_broadcasts_to_q(self):
+        points = LambdaGrid(family="scalar", q=3, rho=0.97, eig_step=0.01).points()
+        for lam, block in zip(np.linspace(0.97, 1.0, 4), points, strict=True):
+            np.testing.assert_array_equal(block, lam * np.eye(3))
+
+    def test_zero_rotation_is_diagonal(self):
+        points = LambdaGrid(family="symmetric", q=2, rho=0.95, eig_step=0.05,
+                            angle_step=np.pi / 4).points()
+        np.testing.assert_array_equal(points[1], np.diag([1.0, 0.95]))
+
+    def test_quarter_turn_mixes_evenly(self):
+        # R D R' at angle pi/4 with D = diag(1.0, 0.9)
+        points = LambdaGrid(family="symmetric", q=2, rho=0.9, eig_step=0.1,
+                            angle_step=np.pi / 4).points()
+        expected = np.array([[0.95, 0.05], [0.05, 0.95]])
+        assert len(points) == 4 and np.allclose(points[2], expected, rtol=0, atol=1e-12)
+
+    def test_eigenvalue_domain_error(self):
+        with pytest.raises(DomainError):
+            LambdaGrid(family="symmetric", q=2, rho=1.05)
+        for step in (0.0, -0.01):
+            with pytest.raises(DomainError):
+                LambdaGrid(family="symmetric", q=2, rho=0.9, eig_step=step)
+
+    def test_normal_family_complex_pair(self):
+        # a normal block with a complex pair enters as an explicit candidate; no automatic grid
+        with pytest.raises(DomainError):
+            LambdaGrid(family="normal", q=2).points()
+        block = np.array([[0.9, 0.3], [-0.3, 0.9]])
+        (lam,) = LambdaGrid(family="normal", q=2, candidates=(block,)).points()
+        np.testing.assert_array_equal(lam, block)
+        assert np.allclose(sorted(np.linalg.eigvals(lam).imag), [-0.3, 0.3], rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rho=st.floats(0.8, 0.99), eig_step=st.floats(0.02, 0.2), angle_step=st.floats(0.2, 1.6))
+    def test_symmetric_family_is_symmetric(self, rho, eig_step, angle_step):
+        points = LambdaGrid(family="symmetric", q=2, rho=rho, eig_step=eig_step,
+                            angle_step=angle_step).points()
+        assert points
+        for lam in points:
+            assert np.abs(lam - lam.T).max() <= 1e-14
+            eigs = np.linalg.eigvalsh(lam)
+            assert rho - 1e-12 <= eigs.min() and eigs.max() <= 1.0 + 1e-12
+
+    def test_parameter_count_validation(self):
+        with pytest.raises(DomainError):
+            LambdaGrid(family="scalar", q=0)
+        with pytest.raises(DomainError):
+            LambdaGrid(family="symmetric", q=3).points()  # one rotation angle serves q = 2 only
+
+
+class TestDeterministicInvariance:
+    """Adding a deterministic term the model absorbs leaves a non-scalar profile unchanged."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 1000), k=st.sampled_from([1, 2]),
+           c=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+           d=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_trend_and_constant(self, seed, k, c, d):
+        y, _ = simulate(DgpSpec.simple(make_instance(seed, p=3, k=k, q=2, lam_lo=0.95), 300), seed)
+        t = np.arange(1, y.shape[0] + 1)[:, None]
+        lam0 = _NON_SCALAR_BLOCKS[1]
+        c, d = np.array(c), np.array(d)
+        for det, shifted in (("trend", y + c + d * t), ("const", y + c)):
+            base = profile_a(lam0, y, k, det).loglik
+            assert profile_a(lam0, shifted, k, det).loglik == pytest.approx(base, rel=1e-8)

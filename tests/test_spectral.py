@@ -15,14 +15,12 @@ from qcvar.exceptions import (
     RootSeparationError,
 )
 from qcvar.spectral import (
-    LambdaParam,
     RegionSpec,
     RootSet,
     VarCoefficients,
     classify,
     companion,
     half_life_to_radius,
-    lambda_materialize,
     radius_to_half_life,
     reconstruct,
     roots,
@@ -200,62 +198,6 @@ class TestReconstruct:
         s = split(coeffs, 1)
         F = companion(coeffs)
         assert np.linalg.norm(F - reconstruct(s)) <= 1e-8 * np.linalg.norm(F)
-
-
-class TestLambdaParam:
-    def test_scalar(self):
-        param = LambdaParam("scalar", 1, (0.95,), rho=0.9)
-        assert np.allclose(lambda_materialize(param), [[0.95]])
-
-    def test_zero_rotation_is_diagonal(self):
-        param = LambdaParam("symmetric", 2, (1.0, 0.95), (0.0,), rho=0.9)
-        assert np.allclose(lambda_materialize(param), np.diag([1.0, 0.95]))
-
-    def test_quarter_turn_mixes_evenly(self):
-        # Q D Q' at angle pi/4 with D = diag(1.0, 0.9)
-        param = LambdaParam("symmetric", 2, (1.0, 0.9), (np.pi / 4,), rho=0.9)
-        expected = np.array([[0.95, 0.05], [0.05, 0.95]])
-        assert np.allclose(lambda_materialize(param), expected, atol=1e-12)
-
-    def test_scalar_family_broadcasts_to_q(self):
-        param = LambdaParam("scalar", 3, (0.97,), rho=0.9)
-        assert np.allclose(lambda_materialize(param), 0.97 * np.eye(3))
-
-    def test_eigenvalue_domain_error(self):
-        with pytest.raises(DomainError):
-            lambda_materialize(LambdaParam("scalar", 1, (0.85,), rho=0.9))
-        with pytest.raises(DomainError):
-            lambda_materialize(LambdaParam("scalar", 1, (1.05,), rho=0.9))
-
-    def test_normal_family_complex_pair(self):
-        param = LambdaParam("normal", 2, (complex(0.9, 0.3),), (0.4,), rho=0.9)
-        lam = lambda_materialize(param)
-        assert np.allclose(lam @ lam.T, lam.T @ lam, atol=1e-10)
-        eigs = np.linalg.eigvals(lam)
-        assert np.allclose(sorted(eigs.imag), [-0.3, 0.3], atol=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        e1=st.floats(0.9, 1.0),
-        e2=st.floats(0.9, 1.0),
-        e3=st.floats(0.9, 1.0),
-        a1=st.floats(-np.pi, np.pi),
-        a2=st.floats(-np.pi, np.pi),
-        a3=st.floats(-np.pi, np.pi),
-    )
-    def test_symmetric_family_is_symmetric(self, e1, e2, e3, a1, a2, a3):
-        param = LambdaParam("symmetric", 3, (e1, e2, e3), (a1, a2, a3), rho=0.9)
-        lam = lambda_materialize(param)
-        assert np.abs(lam - lam.T).max() <= 1e-14
-        assert np.allclose(np.sort(np.linalg.eigvalsh(lam)), np.sort([e1, e2, e3]), atol=1e-10)
-
-    def test_parameter_count_validation(self):
-        with pytest.raises(DomainError):
-            LambdaParam("symmetric", 2, (1.0, 0.9))  # missing angle
-        with pytest.raises(DomainError):
-            LambdaParam("symmetric", 2, (complex(0.9, 0.1),), (0.0,))
-        with pytest.raises(DomainError):
-            LambdaParam("scalar", 1, (0.9, 0.9))
 
 
 class TestHalfLife:
