@@ -425,6 +425,8 @@ def cmd_lr(args) -> int:
     notices: list = []
     ds = ingest_csv(args.data, notices)
     _check_block(ds.p, args.q, args.coef)
+    if (args.coef is None) != (args.a0 is None):
+        raise DomainError("--coef requires --a0" if args.a0 is None else "--a0 requires --coef")
     lam0 = _parse_lambda0(args.lambda0, args.q)
     config = dict(
         command="lr", source=args.data, k=args.k, q=args.q, rho=rho, det=args.det,
@@ -444,8 +446,6 @@ def cmd_lr(args) -> int:
             items[f"critical[{level:g}]"] = lookup(table, c_query, level)
     em.add_scalars("dynamics-block LR", items)
     if args.coef is not None:
-        if args.a0 is None:
-            raise DomainError("--coef requires --a0")
         i, j = args.coef
         cstat = lr_coefficient(
             args.a0, i, j, lam0, ds.values, args.k, args.det,

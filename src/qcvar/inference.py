@@ -5,9 +5,10 @@ The LR for a hypothesised dynamics block compares the restricted profile
 fit against the unrestricted maximum of the fixed-weight loglikelihood,
 which is attained exactly at the OLS fit.  Conditional confidence intervals
 for a single subspace coefficient invert the chi-square(1) LR test: at
-q = 1 from the partialled moments at the dynamics block, built once per
-interval (exactly, as a quadratic inequality, when r = 1), otherwise by
-bracketed bisection.  The Bonferroni set unions those intervals over a
+q = 1 exactly, as a quadratic inequality in the coefficient built from the
+partialled moments at the dynamics block; at q >= 2 by a scan of the
+projective line through the coefficient, with a root search at each
+change of verdict.  The Bonferroni set unions those intervals over a
 confidence set for the dynamics block.
 """
 
@@ -55,7 +56,9 @@ logger = logging.getLogger("qcvar.inference")
 #: LR values this far below zero indicate an optimizer inconsistency.
 LR_SLACK = 1e-8
 
-#: Points of the scan that detects a multimodal coefficient profile.
+#: Uniform nodes on [-pi/2, pi/2] of the scan of the projective line through a q >= 2
+#: coefficient; both ends are the point at infinity, and a change of verdict between
+#: neighbouring nodes brackets a boundary point of the set.
 SCAN_POINTS = 21
 
 
@@ -259,20 +262,18 @@ def ci_coefficient_given_lambda(
     *,
     design: Optional[Design] = None,
 ) -> ConfidenceSet:
-    """Conditional confidence interval for a[i, j] given the dynamics block.
+    """Conditional confidence set for a[i, j] given the dynamics block, inverting the
+    chi-square(1) LR test.
 
-    Inverts the chi-square(1) LR test.  At q = 1 the LR depends on the
-    data only through the partialled moments at ``lambda0``, built once
-    per call (:func:`~qcvar.likelihood._known_vector_lr`).  With r = 1 the
-    accepted set solves a quadratic inequality in the coefficient exactly
-    (:func:`_quadratic_set`): an interval, two rays, a half-line or the
-    whole line, with the unbounded shapes noted in diagnostics.  Otherwise,
-    over that moment curve when q = 1 and over :func:`lr_coefficient`
-    probes when q >= 2, the test is inverted by geometric bracket
-    expansion from the conditional optimum followed by bisection (endpoint
-    tolerance 1e-6).  A scan across the bracketed range detects multimodal
-    profiles, which are reported as unions of intervals; a flat profile
-    yields an unbounded side, reported in diagnostics.
+    At q = 1 the set solves a quadratic inequality in the coefficient exactly
+    (:func:`_quadratic_set`), from partialled moments at ``lambda0`` built once per call: an
+    interval, two rays, a half-line or the whole line.  At q >= 2 :func:`lr_coefficient` is
+    evaluated at ``a0 = center + se tan(theta)`` (the conditional optimum and its curvature
+    scale) for ``SCAN_POINTS`` uniform theta on [-pi/2, pi/2], and each change of verdict
+    between neighbours is refined by a root search in theta.  The ends are the point at
+    infinity, where no entry can be fixed, so the outermost interior nodes (``center +- 6.3
+    se``) stand in for it.  ``diagnostics`` notes an unbounded set, at q >= 2 naming the node
+    accepted on each unbounded side, and a set of more pieces than an interval or two rays.
     """
     dz = _as_design(data, k, det, design)
     lambda0 = np.atleast_2d(np.asarray(lambda0, dtype=float))
@@ -284,92 +285,69 @@ def ci_coefficient_given_lambda(
     threshold = chi2_quantile(level)
 
     if q == 1:
-        A, S11, center, lr = _known_vector_lr(float(lambda0[0, 0]), i, dz)
-        if r == 1:
-            intervals = _quadratic_set(A, S11, threshold / dz.n_eff)
-            unbounded = ("accepted set is unbounded",) if not np.isfinite(intervals).all() else ()
-            return ConfidenceSet(level=level, intervals=intervals, diagnostics=unbounded)
+        A, S11, _, _ = _known_vector_lr(float(lambda0[0, 0]), i, dz)
+        intervals = _quadratic_set(A, S11, threshold / dz.n_eff, i)
+        unbounded = ("accepted set is unbounded",) if not np.isfinite(intervals).all() else ()
+        return ConfidenceSet(level=level, intervals=intervals, diagnostics=unbounded)
 
-        def g(a0: float) -> float:
-            return lr(a0) - threshold
-    else:
-        fit_u = profile_a(lambda0, data, k, det, design=dz)
-        center = float(fit_u.a_hat[i, j])
+    fit_u = profile_a(lambda0, data, k, det, design=dz)
+    center = float(fit_u.a_hat[i, j])
 
-        def g(a0: float) -> float:
-            lr = lr_coefficient(a0, i, j, lambda0, data, k, det, design=dz, fit_at_lambda0=fit_u)
-            return lr.value - threshold
+    def g(a0: float) -> float:
+        lr = lr_coefficient(a0, i, j, lambda0, data, k, det, design=dz, fit_at_lambda0=fit_u)
+        return lr.value - threshold
 
-    # curvature-based initial half-width: LR ~ curv * (a - center)^2
+    # curvature scale: LR ~ ((a0 - center) / se)^2 near the optimum
     h = 1e-4 * (1.0 + abs(center))
     curv = (g(center + h) + threshold + g(center - h) + threshold) / (2.0 * h * h)
     se = 1.0 / np.sqrt(curv) if curv > 0 else 1.0 + abs(center)
-    half = 2.0 * se
 
-    diagnostics = []
-    bounds = {}
-    for side, sign in (("lower", -1.0), ("upper", +1.0)):
-        width = half
-        found = None
-        for _ in range(60):
-            cand = center + sign * width
-            if g(cand) > 0.0:
-                found = cand
-                break
-            width *= 2.0
-        if found is None:
-            diagnostics.append(f"{side} endpoint unbounded after 60 expansions")
-            bounds[side] = sign * np.inf
-        else:
-            inner = center + sign * (width / 2.0 if width > half else 0.0)
-            if g(inner) > 0.0:
-                inner = center
-            lo, hi = (found, inner) if sign < 0 else (inner, found)
-            bounds[side] = float(brentq(g, lo, hi, xtol=1e-6))
+    def a0_at(theta: float) -> float:
+        return center + se * np.tan(theta)
 
-    lo, hi = bounds["lower"], bounds["upper"]
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        return ConfidenceSet(level=level, intervals=((lo, hi),), diagnostics=tuple(diagnostics))
-
-    # scan for multimodality across the bracketed range
-    grid = np.linspace(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), SCAN_POINTS)
-    values = np.array([g(v) for v in grid])
-    # runs of accepted scan points: index pairs one apart join
-    runs = _merge_intervals([(idx, idx) for idx in np.flatnonzero(values <= 0.0).tolist()], 1)
-
-    if len(runs) <= 1:
-        intervals = ((lo, hi),)
-    else:
-        diagnostics.append(f"profile test accepted {len(runs)} separate runs; reporting a union")
-        intervals = []
-        for s_idx, e_idx in runs:
-            left = grid[s_idx] if s_idx == 0 else brentq(g, grid[s_idx - 1], grid[s_idx], xtol=1e-6)
-            right = (
-                grid[e_idx] if e_idx == len(grid) - 1 else brentq(g, grid[e_idx], grid[e_idx + 1], xtol=1e-6)
-            )
-            intervals.append((float(left), float(right)))
-        intervals = tuple(intervals)
-
-    return ConfidenceSet(level=level, intervals=tuple(intervals), diagnostics=tuple(diagnostics))
+    # +-pi/2 is the point at infinity, where no entry can be fixed: the outermost nodes stand in
+    thetas = np.linspace(-np.pi / 2, np.pi / 2, SCAN_POINTS)[1:-1]
+    accepted = [bool(g(a0_at(theta)) <= 0.0) for theta in thetas]
+    cuts = [a0_at(brentq(lambda theta: g(a0_at(theta)), thetas[m], thetas[m + 1], xtol=1e-12))
+            for m in range(len(thetas) - 1) if accepted[m] != accepted[m + 1]]
+    bounds = [-np.inf] * accepted[0] + cuts + [np.inf] * accepted[-1]
+    intervals = tuple((float(lo), float(hi)) for lo, hi in zip(bounds[::2], bounds[1::2]))
+    diagnostics = [f"{side} side accepted at the outermost scan node a0 = {a0_at(thetas[m]):.6g}; "
+                   "reported unbounded" for side, m in (("lower", 0), ("upper", -1)) if accepted[m]]
+    if len(cuts) > 2:
+        diagnostics.append(f"profile test accepted {len(intervals)} separate pieces; "
+                           "reporting a union")
+    return ConfidenceSet(level=level, intervals=intervals, diagnostics=tuple(diagnostics))
 
 
-def _quadratic_set(A: np.ndarray, S11: np.ndarray, slack: float) -> tuple:
-    """The a0 with ``mu1 - b'Ab / b'S11b <= slack`` for ``b = (1, -a0)``, exactly.
+def _quadratic_set(A: np.ndarray, S11: np.ndarray, slack: float, i: int = 0) -> tuple:
+    """The a0 with ``LR / n_eff <= slack`` for column i of beta known to be ``b = e_i - a0 e_p``:
+    exactly those with ``b'Mb >= 0`` for a 2 x 2 form M in ``(1, -a0)``.
 
-    ``mu1`` is the top eigenvalue of the 2 x 2 pair (A, S11), so the set is
-    ``b'Mb = m00 - 2 m01 a0 + m11 a0^2 >= 0`` with ``M = A - (mu1 - slack) S11``,
-    which has a positive direction whenever ``slack > 0``.  The roots come
-    from the numerically stable formula.  The set is the whole line when M
-    is semidefinite, a half-line when m11 vanishes to the rounding of its
-    subtraction, and otherwise an interval (m11 < 0) or two rays (m11 > 0).
+    At r = 1, ``LR / n_eff = mu1 - b'Ab / b'S11b``, mu1 the top eigenvalue of (A, S11), so
+    ``M = A - (mu1 - slack) S11``.  At r >= 2 it is the smallest eigenvalue of the pair partialled
+    by b (:func:`~qcvar.likelihood._known_vector_pencil`) less the pair's smallest, mu_p; by
+    interlacing that is at most slack where ``b'S11 (A - tau S11)^-1 S11 b >= 0``, with
+    ``tau = mu_p + slack`` (the whole line once tau reaches the next eigenvalue).  M has a
+    positive direction whenever ``slack > 0``.  The set is the whole line when M is
+    semidefinite, a half-line when m11 vanishes to the rounding of its summands, and otherwise
+    an interval (m11 < 0) or two rays (m11 > 0), from the numerically stable root formula.
     """
-    tau = eigh(A, S11, eigvals_only=True)[-1] - slack
-    M = A - tau * S11
+    if len(A) == 2:
+        tau = eigh(A, S11, eigvals_only=True)[-1] - slack
+        M, m11_scale = A - tau * S11, abs(A[1, 1]) + abs(tau) * S11[1, 1]
+    else:
+        mu, V = eigh(A, S11)
+        if mu[0] + slack >= mu[1]:
+            return ((-np.inf, np.inf),)
+        X = (S11 @ V)[[i, -1]]  # b'S11 V = X'(1, -a0)
+        w = 1.0 / (mu - mu[0] - slack)
+        M, m11_scale = (X * w) @ X.T, X[1] ** 2 @ np.abs(w)
     m00, m01, m11 = M[0, 0], 0.5 * (M[0, 1] + M[1, 0]), M[1, 1]
     disc = m01 * m01 - m00 * m11
     if disc <= 0.0:
         return ((-np.inf, np.inf),)
-    if abs(m11) <= 8.0 * np.finfo(float).eps * (abs(A[1, 1]) + abs(tau) * S11[1, 1]):
+    if abs(m11) <= 8.0 * np.finfo(float).eps * m11_scale:
         root = float(m00 / (2.0 * m01))
         return ((-np.inf, root),) if m01 > 0 else ((root, np.inf),)
     s = m01 + np.copysign(np.sqrt(disc), m01)

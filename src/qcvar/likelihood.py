@@ -366,7 +366,9 @@ def profile_a(
     block ``lam0 * I_q`` the profile has a closed form, :func:`restricted_fit`
     at the ``a`` of a reduced-rank eigenproblem that shares its argmax:
     :func:`rrr_fit` with no fixed entry, and at q=1 the known-vector
-    regression (Johansen & Juselius 1992) with one; ``init`` is then
+    regression (Johansen & Juselius 1992) with one, from the eigenvectors
+    of :func:`_known_vector_pencil`, whose eigenvalues give the coefficient
+    LR curve of :func:`_known_vector_lr`; ``init`` is then
     unused.  Otherwise (a non-scalar block or a fixed entry at q >= 2) a
     trust-region Newton search from ``init`` (default: the OLS split)
     minimises the Wald form of :func:`_wald_form` over the free entries of
@@ -392,8 +394,14 @@ def profile_a(
 
     known_vector = fixed_entry is not None and q == 1 and r > 1
     if np.array_equal(lam0, lam0[0, 0] * np.eye(q)) and (fixed_entry is None or known_vector):
-        a_hat = (_known_vector_a(lam0[0, 0], fixed_entry[0], fixed_entry[2], dz) if known_vector
-                 else rrr_fit(lam0[0, 0], q, data, k, det, design=dz).a_hat)
+        if known_vector:
+            i, _, a0 = fixed_entry
+            A, S11, _, _ = _known_vector_lr(lam0[0, 0], i, dz)
+            _, b, PE, A_b, S_b = _known_vector_pencil(A, S11, i, a0)
+            a_hat = _normalise(np.column_stack([b, PE @ eigh(A_b, S_b)[1][:, 1:]]))
+            a_hat[i, 0] = a0
+        else:
+            a_hat = rrr_fit(lam0[0, 0], q, data, k, det, design=dz).a_hat
         return restricted_fit(a_hat, lam0, data, k, det, design=dz)
 
     a_start = np.asarray(init, dtype=float).reshape(r, q) if init is not None else _init_a(
@@ -501,32 +509,16 @@ def _normalise(beta: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _known_vector_a(lambda0: float, i: int, a0: float, dz: Design) -> np.ndarray:
-    """Profile argmax of ``a`` at q=1 given ``a[i, 0] = a0``, i.e. column i of ``beta = [I_r; -a']``
-    known to be ``b = e_i - a0 e_p``: with ``b'R1`` partialled out, the rank ``r - 1`` canonical
-    problem on a complement ``E`` of ``b`` (columns of ``I_p``) gives the rest."""
-    *_, S00, S01, S11 = _partialled_moments(lambda0, dz)
-    eye = np.eye(dz.p)
-    b = (eye[i] - a0 * eye[-1]) / max(1.0, abs(a0))
-    E = np.delete(eye, np.argmax(np.abs(b)), axis=1)  # b's largest entry: a well-posed complement
-    s0b, s1b = np.stack([S01 @ b, S11 @ b]) / np.sqrt(b @ S11 @ b)
-    psi = _canonical_basis(S00 - np.outer(s0b, s0b), (S01 - np.outer(s0b, s1b)) @ E,
-                           E.T @ (S11 - np.outer(s1b, s1b)) @ E, dz.p - 2)
-    a = _normalise(np.column_stack([b, E @ psi]))
-    a[i, 0] = a0
-    return a
-
-
 def _known_vector_lr(lambda0: float, i: int, dz: Design):
     """The q=1 coefficient LR as a curve in ``a0 = a[i, 0]``, from one set of partialled moments.
 
     With ``A = S10 Sigma^-1 S01`` (``Sigma`` the OLS weight), the fixed-weight loglik at a basis
     ``beta`` is a constant plus ``(n_eff/2) tr[(beta'S11 beta)^-1 beta'A beta]``.  Its maximum over
     rank-r bases is the sum of the top r eigenvalues of (A, S11).  With column i of beta known to be
-    ``b = e_i - a0 e_p`` (:func:`_known_vector_a`) it is ``b'Ab / b'S11b`` plus the top r - 1
-    eigenvalues of the pair partialled by ``P = I - b b'S11 / b'S11b`` on the complement ``E``.
-    Returns ``(A, S11, a_hat, lr)``: ``a_hat`` is the profile argmax of ``a[i, 0]`` and ``lr(a0)``
-    the LR of ``a[i, 0] = a0``, :func:`~qcvar.inference.lr_coefficient`'s value up to rounding."""
+    ``b = e_i - a0 e_p`` it is ``b'Ab / b'S11b`` plus the top r - 1 eigenvalues of the pair
+    partialled by b (:func:`_known_vector_pencil`).  Returns ``(A, S11, a_hat, lr)``: ``a_hat`` is
+    the profile argmax of ``a[i, 0]`` and ``lr(a0)`` the LR of ``a[i, 0] = a0``,
+    :func:`~qcvar.inference.lr_coefficient`'s value up to rounding."""
     *_, S00, S01, S11 = _partialled_moments(lambda0, dz)
     A = S01.T @ dz.solve_weight(S01)
     A = 0.5 * (A + A.T)
@@ -536,20 +528,28 @@ def _known_vector_lr(lambda0: float, i: int, dz: Design):
         raise NumericalError(f"canonical correlation eigenproblem failed: {exc}") from exc
     r = dz.p - 1
     top = mu[-r:].sum()
-    eye = np.eye(dz.p)
 
     def lr(a0: float) -> float:
-        b = (eye[i] - a0 * eye[-1]) / max(1.0, abs(a0))
-        s1b = S11 @ b
-        bsb = b @ s1b
-        value = top - b @ A @ b / bsb
-        if r > 1:
-            E = np.delete(eye, np.argmax(np.abs(b)), axis=1)
-            PE = E - np.outer(b, s1b @ E) / bsb
-            value -= eigh(PE.T @ A @ PE, PE.T @ S11 @ PE, eigvals_only=True)[1:].sum()
-        return dz.n_eff * value
+        ratio, _, _, A_b, S_b = _known_vector_pencil(A, S11, i, a0)
+        return dz.n_eff * (top - ratio - eigh(A_b, S_b, eigvals_only=True)[1:].sum())
 
     return A, S11, float(_normalise(V[:, ::-1][:, :r])[i, 0]), lr
+
+
+def _known_vector_pencil(A: np.ndarray, S11: np.ndarray, i: int, a0: float):
+    """The pair (A, S11) given that column i of the basis beta is ``b = e_i - a0 e_p``, scaled to
+    unit largest entry.  With E the columns of I_p but b's largest entry and
+    ``P = I - b b'S11 / b'S11b``, the other r - 1 columns of the best beta are ``PE`` times the top
+    r - 1 eigenvectors of ``(PE'A PE, PE'S11 PE)``, and the maximised
+    ``tr[(beta'S11 beta)^-1 beta'A beta]`` is ``b'Ab / b'S11b`` plus their eigenvalues.
+    Returns ``(b'Ab / b'S11b, b, PE, PE'A PE, PE'S11 PE)``."""
+    eye = np.eye(len(A))
+    b = (eye[i] - a0 * eye[-1]) / max(1.0, abs(a0))
+    s1b = S11 @ b
+    bsb = b @ s1b
+    E = np.delete(eye, np.argmax(np.abs(b)), axis=1)  # b's largest entry: a well-posed complement
+    PE = E - np.outer(b, s1b @ E) / bsb
+    return b @ A @ b / bsb, b, PE, PE.T @ A @ PE, PE.T @ S11 @ PE
 
 
 def rrr_fit(

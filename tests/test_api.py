@@ -1,10 +1,12 @@
 """Every defaulted parameter of the library is set by some caller, every
-record member is read by some caller, and every module constant is read.
+record member is read by some caller, every module constant is read, and
+every function and method is referenced.
 
 A default that no call overrides is a constant in disguise: it adds a
 configuration nothing exercises.  A dataclass field or property that no
 code reads is output nothing consumes, and an UPPER_CASE module constant
-that no code reads is a setting nothing uses.  The scans are purely syntactic.
+that no code reads is a setting nothing uses.  A function that nothing
+outside its own body names is dead code.  The scans are purely syntactic.
 Calls are matched to definitions by bare name (a method by its attribute
 name, ``__init__`` by its class name), and member reads by attribute
 name, so a name clash can only mark a parameter or member as used, never
@@ -153,3 +155,40 @@ def test_every_module_constant_has_a_reader():
     reads = _name_reads()
     unread = [f"{module}.{name}" for module, name in _module_constants() if name not in reads]
     assert not unread, "module constants that no code reads: " + ", ".join(unread)
+
+
+def _functions():
+    """Yield (module, qualified name, bare name, definition) for each module-level function and
+    each method other than a dunder, which Python calls implicitly."""
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                yield path, node.name, node.name, node
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not re.fullmatch(r"__\w+__", item.name):
+                        yield path, f"{node.name}.{item.name}", item.name, item
+
+
+def _name_references():
+    """Map each loaded name or attribute to the (file, line) pairs that reference it."""
+    refs: dict = {}
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs.setdefault(node.id, []).append((path, node.lineno))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    refs.setdefault(node.attr, []).append((path, node.lineno))
+    return refs
+
+
+def test_every_function_has_a_caller():
+    refs = _name_references()
+    uncalled = [
+        f"{path.stem}.{qualname}" for path, qualname, name, node in _functions()
+        if all(ref_path == path and node.lineno <= line <= node.end_lineno
+               for ref_path, line in refs.get(name, []))
+    ]
+    assert not uncalled, "functions that nothing outside their own body references: " + ", ".join(
+        uncalled)

@@ -235,9 +235,16 @@ class TestCommands:
         (["critvals", "--c-grid=abc"], "--c-grid takes comma-separated numbers"),
         (["critvals", "--c-grid=-5,0", "--levels", "0.9,x"], "--levels takes comma-separated"),
         (["critvals", "--q", "0", "--c-grid=0"], "positive q"),
+        (["lr", "--q", "1", "--lambda0", "0.98", "--coef", "0,0"], "--coef requires --a0"),
+        (["lr", "--q", "1", "--lambda0", "0.98", "--a0", "0.3"], "--a0 requires --coef"),
     ])
-    def test_bad_argument_is_an_input_error(self, tmp_path, capsys, argv, message):
+    def test_bad_argument_is_an_input_error(self, tmp_path, capsys, monkeypatch, argv, message):
         """Each exits 2 before any fit, table build or simulation, naming what is wrong."""
+        for name in ("lr_lambda", "ols_fit", "profile_lambda", "bonferroni_ci", "build_table"):
+            def forbidden(*args, _name=name, **kwargs):
+                pytest.fail(f"{_name} ran before the input was rejected")
+
+            monkeypatch.setattr(f"qcvar.cli.{name}", forbidden)
         data = tmp_path / "p2.csv"
         write_csv(data, ["x", "y"], np.cumsum(np.random.default_rng(1).normal(size=(100, 2)), axis=0))
         table = ["--table", str(tmp_path / "cv.tbl")] if argv[0] in ("ci", "critvals") else []

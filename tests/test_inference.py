@@ -2,11 +2,12 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.optimize import brentq
@@ -200,17 +201,22 @@ def _lr_r1(A, S11, a0):
     return eigh(A, S11, eigvals_only=True)[-1] - quad
 
 
+#: a dense a0 grid and points far out on both rays
+_A0_GRID = np.concatenate([np.linspace(-60.0, 60.0, 24_001), [-1e6, -1e3, 1e3, 1e6]])
+
+
+def _check_against_grid(lr, threshold, intervals, grid=_A0_GRID):
+    """Membership in ``intervals`` agrees with ``lr(a0) <= threshold`` at every grid point whose LR
+    is not within rounding of the threshold; ``lr`` maps an array of a0 to their LR values."""
+    inside = np.any([(lo <= grid) & (grid <= hi) for lo, hi in intervals], axis=0)
+    values = lr(grid)
+    decided = np.abs(values - threshold) > 1e-9
+    np.testing.assert_array_equal(inside[decided], (values <= threshold)[decided])
+
+
 class TestQuadraticSet:
     S11 = np.array([[2.0, 0.3], [0.3, 1.0]])
     A = np.array([[3.0, 1.0], [1.0, 0.5]])
-
-    def _check_against_grid(self, A, S11, slack, intervals):
-        grid = np.concatenate([np.linspace(-60.0, 60.0, 24_001), [-1e6, -1e3, 1e3, 1e6]])
-        inside = np.any([(lo <= grid) & (grid <= hi) for lo, hi in intervals], axis=0)
-        lr = _lr_r1(A, S11, grid)
-        # membership agrees wherever the LR is not within rounding of the threshold
-        decided = np.abs(lr - slack) > 1e-9
-        np.testing.assert_array_equal(inside[decided], (lr <= slack)[decided])
 
     def _gaps(self, A, S11):
         mu = eigh(A, S11, eigvals_only=True)
@@ -222,7 +228,7 @@ class TestQuadraticSet:
         slack = 0.5 * at_infinity
         intervals = _quadratic_set(self.A, self.S11, slack)
         assert len(intervals) == 1 and np.isfinite(intervals).all()
-        self._check_against_grid(self.A, self.S11, slack, intervals)
+        _check_against_grid(partial(_lr_r1, self.A, self.S11), slack, intervals)
 
     def test_two_rays(self):
         spread, at_infinity = self._gaps(self.A, self.S11)
@@ -232,14 +238,14 @@ class TestQuadraticSet:
         lo_ray, hi_ray = intervals
         assert lo_ray[0] == -np.inf and hi_ray[1] == np.inf
         assert np.isfinite([lo_ray[1], hi_ray[0]]).all() and lo_ray[1] < hi_ray[0]
-        self._check_against_grid(self.A, self.S11, slack, intervals)
+        _check_against_grid(partial(_lr_r1, self.A, self.S11), slack, intervals)
 
     def test_half_line(self):
         # eigenvalues 2 and 0; the LR at infinity is exactly 1, so a slack of 1 zeroes m11
         A, S11 = np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2)
         intervals = _quadratic_set(A, S11, 1.0)
         assert intervals == ((-np.inf, 0.0),)
-        self._check_against_grid(A, S11, 1.0, intervals)
+        _check_against_grid(partial(_lr_r1, A, S11), 1.0, intervals)
         # mirrored: the accepted half-line points the other way
         flipped = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert _quadratic_set(flipped, S11, 1.0) == ((0.0, np.inf),)
@@ -248,18 +254,18 @@ class TestQuadraticSet:
         spread, _ = self._gaps(self.A, self.S11)
         intervals = _quadratic_set(self.A, self.S11, 1.01 * spread)
         assert intervals == ((-np.inf, np.inf),)
-        self._check_against_grid(self.A, self.S11, 1.01 * spread, intervals)
+        _check_against_grid(partial(_lr_r1, self.A, self.S11), 1.01 * spread, intervals)
 
 
-def _bisection_oracle(alpha2, i, lam0, y, k):
+def _bisection_oracle(alpha2, i, lam0, y, k, j=0):
     """Bracket expansion, brentq and the multimodality scan over lr_coefficient probes."""
     dz = make_design(y, k, "trend")
     fit_u = profile_a(lam0, y, k, "trend", design=dz)
-    center = float(fit_u.a_hat[i, 0])
+    center = float(fit_u.a_hat[i, j])
     threshold = chi2_quantile(1.0 - alpha2)
 
     def g(a0):
-        return lr_coefficient(a0, i, 0, lam0, y, k, "trend", design=dz,
+        return lr_coefficient(a0, i, j, lam0, y, k, "trend", design=dz,
                               fit_at_lambda0=fit_u).value - threshold
 
     h = 1e-4 * (1.0 + abs(center))
@@ -285,6 +291,13 @@ def _bisection_oracle(alpha2, i, lam0, y, k):
 
 def _p3_data(seed, n=400):
     return simulate(DgpSpec.simple(make_instance(seed, p=3, k=2, q=1), n), seed)[0]
+
+
+def _walk_and_noise(seed, p, n=200):
+    """A random walk followed by p - 1 white-noise series."""
+    rng = np.random.default_rng(seed)
+    noise = [rng.normal(size=n) for _ in range(p)]
+    return np.column_stack([np.cumsum(noise[0])] + noise[1:])
 
 
 class TestCiCoefficient:
@@ -344,6 +357,65 @@ class TestCiCoefficient:
                         want = lr_coefficient(a0, i, 0, np.array([[lam]]), y, k, "trend",
                                               design=dz).value
                         assert lr(a0) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    def test_bounded_rejected_region_gives_two_rays(self):
+        # the LR is 162 at a0 = 0 but below the threshold far out on both sides
+        y = _walk_and_noise(0, 3)
+        lam0 = np.array([[0.9]])
+        cset = ci_coefficient_given_lambda(0.05, 0, 0, lam0, y, 1, "trend")
+        (lo_ray, hi_ray) = cset.intervals
+        assert lo_ray[0] == -np.inf and hi_ray[1] == np.inf
+        assert not cset.contains(0.0)
+        for endpoint in (lo_ray[1], hi_ray[0]):
+            stat = lr_coefficient(endpoint, 0, 0, lam0, y, 1, "trend")
+            assert stat.value == pytest.approx(chi2_quantile(0.95), rel=1e-8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        p=st.sampled_from([3, 4]),
+        walk=st.booleans(),
+        lam=st.floats(0.9, 1.0),
+        i=st.integers(0, 2),
+        level=st.floats(0.5, 0.99),
+    )
+    # a rejected stretch [-0.98, -0.30] between two nodes of a 21-point scan in tan(theta)
+    @example(seed=2, p=4, walk=True, lam=0.90625, i=2, level=0.625)
+    def test_every_shape_matches_the_moment_curve(self, seed, p, walk, lam, i, level):
+        i %= p - 1
+        y = _walk_and_noise(seed, p) if walk else simulate(
+            DgpSpec.simple(make_instance(seed, p=p, k=1, q=1), 200), seed)[0]
+        dz = make_design(y, 1, "trend")
+        _, _, center, lr = likelihood._known_vector_lr(lam, i, dz)
+        cset = ci_coefficient_given_lambda(1.0 - level, i, 0, np.array([[lam]]), y, 1, "trend",
+                                           design=dz)
+        grid = np.concatenate([np.linspace(-1e3, 1e3, 2001), center + np.linspace(-5.0, 5.0, 501),
+                               [-1e6, 1e6]])
+        _check_against_grid(np.vectorize(lr), chi2_quantile(level), cset.intervals, grid)
+
+    def test_q2_matches_bisection_oracle(self):
+        # the series of test_cli's test_ci_build_table_q2, at its grid's blocks
+        y = simulate(DgpSpec.simple(make_instance(3, p=3, k=1, q=2), 100), 1)[0]
+        for lam in (0.9, 0.95, 1.0):
+            for j in (0, 1):
+                cset = ci_coefficient_given_lambda(0.05, 0, j, lam * np.eye(2), y, 1, "trend")
+                oracle = _bisection_oracle(0.05, 0, lam * np.eye(2), y, 1, j=j)
+                assert len(cset.intervals) == 1 and not cset.diagnostics
+                np.testing.assert_allclose(cset.intervals, oracle, rtol=0.0, atol=1e-6)
+
+    def test_q2_unbounded_sides_name_their_stand_in_node(self):
+        # two random walks and white noise: the LR at a[0, 1] is 212 at 0 and small far out
+        y = _walk_and_noise(0, 3)
+        y[:, 1] = np.cumsum(y[:, 1])
+        lam0 = 0.95 * np.eye(2)
+        cset = ci_coefficient_given_lambda(0.05, 0, 1, lam0, y, 1, "trend")
+        (lo_ray, hi_ray) = cset.intervals
+        assert lo_ray[0] == -np.inf and hi_ray[1] == np.inf and not cset.contains(0.0)
+        assert len(cset.diagnostics) == 2
+        for side, message in zip(("lower", "upper"), cset.diagnostics):
+            assert message.startswith(f"{side} side accepted at the outermost scan node a0 = ")
+            node = float(message.split("a0 = ")[1].split(";")[0])
+            assert lr_coefficient(node, 0, 1, lam0, y, 1, "trend").value <= chi2_quantile(0.95)
 
     @pytest.mark.parametrize("system", ["p2", "p3"])
     def test_moments_built_once_per_interval(self, system, monkeypatch):
