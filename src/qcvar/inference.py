@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.optimize import brentq
 from scipy.special import gammaincinv
 
@@ -30,7 +29,8 @@ from .likelihood import (
     FitResult,
     LambdaGrid,
     _as_design,
-    _known_vector_lr,
+    _eigh_pair,
+    _known_vector_moments,
     ols_fit,
     profile_a,
     profile_lambda,
@@ -57,8 +57,8 @@ logger = logging.getLogger("qcvar.inference")
 LR_SLACK = 1e-8
 
 #: Uniform nodes on [-pi/2, pi/2] of the scan of the projective line through a q >= 2
-#: coefficient; both ends are the point at infinity, and a change of verdict between
-#: neighbouring nodes brackets a boundary point of the set.
+#: coefficient; both ends are the point at infinity, probed outward from the interior nodes, and
+#: a change of verdict between neighbouring nodes brackets a boundary point of the set.
 SCAN_POINTS = 21
 
 
@@ -269,11 +269,13 @@ def ci_coefficient_given_lambda(
     (:func:`_quadratic_set`), from partialled moments at ``lambda0`` built once per call: an
     interval, two rays, a half-line or the whole line.  At q >= 2 :func:`lr_coefficient` is
     evaluated at ``a0 = center + se tan(theta)`` (the conditional optimum and its curvature
-    scale) for ``SCAN_POINTS`` uniform theta on [-pi/2, pi/2], and each change of verdict
-    between neighbours is refined by a root search in theta.  The ends are the point at
-    infinity, where no entry can be fixed, so the outermost interior nodes (``center +- 6.3
-    se``) stand in for it.  ``diagnostics`` notes an unbounded set, at q >= 2 naming the node
-    accepted on each unbounded side, and a set of more pieces than an interval or two rays.
+    scale) for the ``SCAN_POINTS`` - 2 interior of ``SCAN_POINTS`` uniform theta on
+    [-pi/2, pi/2].  The ends are the point at infinity, where no entry can be fixed, so while
+    the outermost node on a side is accepted a probe doubles its distance to the center, until
+    that distance passes 1e12 se.  Each change of verdict between neighbouring nodes is
+    refined by brentq in the coefficient (tolerance 1e-6).  ``diagnostics`` notes an unbounded
+    set, at q >= 2 naming the outermost probe accepted on each unbounded side, and a set of
+    more pieces than an interval or two rays.
     """
     dz = _as_design(data, k, det, design)
     lambda0 = np.atleast_2d(np.asarray(lambda0, dtype=float))
@@ -285,7 +287,7 @@ def ci_coefficient_given_lambda(
     threshold = chi2_quantile(level)
 
     if q == 1:
-        A, S11, _, _ = _known_vector_lr(float(lambda0[0, 0]), i, dz)
+        A, S11 = _known_vector_moments(float(lambda0[0, 0]), dz)
         intervals = _quadratic_set(A, S11, threshold / dz.n_eff, i)
         unbounded = ("accepted set is unbounded",) if not np.isfinite(intervals).all() else ()
         return ConfidenceSet(level=level, intervals=intervals, diagnostics=unbounded)
@@ -302,18 +304,21 @@ def ci_coefficient_given_lambda(
     curv = (g(center + h) + threshold + g(center - h) + threshold) / (2.0 * h * h)
     se = 1.0 / np.sqrt(curv) if curv > 0 else 1.0 + abs(center)
 
-    def a0_at(theta: float) -> float:
-        return center + se * np.tan(theta)
-
-    # +-pi/2 is the point at infinity, where no entry can be fixed: the outermost nodes stand in
-    thetas = np.linspace(-np.pi / 2, np.pi / 2, SCAN_POINTS)[1:-1]
-    accepted = [bool(g(a0_at(theta)) <= 0.0) for theta in thetas]
-    cuts = [a0_at(brentq(lambda theta: g(a0_at(theta)), thetas[m], thetas[m + 1], xtol=1e-12))
-            for m in range(len(thetas) - 1) if accepted[m] != accepted[m + 1]]
+    # +-pi/2 is the point at infinity: an accepted outermost node is followed by probes at twice
+    # its distance to the center until one rejects or the distance passes 1e12 se
+    nodes = list(center + se * np.tan(np.linspace(-np.pi / 2, np.pi / 2, SCAN_POINTS)[1:-1]))
+    accepted = [bool(g(a0) <= 0.0) for a0 in nodes]
+    for end in (0, -1):
+        while accepted[end] and 0.0 < abs(nodes[end] - center) < 1e12 * se:
+            at = len(nodes) if end else 0
+            nodes.insert(at, center + 2.0 * (nodes[end] - center))
+            accepted.insert(at, bool(g(nodes[at]) <= 0.0))
+    cuts = [brentq(g, nodes[m], nodes[m + 1], xtol=1e-6)
+            for m in range(len(nodes) - 1) if accepted[m] != accepted[m + 1]]
     bounds = [-np.inf] * accepted[0] + cuts + [np.inf] * accepted[-1]
     intervals = tuple((float(lo), float(hi)) for lo, hi in zip(bounds[::2], bounds[1::2]))
-    diagnostics = [f"{side} side accepted at the outermost scan node a0 = {a0_at(thetas[m]):.6g}; "
-                   "reported unbounded" for side, m in (("lower", 0), ("upper", -1)) if accepted[m]]
+    diagnostics = [f"{side} side accepted at the outermost probe a0 = {nodes[end]:.6g}; reported "
+                   "unbounded" for side, end in (("lower", 0), ("upper", -1)) if accepted[end]]
     if len(cuts) > 2:
         diagnostics.append(f"profile test accepted {len(intervals)} separate pieces; "
                            "reporting a union")
@@ -332,12 +337,14 @@ def _quadratic_set(A: np.ndarray, S11: np.ndarray, slack: float, i: int = 0) -> 
     positive direction whenever ``slack > 0``.  The set is the whole line when M is
     semidefinite, a half-line when m11 vanishes to the rounding of its summands, and otherwise
     an interval (m11 < 0) or two rays (m11 > 0), from the numerically stable root formula.
+    The r >= 2 form also holds at r = 1, but its M, built from eigenvectors, carries their
+    rounding: a half-line root that the r = 1 form gives as exactly 0 comes out near 1e-17.
     """
     if len(A) == 2:
-        tau = eigh(A, S11, eigvals_only=True)[-1] - slack
+        tau = _eigh_pair(A, S11, eigvals_only=True)[-1] - slack
         M, m11_scale = A - tau * S11, abs(A[1, 1]) + abs(tau) * S11[1, 1]
     else:
-        mu, V = eigh(A, S11)
+        mu, V = _eigh_pair(A, S11)
         if mu[0] + slack >= mu[1]:
             return ((-np.inf, np.inf),)
         X = (S11 @ V)[[i, -1]]  # b'S11 V = X'(1, -a0)

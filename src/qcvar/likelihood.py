@@ -367,13 +367,11 @@ def profile_a(
     at the ``a`` of a reduced-rank eigenproblem that shares its argmax:
     :func:`rrr_fit` with no fixed entry, and at q=1 the known-vector
     regression (Johansen & Juselius 1992) with one, from the eigenvectors
-    of :func:`_known_vector_pencil`, whose eigenvalues give the coefficient
-    LR curve of :func:`_known_vector_lr`; ``init`` is then
-    unused.  Otherwise (a non-scalar block or a fixed entry at q >= 2) a
-    trust-region Newton search from ``init`` (default: the OLS split)
-    minimises the Wald form of :func:`_wald_form` over the free entries of
-    a, with its analytic gradient and a central-difference Hessian of that
-    gradient.  Its status is ``converged`` once the Newton decrement falls
+    of :func:`_known_vector_pencil`; ``init`` is then unused.  Otherwise
+    (a non-scalar block or a fixed entry at q >= 2) a trust-region Newton
+    search from ``init`` (default: the OLS split) minimises the Wald form
+    of :func:`_wald_form` over the free entries of a, with its analytic
+    gradient and a central-difference Hessian of that gradient.  Its status is ``converged`` once the Newton decrement falls
     to the rounding of the objective and ``max-iter`` if it stops before
     that, unless :func:`restricted_fit`, run once at the result, reports
     the constraint infeasible there.
@@ -396,9 +394,9 @@ def profile_a(
     if np.array_equal(lam0, lam0[0, 0] * np.eye(q)) and (fixed_entry is None or known_vector):
         if known_vector:
             i, _, a0 = fixed_entry
-            A, S11, _, _ = _known_vector_lr(lam0[0, 0], i, dz)
-            _, b, PE, A_b, S_b = _known_vector_pencil(A, S11, i, a0)
-            a_hat = _normalise(np.column_stack([b, PE @ eigh(A_b, S_b)[1][:, 1:]]))
+            A, S11 = _known_vector_moments(lam0[0, 0], dz)
+            b, directions = _known_vector_pencil(A, S11, i, a0)
+            a_hat = _normalise(np.column_stack([b, directions[:, 1:]]))
             a_hat[i, 0] = a0
         else:
             a_hat = rrr_fit(lam0[0, 0], q, data, k, det, design=dz).a_hat
@@ -509,31 +507,27 @@ def _normalise(beta: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _known_vector_lr(lambda0: float, i: int, dz: Design):
-    """The q=1 coefficient LR as a curve in ``a0 = a[i, 0]``, from one set of partialled moments.
+def _eigh_pair(A: np.ndarray, B: np.ndarray, eigvals_only: bool = False):
+    """:func:`scipy.linalg.eigh` of the symmetric-definite pair (A, B), ascending; a failure is a
+    :class:`NumericalError`."""
+    try:
+        return eigh(A, B, eigvals_only=eigvals_only)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"canonical correlation eigenproblem failed: {exc}") from exc
+
+
+def _known_vector_moments(lambda0: float, dz: Design) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ``(A, S11)`` behind the q=1 coefficient LR, from one set of partialled moments.
 
     With ``A = S10 Sigma^-1 S01`` (``Sigma`` the OLS weight), the fixed-weight loglik at a basis
     ``beta`` is a constant plus ``(n_eff/2) tr[(beta'S11 beta)^-1 beta'A beta]``.  Its maximum over
     rank-r bases is the sum of the top r eigenvalues of (A, S11).  With column i of beta known to be
     ``b = e_i - a0 e_p`` it is ``b'Ab / b'S11b`` plus the top r - 1 eigenvalues of the pair
-    partialled by b (:func:`_known_vector_pencil`).  Returns ``(A, S11, a_hat, lr)``: ``a_hat`` is
-    the profile argmax of ``a[i, 0]`` and ``lr(a0)`` the LR of ``a[i, 0] = a0``,
-    :func:`~qcvar.inference.lr_coefficient`'s value up to rounding."""
-    *_, S00, S01, S11 = _partialled_moments(lambda0, dz)
+    partialled by b (:func:`_known_vector_pencil`); the LR of ``a[i, 0] = a0`` is n_eff times the
+    difference."""
+    *_, S01, S11 = _partialled_moments(lambda0, dz)
     A = S01.T @ dz.solve_weight(S01)
-    A = 0.5 * (A + A.T)
-    try:
-        mu, V = eigh(A, S11)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"canonical correlation eigenproblem failed: {exc}") from exc
-    r = dz.p - 1
-    top = mu[-r:].sum()
-
-    def lr(a0: float) -> float:
-        ratio, _, _, A_b, S_b = _known_vector_pencil(A, S11, i, a0)
-        return dz.n_eff * (top - ratio - eigh(A_b, S_b, eigvals_only=True)[1:].sum())
-
-    return A, S11, float(_normalise(V[:, ::-1][:, :r])[i, 0]), lr
+    return 0.5 * (A + A.T), S11
 
 
 def _known_vector_pencil(A: np.ndarray, S11: np.ndarray, i: int, a0: float):
@@ -542,14 +536,14 @@ def _known_vector_pencil(A: np.ndarray, S11: np.ndarray, i: int, a0: float):
     ``P = I - b b'S11 / b'S11b``, the other r - 1 columns of the best beta are ``PE`` times the top
     r - 1 eigenvectors of ``(PE'A PE, PE'S11 PE)``, and the maximised
     ``tr[(beta'S11 beta)^-1 beta'A beta]`` is ``b'Ab / b'S11b`` plus their eigenvalues.
-    Returns ``(b'Ab / b'S11b, b, PE, PE'A PE, PE'S11 PE)``."""
+    Returns b and the ``PE`` eigenvectors, S11-orthonormal, in ascending order of eigenvalue."""
     eye = np.eye(len(A))
     b = (eye[i] - a0 * eye[-1]) / max(1.0, abs(a0))
     s1b = S11 @ b
     bsb = b @ s1b
     E = np.delete(eye, np.argmax(np.abs(b)), axis=1)  # b's largest entry: a well-posed complement
     PE = E - np.outer(b, s1b @ E) / bsb
-    return b @ A @ b / bsb, b, PE, PE.T @ A @ PE, PE.T @ S11 @ PE
+    return b, PE @ _eigh_pair(PE.T @ A @ PE, PE.T @ S11 @ PE)[1]
 
 
 def rrr_fit(

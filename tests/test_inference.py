@@ -15,7 +15,12 @@ from scipy.optimize import brentq
 import qcvar.likelihood as likelihood
 from conftest import make_instance
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
-from qcvar.exceptions import QcvarError, RootSeparationError, TableCoverageError
+from qcvar.exceptions import (
+    NumericalError,
+    QcvarError,
+    RootSeparationError,
+    TableCoverageError,
+)
 from qcvar.inference import (
     _quadratic_set,
     bonferroni_ci,
@@ -289,6 +294,21 @@ def _bisection_oracle(alpha2, i, lam0, y, k, j=0):
     return ((lo, hi),)
 
 
+def _moment_curve(lam, i, dz):
+    """The q=1 LR of a[i, 0] = a0 as a function of a0: n_eff times the sum of the top r eigenvalues
+    of (A, S11) less ``b'Ab / b'S11b`` and the top r - 1 eigenvalues of the pair partialled by b,
+    which are ``d'Ad`` for its S11-orthonormal eigenvectors d."""
+    A, S11 = likelihood._known_vector_moments(lam, dz)
+    top = eigh(A, S11, eigvals_only=True)[1:].sum()
+
+    def lr(a0):
+        b, directions = likelihood._known_vector_pencil(A, S11, i, a0)
+        d = directions[:, 1:]
+        return dz.n_eff * (top - b @ A @ b / (b @ S11 @ b) - np.einsum("ij,ik,kj->", d, A, d))
+
+    return lr
+
+
 def _p3_data(seed, n=400):
     return simulate(DgpSpec.simple(make_instance(seed, p=3, k=2, q=1), n), seed)[0]
 
@@ -352,7 +372,8 @@ class TestCiCoefficient:
             dz = make_design(y, k, "trend")
             for lam in (0.0, 0.95, 1.0):
                 for i in range(p - 1):
-                    _, _, center, lr = likelihood._known_vector_lr(lam, i, dz)
+                    lr = _moment_curve(lam, i, dz)
+                    center = profile_a(np.array([[lam]]), y, k, "trend", design=dz).a_hat[i, 0]
                     for a0 in center + np.array([-5.0, -0.3, 0.0, 0.01, 0.4, 50.0]):
                         want = lr_coefficient(a0, i, 0, np.array([[lam]]), y, k, "trend",
                                               design=dz).value
@@ -386,7 +407,8 @@ class TestCiCoefficient:
         y = _walk_and_noise(seed, p) if walk else simulate(
             DgpSpec.simple(make_instance(seed, p=p, k=1, q=1), 200), seed)[0]
         dz = make_design(y, 1, "trend")
-        _, _, center, lr = likelihood._known_vector_lr(lam, i, dz)
+        lr = _moment_curve(lam, i, dz)
+        center = profile_a(np.array([[lam]]), y, 1, "trend", design=dz).a_hat[i, 0]
         cset = ci_coefficient_given_lambda(1.0 - level, i, 0, np.array([[lam]]), y, 1, "trend",
                                            design=dz)
         grid = np.concatenate([np.linspace(-1e3, 1e3, 2001), center + np.linspace(-5.0, 5.0, 501),
@@ -403,8 +425,20 @@ class TestCiCoefficient:
                 assert len(cset.intervals) == 1 and not cset.diagnostics
                 np.testing.assert_allclose(cset.intervals, oracle, rtol=0.0, atol=1e-6)
 
-    def test_q2_unbounded_sides_name_their_stand_in_node(self):
-        # two random walks and white noise: the LR at a[0, 1] is 212 at 0 and small far out
+    def test_q2_accepted_outermost_node_is_not_infinity(self):
+        # two random walks and white noise: at a[0, 0] both outermost scan nodes (-9.03 and
+        # 5.57) are accepted, yet the LR is 3.87 at a0 = 100 and 12.1 at a0 = -1e4
+        y = _walk_and_noise(0, 3)
+        y[:, 1] = np.cumsum(y[:, 1])
+        lam0 = 0.95 * np.eye(2)
+        cset = ci_coefficient_given_lambda(0.05, 0, 0, lam0, y, 1, "trend")
+        oracle = _bisection_oracle(0.05, 0, lam0, y, 1, j=0)
+        assert len(cset.intervals) == 1 and not cset.diagnostics
+        # the LR's rounding, about 3e-9, moves the lower endpoint by about 1e-5
+        np.testing.assert_allclose(cset.intervals, oracle, rtol=1e-8, atol=1e-6)
+
+    def test_q2_unbounded_sides_name_their_outermost_probe(self):
+        # the series above: the LR at a[0, 1] is 212 at 0 and tends to 3.74 far out
         y = _walk_and_noise(0, 3)
         y[:, 1] = np.cumsum(y[:, 1])
         lam0 = 0.95 * np.eye(2)
@@ -413,9 +447,18 @@ class TestCiCoefficient:
         assert lo_ray[0] == -np.inf and hi_ray[1] == np.inf and not cset.contains(0.0)
         assert len(cset.diagnostics) == 2
         for side, message in zip(("lower", "upper"), cset.diagnostics):
-            assert message.startswith(f"{side} side accepted at the outermost scan node a0 = ")
-            node = float(message.split("a0 = ")[1].split(";")[0])
-            assert lr_coefficient(node, 0, 1, lam0, y, 1, "trend").value <= chi2_quantile(0.95)
+            assert message.startswith(f"{side} side accepted at the outermost probe a0 = ")
+            probe = float(message.split("a0 = ")[1].split(";")[0])
+            assert abs(probe) > 1e12
+            assert lr_coefficient(probe, 0, 1, lam0, y, 1, "trend").value <= chi2_quantile(0.95)
+
+    def test_singular_pair_is_a_numerical_error(self):
+        A, S11 = np.eye(3), np.diag([1.0, 0.0, 1.0])
+        with pytest.raises(NumericalError, match="eigenproblem failed"):
+            likelihood._known_vector_pencil(A, S11, 1, 0.5)
+        for p in (2, 3):
+            with pytest.raises(NumericalError, match="eigenproblem failed"):
+                _quadratic_set(np.eye(p), np.zeros((p, p)), 1.0)
 
     @pytest.mark.parametrize("system", ["p2", "p3"])
     def test_moments_built_once_per_interval(self, system, monkeypatch):
