@@ -265,11 +265,9 @@ class _Emitter:
 
 
 def _resolve_rho(args) -> float:
-    if getattr(args, "half_life", None) is not None:
+    if args.half_life is not None:
         return half_life_to_radius(args.half_life)
-    if getattr(args, "rho", None) is not None:
-        return args.rho
-    return 0.9
+    return args.rho if args.rho is not None else 0.9
 
 
 def _floats(text: str, option: str) -> list:
@@ -421,7 +419,6 @@ def _parse_lambda0(text: str, q: int) -> np.ndarray:
 
 
 def cmd_lr(args) -> int:
-    rho = _resolve_rho(args)
     notices: list = []
     ds = ingest_csv(args.data, notices)
     _check_block(ds.p, args.q, args.coef)
@@ -429,7 +426,7 @@ def cmd_lr(args) -> int:
         raise DomainError("--coef requires --a0" if args.a0 is None else "--a0 requires --coef")
     lam0 = _parse_lambda0(args.lambda0, args.q)
     config = dict(
-        command="lr", source=args.data, k=args.k, q=args.q, rho=rho, det=args.det,
+        command="lr", source=args.data, k=args.k, q=args.q, det=args.det,
         lambda0=args.lambda0, coef=None if args.coef is None else f"{args.coef[0]},{args.coef[1]}",
         a0=args.a0, table=args.table,
     )
@@ -644,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--coef", type=_coef_pair, help="coefficient indices i,j (0-based)")
     sub.add_argument("--a0", type=float, help="hypothesised coefficient value")
     sub.add_argument("--table", help="critical-value table for the block statistic")
-    add_rho_group(sub)
     _common_output_args(sub)
     sub.set_defaults(func=cmd_lr)
 

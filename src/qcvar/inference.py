@@ -4,12 +4,12 @@ block and for scalar quasi-cointegrating coefficients.
 The LR for a hypothesised dynamics block compares the restricted profile
 fit against the unrestricted maximum of the fixed-weight loglikelihood,
 which is attained exactly at the OLS fit.  Conditional confidence intervals
-for a single subspace coefficient invert the chi-square(1) LR test: at
-q = 1 exactly, as a quadratic inequality in the coefficient built from the
-partialled moments at the dynamics block; at q >= 2 by a scan of the
-projective line through the coefficient, with a root search at each
-change of verdict.  The Bonferroni set unions those intervals over a
-confidence set for the dynamics block.
+for a single subspace coefficient invert the chi-square(1) LR test: at a
+scalar block with q = 1 or r = p - q = 1 exactly, as a quadratic inequality
+in the coefficient built from the partialled moments at the block;
+otherwise by a scan of the projective line through the coefficient, with a
+root search at each change of verdict.  The Bonferroni set unions those
+intervals over a confidence set for the dynamics block.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ logger = logging.getLogger("qcvar.inference")
 #: LR values this far below zero indicate an optimizer inconsistency.
 LR_SLACK = 1e-8
 
-#: Uniform nodes on [-pi/2, pi/2] of the scan of the projective line through a q >= 2
-#: coefficient; both ends are the point at infinity, probed outward from the interior nodes, and
-#: a change of verdict between neighbouring nodes brackets a boundary point of the set.
+#: Uniform nodes on [-pi/2, pi/2] of the scan of the projective line through a coefficient at a
+#: non-scalar block or with q, r >= 2; both ends are the point at infinity, probed outward from
+#: the interior nodes, and a change of verdict between neighbouring nodes brackets a boundary.
 SCAN_POINTS = 21
 
 
@@ -265,16 +265,16 @@ def ci_coefficient_given_lambda(
     """Conditional confidence set for a[i, j] given the dynamics block, inverting the
     chi-square(1) LR test.
 
-    At q = 1 the set solves a quadratic inequality in the coefficient exactly
-    (:func:`_quadratic_set`), from partialled moments at ``lambda0`` built once per call: an
-    interval, two rays, a half-line or the whole line.  At q >= 2 :func:`lr_coefficient` is
+    At a scalar block with min(q, r) = 1 the set solves a quadratic inequality in the coefficient
+    exactly (:func:`_quadratic_set`), from partialled moments at ``lambda0`` built once per call:
+    an interval, two rays, a half-line or the whole line.  Otherwise :func:`lr_coefficient` is
     evaluated at ``a0 = center + se tan(theta)`` (the conditional optimum and its curvature
     scale) for the ``SCAN_POINTS`` - 2 interior of ``SCAN_POINTS`` uniform theta on
     [-pi/2, pi/2].  The ends are the point at infinity, where no entry can be fixed, so while
     the outermost node on a side is accepted a probe doubles its distance to the center, until
     that distance passes 1e12 se.  Each change of verdict between neighbouring nodes is
     refined by brentq in the coefficient (tolerance 1e-6).  ``diagnostics`` notes an unbounded
-    set, at q >= 2 naming the outermost probe accepted on each unbounded side, and a set of
+    set, on the scan naming the outermost probe accepted on each unbounded side, and a set of
     more pieces than an interval or two rays.
     """
     dz = _as_design(data, k, det, design)
@@ -286,9 +286,10 @@ def ci_coefficient_given_lambda(
     level = 1.0 - alpha2
     threshold = chi2_quantile(level)
 
-    if q == 1:
+    if min(q, r) == 1 and np.array_equal(lambda0, lambda0[0, 0] * np.eye(q)):
         A, S11 = _known_vector_moments(float(lambda0[0, 0]), dz)
-        intervals = _quadratic_set(A, S11, threshold / dz.n_eff, i)
+        A, rows = (A, S11[[i, -1]]) if q == 1 else (-A, np.eye(dz.p)[[r + j, i]] * [[1.0], [-1.0]])
+        intervals = _quadratic_set(A, S11, rows, threshold / dz.n_eff)
         unbounded = ("accepted set is unbounded",) if not np.isfinite(intervals).all() else ()
         return ConfidenceSet(level=level, intervals=intervals, diagnostics=unbounded)
 
@@ -325,20 +326,21 @@ def ci_coefficient_given_lambda(
     return ConfidenceSet(level=level, intervals=intervals, diagnostics=tuple(diagnostics))
 
 
-def _quadratic_set(A: np.ndarray, S11: np.ndarray, slack: float, i: int = 0) -> tuple:
-    """The a0 with ``LR / n_eff <= slack`` for column i of beta known to be ``b = e_i - a0 e_p``:
-    exactly those with ``b'Mb >= 0`` for a 2 x 2 form M in ``(1, -a0)``.
+def _quadratic_set(A: np.ndarray, S11: np.ndarray, rows: np.ndarray, slack: float) -> tuple:
+    """The a0 with ``LR / n_eff <= slack`` when the restricted bases are those orthogonal to
+    ``c = rows'(1, -a0)``: exactly those with ``(1, -a0) M (1, -a0)' >= 0`` for a 2 x 2 form M.
 
-    At r = 1, ``LR / n_eff = mu1 - b'Ab / b'S11b``, mu1 the top eigenvalue of (A, S11), so
-    ``M = A - (mu1 - slack) S11``.  At r >= 2 it is the smallest eigenvalue of the pair partialled
-    by b (:func:`~qcvar.likelihood._known_vector_pencil`) less the pair's smallest, mu_p; by
-    interlacing that is at most slack where ``b'S11 (A - tau S11)^-1 S11 b >= 0``, with
-    ``tau = mu_p + slack`` (the whole line once tau reaches the next eigenvalue).  M has a
-    positive direction whenever ``slack > 0``.  The set is the whole line when M is
+    LR / n_eff is the smallest eigenvalue of (A, S11) compressed to c's complement less the
+    pair's smallest, mu_min: at q = 1, where column i of beta is ``b = e_i - a0 e_p``, c = S11 b
+    and ``rows = S11[[i, -1]]``; at r = 1, where beta is orthogonal to ``a0 e_0 + e_(1+j)``, the
+    caller passes -A (the largest quotient of (A, S11) is minus the smallest of (-A, S11)) and
+    ``rows = [e_(1+j); -e_0]``.  By interlacing that is at most ``tau = mu_min + slack`` exactly
+    where ``c'(A - tau S11)^-1 c >= 0`` (the whole line once tau reaches the next eigenvalue).
+    At p = 2 M is ``A - (mu_max - slack) S11`` in b itself and ``rows`` goes unused: the general
+    form's M carries eigenvector rounding, which turns an exact half-line root 0 into 1e-17.
+    M has a positive direction whenever ``slack > 0``.  The set is the whole line when M is
     semidefinite, a half-line when m11 vanishes to the rounding of its summands, and otherwise
     an interval (m11 < 0) or two rays (m11 > 0), from the numerically stable root formula.
-    The r >= 2 form also holds at r = 1, but its M, built from eigenvectors, carries their
-    rounding: a half-line root that the r = 1 form gives as exactly 0 comes out near 1e-17.
     """
     if len(A) == 2:
         tau = _eigh_pair(A, S11, eigvals_only=True)[-1] - slack
@@ -347,7 +349,7 @@ def _quadratic_set(A: np.ndarray, S11: np.ndarray, slack: float, i: int = 0) -> 
         mu, V = _eigh_pair(A, S11)
         if mu[0] + slack >= mu[1]:
             return ((-np.inf, np.inf),)
-        X = (S11 @ V)[[i, -1]]  # b'S11 V = X'(1, -a0)
+        X = rows @ V  # c'V = X'(1, -a0)
         w = 1.0 / (mu - mu[0] - slack)
         M, m11_scale = (X * w) @ X.T, X[1] ** 2 @ np.abs(w)
     m00, m01, m11 = M[0, 0], 0.5 * (M[0, 1] + M[1, 0]), M[1, 1]

@@ -8,8 +8,8 @@ linear constraint ``Phi @ col{[a; I] lam0^(k-i)} = [a; I] lam0^k`` and
 have a closed form.  For a scalar block ``lam0 * I_q`` the outer profile
 over the subspace coefficients ``a`` has a closed form too, at every
 ``lam0``: its argmax is the reduced-rank regression of :func:`rrr_fit`, or
-with an entry of ``a`` fixed at q = 1 the known-cointegrating-vector
-regression.  For non-scalar blocks and a fixed entry at q >= 2 a Newton
+with an entry of ``a`` fixed at q or r = p - q = 1 Johansen's restricted
+basis.  For non-scalar blocks and a fixed entry with q, r >= 2 a Newton
 search over ``a`` runs on the Wald form of the restricted loglik, which
 needs no fit per step; :func:`restricted_fit` reports its result.
 """
@@ -365,16 +365,17 @@ def profile_a(
     ``a0``, the restricted side of the coefficient LR test.  For a scalar
     block ``lam0 * I_q`` the profile has a closed form, :func:`restricted_fit`
     at the ``a`` of a reduced-rank eigenproblem that shares its argmax:
-    :func:`rrr_fit` with no fixed entry, and at q=1 the known-vector
-    regression (Johansen & Juselius 1992) with one, from the eigenvectors
-    of :func:`_known_vector_pencil`; ``init`` is then unused.  Otherwise
-    (a non-scalar block or a fixed entry at q >= 2) a trust-region Newton
-    search from ``init`` (default: the OLS split) minimises the Wald form
-    of :func:`_wald_form` over the free entries of a, with its analytic
-    gradient and a central-difference Hessian of that gradient.  Its status is ``converged`` once the Newton decrement falls
-    to the rounding of the objective and ``max-iter`` if it stops before
-    that, unless :func:`restricted_fit`, run once at the result, reports
-    the constraint infeasible there.
+    :func:`rrr_fit` with no fixed entry, and with one at min(q, r) = 1 and
+    p >= 3 :func:`_rank_one_basis`; ``init`` is then unused.  Otherwise (a
+    non-scalar block, or a fixed entry with q, r >= 2) a trust-region Newton
+    search from ``init`` (default: the OLS split) minimises the Wald form of
+    :func:`_wald_form` over the free entries of a, with its analytic gradient
+    and a central-difference Hessian of that gradient; a failure inside it
+    that is not a :class:`QcvarError` is a :class:`NumericalError`.  Its
+    status is ``converged`` once the Newton decrement falls to the rounding
+    of the objective and ``max-iter`` if it stops before that, unless
+    :func:`restricted_fit`, run once at the result, reports the constraint
+    infeasible there.
     """
     dz = _as_design(data, k, det, design)
     lam0 = np.atleast_2d(np.asarray(lam0, dtype=float))
@@ -390,14 +391,12 @@ def profile_a(
     if r * q == 0:
         return restricted_fit(np.zeros((r, q)), lam0, data, k, det, design=dz)
 
-    known_vector = fixed_entry is not None and q == 1 and r > 1
-    if np.array_equal(lam0, lam0[0, 0] * np.eye(q)) and (fixed_entry is None or known_vector):
-        if known_vector:
-            i, _, a0 = fixed_entry
+    rank_one = fixed_entry is not None and min(q, r) == 1 and dz.p > 2
+    if np.array_equal(lam0, lam0[0, 0] * np.eye(q)) and (fixed_entry is None or rank_one):
+        if rank_one:
             A, S11 = _known_vector_moments(lam0[0, 0], dz)
-            b, directions = _known_vector_pencil(A, S11, i, a0)
-            a_hat = _normalise(np.column_stack([b, directions[:, 1:]]))
-            a_hat[i, 0] = a0
+            a_hat = _normalise(_rank_one_basis(A, S11, i, j, a0, r))
+            a_hat[i, j] = a0
         else:
             a_hat = rrr_fit(lam0[0, 0], q, data, k, det, design=dz).a_hat
         return restricted_fit(a_hat, lam0, data, k, det, design=dz)
@@ -409,7 +408,6 @@ def profile_a(
     mask = np.ones((r, q), dtype=bool)
     base = a_start.copy()
     if fixed_entry is not None:
-        i, j, a0 = fixed_entry
         mask[i, j] = False
         base[i, j] = a0
 
@@ -451,8 +449,14 @@ def profile_a(
             converged = True
             raise StopIteration
 
-    res = minimize(objective, base[mask], method="trust-exact", jac=True, hess=hessian,
-                   callback=stop_at_rounding, options={"gtol": 0.0, "maxiter": 100})
+    try:
+        res = minimize(objective, base[mask], method="trust-exact", jac=True, hess=hessian,
+                       callback=stop_at_rounding, options={"gtol": 0.0, "maxiter": 100})
+    except QcvarError:
+        raise
+    except Exception as exc:  # scipy's own failures, e.g. far from the optimum
+        raise NumericalError(f"search at lam0 = {lam0.tolist()}, fixed entry {fixed_entry} "
+                             f"failed: {exc!r}") from exc
     a_hat = base.copy()
     a_hat[mask] = res.x
     fit = restricted_fit(a_hat, lam0, data, k, det, design=dz)
@@ -489,10 +493,9 @@ def _canonical_basis(S00: np.ndarray, S01: np.ndarray, S11: np.ndarray, rank: in
     """The ``rank`` leading canonical-correlation directions of the levels."""
     try:
         target = S01.T @ cho_solve(cho_factor(S00), S01)
-        vals, vecs = eigh(0.5 * (target + target.T), S11)
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # S00 singular: a quasi-difference fitted exactly
         raise NumericalError(f"canonical correlation eigenproblem failed: {exc}") from exc
-    return vecs[:, ::-1][:, :rank]  # descending eigenvalue order
+    return _eigh_pair(0.5 * (target + target.T), S11)[1][:, ::-1][:, :rank]  # descending order
 
 
 def _normalise(beta: np.ndarray) -> np.ndarray:
@@ -517,33 +520,36 @@ def _eigh_pair(A: np.ndarray, B: np.ndarray, eigvals_only: bool = False):
 
 
 def _known_vector_moments(lambda0: float, dz: Design) -> tuple[np.ndarray, np.ndarray]:
-    """The pair ``(A, S11)`` behind the q=1 coefficient LR, from one set of partialled moments.
+    """The pair ``(A, S11)`` of a scalar block's coefficient LR, from one set of partialled moments.
 
     With ``A = S10 Sigma^-1 S01`` (``Sigma`` the OLS weight), the fixed-weight loglik at a basis
     ``beta`` is a constant plus ``(n_eff/2) tr[(beta'S11 beta)^-1 beta'A beta]``.  Its maximum over
-    rank-r bases is the sum of the top r eigenvalues of (A, S11).  With column i of beta known to be
-    ``b = e_i - a0 e_p`` it is ``b'Ab / b'S11b`` plus the top r - 1 eigenvalues of the pair
-    partialled by b (:func:`_known_vector_pencil`); the LR of ``a[i, 0] = a0`` is n_eff times the
+    rank-r bases is the sum of the top r eigenvalues of (A, S11); under ``a[i, j] = a0`` at
+    min(q, r) = 1 it is attained at :func:`_rank_one_basis`, and the LR is n_eff times the
     difference."""
     *_, S01, S11 = _partialled_moments(lambda0, dz)
     A = S01.T @ dz.solve_weight(S01)
     return 0.5 * (A + A.T), S11
 
 
-def _known_vector_pencil(A: np.ndarray, S11: np.ndarray, i: int, a0: float):
-    """The pair (A, S11) given that column i of the basis beta is ``b = e_i - a0 e_p``, scaled to
-    unit largest entry.  With E the columns of I_p but b's largest entry and
-    ``P = I - b b'S11 / b'S11b``, the other r - 1 columns of the best beta are ``PE`` times the top
-    r - 1 eigenvectors of ``(PE'A PE, PE'S11 PE)``, and the maximised
-    ``tr[(beta'S11 beta)^-1 beta'A beta]`` is ``b'Ab / b'S11b`` plus their eigenvalues.
-    Returns b and the ``PE`` eigenvectors, S11-orthonormal, in ascending order of eigenvalue."""
+def _rank_one_basis(A: np.ndarray, S11: np.ndarray, i: int, j: int, a0: float, r: int):
+    """The best p x r basis beta of (A, S11) given ``a[i, j] = a0`` at a scalar block, q or r = 1.
+
+    The entry holds exactly when beta = (H phi, psi), ``H = [b, e_(r+l) for l != j]`` and
+    ``b = e_i - a0 e_(r+j)`` scaled to unit largest entry (Johansen 1995, ch. 7).  At r = 1 phi is
+    the top eigenvector of ``(H'AH, H'S11H)``.  At q = 1 H is b, the first column, and with E the
+    columns of I_p but b's largest entry and ``P = I - b b'S11 / b'S11b`` the others are ``PE``
+    times the top r - 1 eigenvectors of ``(PE'A PE, PE'S11 PE)``, S11-orthonormal, so the
+    maximised ``tr[(beta'S11 beta)^-1 beta'A beta]`` is ``b'Ab / b'S11b`` plus their eigenvalues."""
     eye = np.eye(len(A))
-    b = (eye[i] - a0 * eye[-1]) / max(1.0, abs(a0))
+    b = (eye[i] - a0 * eye[r + j]) / max(1.0, abs(a0))
+    if r == 1:
+        H = np.column_stack([b, np.delete(eye[:, 1:], j, axis=1)])
+        return H @ _eigh_pair(H.T @ A @ H, H.T @ S11 @ H)[1][:, -1:]
     s1b = S11 @ b
-    bsb = b @ s1b
     E = np.delete(eye, np.argmax(np.abs(b)), axis=1)  # b's largest entry: a well-posed complement
-    PE = E - np.outer(b, s1b @ E) / bsb
-    return b, PE @ _eigh_pair(PE.T @ A @ PE, PE.T @ S11 @ PE)[1]
+    PE = E - np.outer(b, s1b @ E) / (b @ s1b)
+    return np.column_stack([b, (PE @ _eigh_pair(PE.T @ A @ PE, PE.T @ S11 @ PE)[1])[:, 1:]])
 
 
 def rrr_fit(

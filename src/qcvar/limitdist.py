@@ -150,20 +150,16 @@ def _simulate_chunk(config: LimitDistConfig, rep_indices: Sequence[int]) -> np.n
     return stats
 
 
-def simulate_statistics(
-    config: LimitDistConfig,
-    n_reps: Optional[int] = None,
-) -> tuple[np.ndarray, int]:
+def simulate_statistics(config: LimitDistConfig) -> tuple[np.ndarray, int]:
     """All replications of the limit statistic, chunk-vectorised.
 
     Replications with a numerically singular second-moment matrix are
     flagged and redrawn from fresh derived seeds; the count of redraws
     is returned alongside the statistics.
     """
-    total = config.reps if n_reps is None else int(n_reps)
-    out = np.empty(total)
-    for start in range(0, total, _CHUNK):
-        idx = range(start, min(start + _CHUNK, total))
+    out = np.empty(config.reps)
+    for start in range(0, config.reps, _CHUNK):
+        idx = range(start, min(start + _CHUNK, config.reps))
         out[start: start + len(idx)] = _simulate_chunk(config, list(idx))
     redrawn = 0
     bad = np.flatnonzero(~np.isfinite(out))

@@ -406,3 +406,15 @@ class TestSharedInference:
         c_values = np.sort([e.c[0, 0] for e in table.entries])
         assert np.diff(c_values).min() > 1e-9
         assert "bonferroni confidence set" in out
+
+    def test_lr_q2_extreme_coefficient_exits_cleanly(self, tmp_path, capsys):
+        # two random walks and white noise, where a search once raised scipy's UnboundLocalError
+        rng = np.random.default_rng(0)
+        noise = [rng.normal(size=200) for _ in range(3)]
+        data_path = tmp_path / "y.csv"
+        write_csv(data_path, ["s1", "s2", "s3"],
+                  np.column_stack([np.cumsum(noise[0]), np.cumsum(noise[1]), noise[2]]))
+        rc = main(["lr", "--data", str(data_path), "--k", "1", "--q", "2", "--lambda0", "0.95",
+                   "--coef", "0,1", "--a0=-5.6e15"])
+        capsys.readouterr()
+        assert rc in (0, 3)

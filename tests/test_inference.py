@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import eigh, null_space
 from scipy.optimize import brentq
 
+import qcvar.inference as inference
 import qcvar.likelihood as likelihood
 from conftest import make_instance
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
@@ -231,7 +232,7 @@ class TestQuadraticSet:
     def test_interval(self):
         _, at_infinity = self._gaps(self.A, self.S11)
         slack = 0.5 * at_infinity
-        intervals = _quadratic_set(self.A, self.S11, slack)
+        intervals = _quadratic_set(self.A, self.S11, self.S11, slack)
         assert len(intervals) == 1 and np.isfinite(intervals).all()
         _check_against_grid(partial(_lr_r1, self.A, self.S11), slack, intervals)
 
@@ -239,7 +240,7 @@ class TestQuadraticSet:
         spread, at_infinity = self._gaps(self.A, self.S11)
         assert at_infinity < spread
         slack = 0.5 * (at_infinity + spread)
-        intervals = _quadratic_set(self.A, self.S11, slack)
+        intervals = _quadratic_set(self.A, self.S11, self.S11, slack)
         lo_ray, hi_ray = intervals
         assert lo_ray[0] == -np.inf and hi_ray[1] == np.inf
         assert np.isfinite([lo_ray[1], hi_ray[0]]).all() and lo_ray[1] < hi_ray[0]
@@ -248,16 +249,16 @@ class TestQuadraticSet:
     def test_half_line(self):
         # eigenvalues 2 and 0; the LR at infinity is exactly 1, so a slack of 1 zeroes m11
         A, S11 = np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2)
-        intervals = _quadratic_set(A, S11, 1.0)
+        intervals = _quadratic_set(A, S11, S11, 1.0)
         assert intervals == ((-np.inf, 0.0),)
         _check_against_grid(partial(_lr_r1, A, S11), 1.0, intervals)
         # mirrored: the accepted half-line points the other way
         flipped = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert _quadratic_set(flipped, S11, 1.0) == ((0.0, np.inf),)
+        assert _quadratic_set(flipped, S11, S11, 1.0) == ((0.0, np.inf),)
 
     def test_whole_line(self):
         spread, _ = self._gaps(self.A, self.S11)
-        intervals = _quadratic_set(self.A, self.S11, 1.01 * spread)
+        intervals = _quadratic_set(self.A, self.S11, self.S11, 1.01 * spread)
         assert intervals == ((-np.inf, np.inf),)
         _check_against_grid(partial(_lr_r1, self.A, self.S11), 1.01 * spread, intervals)
 
@@ -302,11 +303,34 @@ def _moment_curve(lam, i, dz):
     top = eigh(A, S11, eigvals_only=True)[1:].sum()
 
     def lr(a0):
-        b, directions = likelihood._known_vector_pencil(A, S11, i, a0)
-        d = directions[:, 1:]
+        beta = likelihood._rank_one_basis(A, S11, i, 0, a0, len(A) - 1)
+        b, d = beta[:, 0], beta[:, 1:]
         return dz.n_eff * (top - b @ A @ b / (b @ S11 @ b) - np.einsum("ij,ik,kj->", d, A, d))
 
     return lr
+
+
+def _rayleigh_curve(lam, j, dz):
+    """The r=1 LR of a[0, j] = a0 as a function of a0: n_eff times the top eigenvalue of (A, S11)
+    less the top one on the bases orthogonal to c = a0 e_0 + e_(1+j), those whose normalised a has
+    a[0, j] = a0, from the pair compressed to an orthonormal basis Q of that complement."""
+    A, S11 = likelihood._known_vector_moments(lam, dz)
+    top = eigh(A, S11, eigvals_only=True)[-1]
+
+    def lr(a0):
+        c = np.zeros(len(A))
+        c[[0, 1 + j]] = a0, 1.0
+        Q = null_space(c[None])
+        return dz.n_eff * (top - eigh(Q.T @ A @ Q, Q.T @ S11 @ Q, eigvals_only=True)[-1])
+
+    return lr
+
+
+def _walks_and_noise(seed, p, n=200):
+    """Two random walks followed by p - 2 white-noise series."""
+    y = _walk_and_noise(seed, p, n)
+    y[:, 1] = np.cumsum(y[:, 1])
+    return y
 
 
 def _p3_data(seed, n=400):
@@ -416,33 +440,69 @@ class TestCiCoefficient:
         _check_against_grid(np.vectorize(lr), chi2_quantile(level), cset.intervals, grid)
 
     def test_q2_matches_bisection_oracle(self):
-        # the series of test_cli's test_ci_build_table_q2, at its grid's blocks
+        # the series of test_cli's test_ci_build_table_q2 at its grid's blocks (p=3, so r=1 and
+        # the closed form), and a p=4 series (r=2, so the search and the scan)
         y = simulate(DgpSpec.simple(make_instance(3, p=3, k=1, q=2), 100), 1)[0]
-        for lam in (0.9, 0.95, 1.0):
-            for j in (0, 1):
-                cset = ci_coefficient_given_lambda(0.05, 0, j, lam * np.eye(2), y, 1, "trend")
-                oracle = _bisection_oracle(0.05, 0, lam * np.eye(2), y, 1, j=j)
-                assert len(cset.intervals) == 1 and not cset.diagnostics
-                np.testing.assert_allclose(cset.intervals, oracle, rtol=0.0, atol=1e-6)
+        y4 = simulate(DgpSpec.simple(make_instance(3, p=4, k=1, q=2), 150), 1)[0]
+        cases = [(y, lam, 0, j) for lam in (0.9, 0.95, 1.0) for j in (0, 1)]
+        for data, lam, i, j in cases + [(y4, 0.97, 0, 1), (y4, 0.97, 1, 0)]:
+            cset = ci_coefficient_given_lambda(0.05, i, j, lam * np.eye(2), data, 1, "trend")
+            oracle = _bisection_oracle(0.05, i, lam * np.eye(2), data, 1, j=j)
+            assert len(cset.intervals) == 1 and not cset.diagnostics
+            np.testing.assert_allclose(cset.intervals, oracle, rtol=0.0, atol=1e-6)
 
     def test_q2_accepted_outermost_node_is_not_infinity(self):
-        # two random walks and white noise: at a[0, 0] both outermost scan nodes (-9.03 and
-        # 5.57) are accepted, yet the LR is 3.87 at a0 = 100 and 12.1 at a0 = -1e4
-        y = _walk_and_noise(0, 3)
-        y[:, 1] = np.cumsum(y[:, 1])
-        lam0 = 0.95 * np.eye(2)
-        cset = ci_coefficient_given_lambda(0.05, 0, 0, lam0, y, 1, "trend")
-        oracle = _bisection_oracle(0.05, 0, lam0, y, 1, j=0)
-        assert len(cset.intervals) == 1 and not cset.diagnostics
-        # the LR's rounding, about 3e-9, moves the lower endpoint by about 1e-5
-        np.testing.assert_allclose(cset.intervals, oracle, rtol=1e-8, atol=1e-6)
+        # two random walks and white noise, p=3 and q=2 (r=1): at a[0, 0] the LR stays below the
+        # threshold everywhere and tends to 1.919 far out, so the set is the whole line
+        y = _walks_and_noise(0, 3)
+        cset = ci_coefficient_given_lambda(0.05, 0, 0, 0.95 * np.eye(2), y, 1, "trend")
+        assert cset.intervals == ((-np.inf, np.inf),)
+        assert cset.diagnostics == ("accepted set is unbounded",)
+        lr = _rayleigh_curve(0.95, 0, make_design(y, 1, "trend"))
+        grid = np.concatenate([np.linspace(-1e4, 1e4, 4001), np.linspace(-60.0, 60.0, 1201),
+                               [-1e9, 1e9]])
+        _check_against_grid(np.vectorize(lr), chi2_quantile(0.95), cset.intervals, grid)
+
+    def test_r1_lr_is_the_constrained_rayleigh_quotient(self):
+        # the series above; rounding of restricted_fit at |a| ~ 6e3 is about 7e-9
+        y = _walks_and_noise(0, 3)
+        dz = make_design(y, 1, "trend")
+        lr = _rayleigh_curve(0.95, 0, dz)
+        for a0, want, rel in ((2.5, 3.119795, 1e-8), (100.0, 1.961480, 1e-8),
+                              (-5930.0, 1.918169, 1e-6)):
+            got = lr_coefficient(a0, 0, 0, 0.95 * np.eye(2), y, 1, "trend", design=dz).value
+            assert got == pytest.approx(lr(a0), rel=rel)
+            assert got == pytest.approx(want, abs=1e-6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        walks=st.integers(0, 2),
+        lam=st.floats(0.9, 1.0),
+        j=st.integers(0, 1),
+        level=st.floats(0.5, 0.99),
+    )
+    def test_r1_sets_match_the_rayleigh_curve(self, seed, walks, lam, j, level):
+        # p=3, q=2: no walk, one or two walks among white noise
+        y = [lambda: simulate(DgpSpec.simple(make_instance(seed, p=3, k=1, q=2), 200), seed)[0],
+             lambda: _walk_and_noise(seed, 3), lambda: _walks_and_noise(seed, 3)][walks]()
+        dz = make_design(y, 1, "trend")
+        lr = _rayleigh_curve(lam, j, dz)
+        center = profile_a(lam * np.eye(2), y, 1, "trend", design=dz).a_hat[0, j]
+        cset = ci_coefficient_given_lambda(1.0 - level, 0, j, lam * np.eye(2), y, 1, "trend",
+                                           design=dz)
+        grid = np.concatenate([np.linspace(-1e3, 1e3, 2001), center + np.linspace(-5.0, 5.0, 501),
+                               [-1e6, 1e6]])
+        _check_against_grid(np.vectorize(lr), chi2_quantile(level), cset.intervals, grid)
+        for lo, hi in cset.intervals:
+            for endpoint in np.array([lo, hi])[np.isfinite([lo, hi])]:
+                assert lr(endpoint) == pytest.approx(chi2_quantile(level), rel=1e-8)
 
     def test_q2_unbounded_sides_name_their_outermost_probe(self):
-        # the series above: the LR at a[0, 1] is 212 at 0 and tends to 3.74 far out
-        y = _walk_and_noise(0, 3)
-        y[:, 1] = np.cumsum(y[:, 1])
-        lam0 = 0.95 * np.eye(2)
-        cset = ci_coefficient_given_lambda(0.05, 0, 1, lam0, y, 1, "trend")
+        # p=4, q=2 (r=2), so the scan runs: the LR at a[1, 1] tends below the threshold far out
+        y = _walks_and_noise(1, 4)
+        lam0 = 0.9 * np.eye(2)
+        cset = ci_coefficient_given_lambda(0.05, 1, 1, lam0, y, 1, "trend")
         (lo_ray, hi_ray) = cset.intervals
         assert lo_ray[0] == -np.inf and hi_ray[1] == np.inf and not cset.contains(0.0)
         assert len(cset.diagnostics) == 2
@@ -450,31 +510,36 @@ class TestCiCoefficient:
             assert message.startswith(f"{side} side accepted at the outermost probe a0 = ")
             probe = float(message.split("a0 = ")[1].split(";")[0])
             assert abs(probe) > 1e12
-            assert lr_coefficient(probe, 0, 1, lam0, y, 1, "trend").value <= chi2_quantile(0.95)
+            assert lr_coefficient(probe, 1, 1, lam0, y, 1, "trend").value <= chi2_quantile(0.95)
 
     def test_singular_pair_is_a_numerical_error(self):
         A, S11 = np.eye(3), np.diag([1.0, 0.0, 1.0])
-        with pytest.raises(NumericalError, match="eigenproblem failed"):
-            likelihood._known_vector_pencil(A, S11, 1, 0.5)
+        for i, j, r in ((1, 0, 2), (0, 1, 1)):  # q=1 and r=1
+            with pytest.raises(NumericalError, match="eigenproblem failed"):
+                likelihood._rank_one_basis(A, S11, i, j, 0.5, r)
         for p in (2, 3):
             with pytest.raises(NumericalError, match="eigenproblem failed"):
-                _quadratic_set(np.eye(p), np.zeros((p, p)), 1.0)
+                _quadratic_set(np.eye(p), np.zeros((p, p)), np.eye(p)[[0, -1]], 1.0)
 
-    @pytest.mark.parametrize("system", ["p2", "p3"])
+    @pytest.mark.parametrize("system", ["p2", "p3", "p3q2"])
     def test_moments_built_once_per_interval(self, system, monkeypatch):
         y, k = (sim_local(9)[0], 1) if system == "p2" else (_p3_data(9), 2)
-        calls = {"_partialled_moments": 0, "restricted_fit": 0}
+        q = 2 if system == "p3q2" else 1
+        calls = {"_partialled_moments": 0, "restricted_fit": 0, "minimize": 0, "lr_coefficient": 0}
         for name in calls:
-            original = getattr(likelihood, name)
+            module = inference if name == "lr_coefficient" else likelihood
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(likelihood, name, counted)
-        ci_coefficient_given_lambda(0.05, 0, 0, np.array([[0.98]]), y, k, "trend")
+            monkeypatch.setattr(module, name, counted)
+        ci_coefficient_given_lambda(0.05, 0, 0, 0.98 * np.eye(q), y, k, "trend")
         assert calls["_partialled_moments"] == 1
         assert calls["restricted_fit"] <= 1
+        if system == "p3q2":
+            assert calls["minimize"] == calls["lr_coefficient"] == 0
 
 
 class TestBonferroni:

@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 import qcvar.likelihood as likelihood
 from conftest import make_instance
 from qcvar.dgp import DgpSpec, build_var, simulate
-from qcvar.exceptions import ConditionWarning, DomainError
+from qcvar.exceptions import ConditionWarning, DomainError, NumericalError
 from qcvar.inference import lr_coefficient
 from qcvar.likelihood import (
     DET_CASES,
@@ -288,10 +288,22 @@ class TestProfileADispatch:
         assert pinned.a_hat[0, 0] == a0 and pinned.status == "converged"
         assert pinned.loglik <= free.loglik + 1e-10
 
-    def test_fixed_entry_searches_below_free_optimum(self, monkeypatch):
-        # at q >= 2 the fixed entry pins one coordinate of a column of a,
-        # not a whole column of beta, and the search remains
+    def test_fixed_entry_at_r1_takes_closed_form(self, monkeypatch):
         y = TestRrrFit()._sim(3)
+        lam0 = 0.97 * np.eye(2)
+        free = profile_a(lam0, y, 2, "trend")
+        a0 = float(free.a_hat[0, 1]) + 0.1
+        searches = _count_calls(monkeypatch, "minimize")
+        fits = _count_calls(monkeypatch, "restricted_fit")
+        pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, a0))
+        assert len(fits) == 1 and not searches
+        assert pinned.a_hat[0, 1] == a0 and pinned.status == "converged"
+        assert pinned.loglik <= free.loglik + 1e-10
+
+    def test_fixed_entry_searches_below_free_optimum(self, monkeypatch):
+        # with q, r >= 2 the fixed entry pins one coordinate of a column of a,
+        # neither a whole column of beta nor all of it, and the search remains
+        y = _oracle_data(4, 2, 2)
         lam0 = 0.97 * np.eye(2)
         free = profile_a(lam0, y, 2, "trend")
         searches = _count_calls(monkeypatch, "minimize")
@@ -301,11 +313,22 @@ class TestProfileADispatch:
 
     def test_search_keeps_infeasible_status(self):
         # a fixed entry this large leaves the subspace constraint unmet to rounding
-        y = TestRrrFit()._sim(3)
+        y = _oracle_data(4, 2, 2)
         lam0 = 0.97 * np.eye(2)
         pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, 1e12))
         assert restricted_fit(pinned.a_hat, lam0, y, 2, "trend").status == "constraint-infeasible"
         assert pinned.status == "constraint-infeasible"
+
+    def test_search_failure_is_a_numerical_error(self, monkeypatch):
+        # scipy's trust-exact has raised UnboundLocalError at an extreme fixed entry
+        def broken(*args, **kwargs):
+            raise UnboundLocalError("cannot access local variable 'p'")
+
+        monkeypatch.setattr(likelihood, "minimize", broken)
+        y = _oracle_data(4, 2, 2)
+        with pytest.raises(NumericalError, match=r"lam0 = \[\[0.97, 0.0\], \[0.0, 0.97\]\], "
+                           r"fixed entry \(0, 1, -5600000000000000.0\).*UnboundLocalError"):
+            profile_a(0.97 * np.eye(2), y, 2, "trend", fixed_entry=(0, 1, -5.6e15))
 
 
 def _search_from(a_start, lam0, y, k, det, dz, frozen=None):

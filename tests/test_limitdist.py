@@ -50,12 +50,12 @@ class TestSimulateStatistic:
         assert (stats_ >= -1e-12).all()
 
     def test_single_matches_batch(self):
-        stats_, _ = simulate_statistics(self.CFG, 64)
+        stats_, _ = simulate_statistics(self.CFG)
         assert _simulate_chunk(self.CFG, [17])[0] == stats_[17]
 
     def test_seed_reproducibility(self):
-        a, _ = simulate_statistics(self.CFG, 256)
-        b, _ = simulate_statistics(self.CFG, 256)
+        a, _ = simulate_statistics(self.CFG)
+        b, _ = simulate_statistics(self.CFG)
         assert np.array_equal(a, b)
 
     def test_config_validation(self):
