@@ -6,7 +6,8 @@ path Z driven by standard Brownian increments, with
 ``S1 = sum_j dW_j Zbar_{j-1}^T`` and ``S2 = sum_j Zbar_{j-1} Zbar_{j-1}^T / steps``,
 where Zbar is the path detrended per the deterministic case.  Quantiles
 are tabulated on a grid of localisation matrices and persisted in a
-self-describing text format.
+self-describing text format.  A table build draws each chunk of
+replications once and computes every node's statistics from it.
 
 Discretisation conventions: the path follows the exact local recursion
 ``Z_j = (I + C/steps) Z_{j-1} + dW_j`` with ``Z_0 = 0``; the lagged
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 import os
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,6 +49,8 @@ __all__ = [
 ]
 
 _TABLE_VERSION = "1"
+#: The metadata a build must share with a saved table to reuse its nodes.
+_TABLE_META = ("q", "det", "steps", "reps", "seed", "levels")
 _CHUNK = 2048
 #: Redraw rounds for replications with a singular second-moment matrix.
 MAX_REDRAWS = 100
@@ -115,16 +119,19 @@ def _detrend_coefficients(s: np.ndarray, det: str) -> tuple[np.ndarray, np.ndarr
     return np.linalg.solve(X.T @ X, X.T), X
 
 
-def _simulate_chunk(config: LimitDistConfig, rep_indices: Sequence[int]) -> np.ndarray:
-    """Statistics for the given replication indices (deterministic per index)."""
-    q, n = config.q, config.steps
-    m = len(rep_indices)
-    scale = 1.0 / np.sqrt(n)
-    dw = np.empty((m, n, q))
+def _draw(config: LimitDistConfig, rep_indices: Sequence[int]) -> np.ndarray:
+    """Scaled Brownian increments, one (steps, q) block per replication index."""
+    scale = 1.0 / np.sqrt(config.steps)
+    dw = np.empty((len(rep_indices), config.steps, config.q))
     for i, rep in enumerate(rep_indices):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, int(rep))))
-        dw[i] = rng.standard_normal((n, q)) * scale
+        dw[i] = rng.standard_normal(dw.shape[1:]) * scale
+    return dw
 
+
+def _statistics(config: LimitDistConfig, dw: np.ndarray) -> np.ndarray:
+    """The statistic of each replication of ``dw`` at ``config``'s localisation."""
+    m, n, q = dw.shape
     A_T = (np.eye(q) + config.c_star / n).T
     lagged = np.empty((m, n, q))
     z = np.zeros((m, q))
@@ -150,6 +157,38 @@ def _simulate_chunk(config: LimitDistConfig, rep_indices: Sequence[int]) -> np.n
     return stats
 
 
+def _simulate_chunk(config: LimitDistConfig, rep_indices: Sequence[int]) -> np.ndarray:
+    """Statistics for the given replication indices (deterministic per index)."""
+    return _statistics(config, _draw(config, rep_indices))
+
+
+def _simulate_nodes(configs: Sequence[LimitDistConfig]) -> Iterator[tuple[np.ndarray, int]]:
+    """Each config's :func:`simulate_statistics` result, in order, from shared draws.
+
+    The configs differ only in ``c_star``; a node is yielded once its last chunk is done.
+    """
+    reps = configs[0].reps
+    outs = [np.empty(reps) for _ in configs]
+    for start in range(0, reps, _CHUNK):
+        dw = _draw(configs[0], range(start, min(start + _CHUNK, reps)))
+        for config, out in zip(configs, outs):
+            out[start: start + len(dw)] = _statistics(config, dw)
+            if start + len(dw) < reps:
+                continue
+            redrawn, attempt = 0, 1
+            bad = np.flatnonzero(~np.isfinite(out))
+            while bad.size and attempt <= MAX_REDRAWS:
+                # redraw indices shifted into a disjoint seed range
+                redraw_ids = [int(1_000_000_007 * attempt + b) for b in bad]
+                out[bad] = _simulate_chunk(config, redraw_ids)
+                redrawn += bad.size
+                bad = np.flatnonzero(~np.isfinite(out))
+                attempt += 1
+            if bad.size:
+                raise NumericalError(f"{bad.size} replications remained singular after redraws")
+            yield out, redrawn
+
+
 def simulate_statistics(config: LimitDistConfig) -> tuple[np.ndarray, int]:
     """All replications of the limit statistic, chunk-vectorised.
 
@@ -157,23 +196,7 @@ def simulate_statistics(config: LimitDistConfig) -> tuple[np.ndarray, int]:
     flagged and redrawn from fresh derived seeds; the count of redraws
     is returned alongside the statistics.
     """
-    out = np.empty(config.reps)
-    for start in range(0, config.reps, _CHUNK):
-        idx = range(start, min(start + _CHUNK, config.reps))
-        out[start: start + len(idx)] = _simulate_chunk(config, list(idx))
-    redrawn = 0
-    bad = np.flatnonzero(~np.isfinite(out))
-    attempt = 1
-    while bad.size and attempt <= MAX_REDRAWS:
-        # redraw indices shifted into a disjoint seed range
-        redraw_ids = [int(1_000_000_007 * attempt + b) for b in bad]
-        out[bad] = _simulate_chunk(config, redraw_ids)
-        redrawn += bad.size
-        bad = np.flatnonzero(~np.isfinite(out))
-        attempt += 1
-    if bad.size:
-        raise NumericalError(f"{bad.size} replications remained singular after redraws")
-    return out, redrawn
+    return next(_simulate_nodes([config]))
 
 
 def quantiles_with_se(sample: np.ndarray, levels: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -261,10 +284,13 @@ def save_table(table: QuantileTable, path: str) -> None:
 
 
 def load_table(path: str) -> QuantileTable:
-    """Read a table written by :func:`save_table`."""
+    """Read a table written by :func:`save_table`.
+
+    A malformed table raises :class:`DomainError` naming the file and line.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    meta = {}
+    meta, meta_line = {}, {}
     body_at = None
     for i, ln in enumerate(lines):
         if ln.startswith("#") or not ln.strip():
@@ -274,27 +300,49 @@ def load_table(path: str) -> QuantileTable:
             break
         key, _, val = ln.partition("=")
         meta[key.strip()] = val.strip()
+        meta_line[key.strip()] = i + 1
     if body_at is None or meta.get("version") != _TABLE_VERSION:
         raise DomainError(f"{path} is not a version-{_TABLE_VERSION} qcvar table")
-    q = int(meta["q"])
-    levels = tuple(float(v) for v in meta["levels"].split(","))
+
+    def header(key, parse):
+        if key not in meta:
+            raise DomainError(f"{path}:{body_at}: the header ends without '{key}='")
+        try:
+            return parse(meta[key])
+        except ValueError:
+            raise DomainError(f"{path}:{meta_line[key]}: bad value {key}={meta[key]!r}") from None
+
+    q = header("q", int)
+    if q < 1:
+        raise DomainError(f"{path}:{meta_line['q']}: q must be positive")
+    levels = header("levels", lambda v: tuple(float(x) for x in v.split(",")))
+    n_lv = len(levels)
     entries = []
-    for ln in lines[body_at + 1:]:
+    for lineno, ln in enumerate(lines[body_at + 1:], start=body_at + 2):
         if not ln.strip():
             continue
         cols = ln.split(",")
-        c = np.array([float(v) for v in cols[0].split()], dtype=float).reshape(q, q)
-        redrawn = int(cols[1])
-        n_lv = len(levels)
-        quantiles = tuple(float(v) for v in cols[2: 2 + n_lv])
-        se = tuple(float(v) for v in cols[2 + n_lv: 2 + 2 * n_lv])
-        entries.append(TableEntry(c=c, quantiles=quantiles, se=se, redrawn=redrawn))
+        try:
+            c = [float(v) for v in cols[0].split()]
+            redrawn = int(cols[1])
+            values = [float(v) for v in cols[2:]]
+        except (ValueError, IndexError):
+            raise DomainError(f"{path}:{lineno}: a cell is missing or not a number") from None
+        if len(c) != q * q or redrawn < 0 or len(values) != 2 * n_lv:
+            raise DomainError(
+                f"{path}:{lineno}: a row holds q*q = {q * q} values of c, a non-negative "
+                f"redrawn count, {n_lv} quantiles and {n_lv} standard errors"
+            )
+        if not all(map(math.isfinite, c + values)):
+            raise DomainError(f"{path}:{lineno}: c, quantiles and standard errors must be finite")
+        entries.append(TableEntry(c=np.array(c).reshape(q, q), quantiles=tuple(values[:n_lv]),
+                                  se=tuple(values[n_lv:]), redrawn=redrawn))
     return QuantileTable(
         q=q,
-        det=meta["det"],
-        steps=int(meta["steps"]),
-        reps=int(meta["reps"]),
-        seed=int(meta["seed"]),
+        det=header("det", str),
+        steps=header("steps", int),
+        reps=header("reps", int),
+        seed=header("seed", int),
         levels=levels,
         entries=tuple(entries),
     )
@@ -311,8 +359,14 @@ def build_table(
 ) -> QuantileTable:
     """Simulate quantiles for each grid point and persist after each.
 
-    If ``path`` exists and carries identical metadata, already-computed
-    grid points are reused, making interrupted builds resumable.
+    One pass over the replication chunks serves every missing node: each
+    chunk is drawn once, and a node is saved as soon as the last chunk
+    gives its statistics.  The pass holds one float64 vector of ``reps``
+    per missing node, 33 MB for 41 nodes at 100 000 reps (one chunk's
+    draws at 2000 steps).  If ``path`` exists and carries identical
+    metadata, its nodes are reused, so an interrupted build keeps only the
+    nodes already saved: above one chunk of ``reps``, no node is saved
+    before the last chunk.
     """
     if len(c_grid) == 0:
         raise DomainError("the localisation grid must be nonempty")
@@ -321,44 +375,27 @@ def build_table(
         if c.shape != (template.q, template.q):
             raise DomainError(f"grid point shape {c.shape} does not match q={template.q}")
 
+    meta = {name: getattr(template, name) for name in _TABLE_META}
     done: dict[tuple, TableEntry] = {}
     if path is not None and os.path.exists(path):
         prev = load_table(path)
-        same_meta = (
-            prev.q == template.q
-            and prev.det == template.det
-            and prev.steps == template.steps
-            and prev.reps == template.reps
-            and prev.seed == template.seed
-            and prev.levels == template.levels
-        )
-        if same_meta:
+        if all(getattr(prev, name) == value for name, value in meta.items()):
             done = {_entry_key(e.c): e for e in prev.entries}
 
-    entries: dict[tuple, TableEntry] = {}
+    nodes: dict[tuple, np.ndarray] = {}
     for c in grid:
-        key = _entry_key(c)
-        if key in entries:
-            continue  # a node listed twice is simulated and stored once
-        if key in done:
-            entries[key] = done[key]
-        else:
-            config = replace(template, c_star=c)
-            stats, redrawn = simulate_statistics(config)
-            qs, ses = quantiles_with_se(stats, config.levels)
+        nodes.setdefault(_entry_key(c), c)  # a node listed twice is simulated and stored once
+    entries = {key: done[key] for key in nodes if key in done}
+    finished = _simulate_nodes([replace(template, c_star=c) for k, c in nodes.items() if k not in done])
+    for key, c in nodes.items():
+        if key not in done:
+            stats, redrawn = next(finished)
+            qs, ses = quantiles_with_se(stats, template.levels)
             entries[key] = TableEntry(c=c, quantiles=tuple(qs), se=tuple(ses), redrawn=redrawn)
-        ordered = list(entries.values())
+        ordered = [entries[key] for key in nodes if key in entries]
         if template.q == 1:
             ordered.sort(key=lambda e: float(e.c[0, 0]))
-        table = QuantileTable(
-            q=template.q,
-            det=template.det,
-            steps=template.steps,
-            reps=template.reps,
-            seed=template.seed,
-            levels=template.levels,
-            entries=tuple(ordered),
-        )
+        table = QuantileTable(entries=tuple(ordered), **meta)
         if path is not None:
             save_table(table, path)
     return table

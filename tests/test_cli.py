@@ -187,14 +187,21 @@ class TestCommands:
         assert "bonferroni confidence set" in out
 
     def test_critvals_repeated_node_simulated_once(self, tmp_path, monkeypatch, capsys):
+        # count at the per-node statistic step, and the generators of the shared draws
         runs = []
-        original = limitdist.simulate_statistics
+        generators = []
+        statistics, default_rng = limitdist._statistics, np.random.default_rng
 
-        def counted(config):
-            runs.append(config.c_star)
-            return original(config)
+        def counted(config, dw):
+            runs.append(float(config.c_star[0, 0]))
+            return statistics(config, dw)
 
-        monkeypatch.setattr(limitdist, "simulate_statistics", counted)
+        def counted_rng(*args, **kwargs):
+            generators.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(limitdist, "_statistics", counted)
+        monkeypatch.setattr(np.random, "default_rng", counted_rng)
         table_path = tmp_path / "cv.tbl"
         rc = main([
             "critvals", "--q", "1", "--det", "trend", "--c-grid=-5,0,0",
@@ -202,8 +209,24 @@ class TestCommands:
         ])
         capsys.readouterr()
         assert rc == 0
-        assert len(runs) == 2
+        assert runs == [-5.0, 0.0]
+        assert len(generators) == 1000  # one chunk drawn once for both nodes
         assert [float(e.c[0, 0]) for e in load_table(str(table_path)).entries] == [-5.0, 0.0]
+
+    def test_ci_malformed_table_exit_code(self, tmp_path, sample_csv, capsys):
+        table_path = tmp_path / "bad.tbl"
+        table_path.write_text(
+            "# qcvar critical-value table\nversion=1\ndet=trend\nsteps=100\nreps=1000\n"
+            "seed=0\nlevels=0.975,0.9,0.95,0.99\n---\nc,redrawn\n"
+        )
+        rc = main([
+            "ci", "--data", sample_csv, "--k", "1", "--q", "1",
+            "--alpha1", "0.025", "--alpha2", "0.025", "--coef", "0,0",
+            "--table", str(table_path),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{table_path}:8" in err and "'q='" in err
 
     def test_ci_missing_table_exit_code(self, tmp_path, sample_csv, capsys):
         rc = main([

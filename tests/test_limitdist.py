@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import qcvar.limitdist as limitdist
 from conftest import df_tstat_squared
 from qcvar.exceptions import DomainError, TableCoverageError
 from qcvar.limitdist import (
     LimitDistConfig,
+    QuantileTable,
+    TableEntry,
     _detrend_coefficients,
     _simulate_chunk,
     build_table,
@@ -12,6 +17,7 @@ from qcvar.limitdist import (
     load_table,
     lookup,
     quantiles_with_se,
+    save_table,
     simulate_statistics,
 )
 
@@ -186,3 +192,143 @@ class TestQuantileTable:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             build_table([], self.TEMPLATE)
+
+
+class TestSharedDraws:
+    """One pass over the replication chunks serves every node of a build."""
+
+    TEMPLATE = LimitDistConfig(q=1, c_star=np.zeros((1, 1)), det="trend",
+                               steps=120, reps=2500, seed=9)
+
+    @staticmethod
+    def _by_node(table):
+        return {float(e.c[0, 0]): e for e in table.entries}
+
+    def test_entry_independent_of_companions_and_order(self):
+        alone = self._by_node(build_table([-4.0], self.TEMPLATE))[-4.0]
+        for grid in ([-4.0, 0.0, -9.0], [0.0, -9.0, -4.0], [-9.0, -4.0]):
+            entry = self._by_node(build_table(grid, self.TEMPLATE))[-4.0]
+            assert entry.quantiles == alone.quantiles
+            assert entry.se == alone.se
+            assert entry.redrawn == alone.redrawn
+
+    def test_statistics_independent_of_chunk_size(self, monkeypatch):
+        # 2500 replications: two chunks at the default size, three at 1000, each ragged
+        config = replace(self.TEMPLATE, c_star=np.array([[-3.0]]))
+        default, _ = simulate_statistics(config)
+        monkeypatch.setattr(limitdist, "_CHUNK", 1000)
+        small, _ = simulate_statistics(config)
+        assert np.array_equal(default, small)
+
+    def test_interrupted_build_resumes_from_saved_node(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "t.tbl")
+        grid = [-6.0, -2.0, 0.0]
+        save = limitdist.save_table
+
+        def save_then_stop(table, p):
+            save(table, p)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(limitdist, "save_table", save_then_stop)
+        with pytest.raises(KeyboardInterrupt):
+            build_table(grid, self.TEMPLATE, path)
+        monkeypatch.setattr(limitdist, "save_table", save)
+        assert [float(e.c[0, 0]) for e in load_table(path).entries] == [-6.0]
+
+        runs = []
+        statistics = limitdist._statistics
+
+        def counted(config, dw):
+            runs.append(float(config.c_star[0, 0]))
+            return statistics(config, dw)
+
+        monkeypatch.setattr(limitdist, "_statistics", counted)
+        resumed = build_table(grid, self.TEMPLATE, path)
+        assert sorted(set(runs)) == [-2.0, 0.0]  # the saved node is not simulated again
+        monkeypatch.setattr(limitdist, "_statistics", statistics)
+        assert len(resumed.entries) == 3
+        fresh = str(tmp_path / "fresh.tbl")
+        build_table(grid, self.TEMPLATE, fresh)
+        assert open(path).read() == open(fresh).read()
+
+    def test_golden_values(self):
+        # values at 10 significant digits, recorded before draws were shared across nodes
+        q1 = LimitDistConfig(q=1, c_star=np.zeros((1, 1)), det="trend",
+                             steps=200, reps=2500, seed=21)
+        q2 = LimitDistConfig(q=2, c_star=np.zeros((2, 2)), det="const",
+                             steps=150, reps=1500, seed=2)
+        golden = {
+            (-5.0,): ["6.013625027", "7.783852507", "11.67230053",
+                      "0.1066480404", "0.2018474299", "1.191320602"],
+            (0.0,): ["9.200712665", "11.10671906", "15.46585801",
+                     "0.1936246966", "0.2066744765", "0.6747126564"],
+            (0.0, 0.0, 0.0, 0.0): ["15.66320459", "17.87259711", "23.00808718",
+                                   "0.2999408705", "0.3865928617", "1.051440142"],
+            (-5.0, 1.0, 0.0, -2.0): ["12.14531218", "14.4209983", "18.87878375",
+                                     "0.3308770778", "0.3419579789", "1.842370174"],
+        }
+        got = {}
+        for template, grid in ((q1, [0.0, -5.0]),
+                               (q2, [np.zeros((2, 2)), np.array([[-5.0, 1.0], [0.0, -2.0]])])):
+            for e in build_table(grid, template).entries:
+                assert e.redrawn == 0
+                got[tuple(e.c.ravel().tolist())] = [f"{v:.10g}" for v in e.quantiles + e.se]
+        assert got == golden
+
+
+class TestLoadTableValidation:
+    """Malformed tables raise DomainError naming the file and line."""
+
+    @pytest.fixture
+    def lines(self, tmp_path):
+        table = QuantileTable(
+            q=1, det="trend", steps=100, reps=1000, seed=0, levels=(0.9, 0.95),
+            entries=(TableEntry(c=np.array([[-5.0]]), quantiles=(8.0, 9.5), se=(0.1, 0.2),
+                                redrawn=0),
+                     TableEntry(c=np.array([[0.0]]), quantiles=(11.0, 12.5), se=(0.1, 0.2),
+                                redrawn=1)),
+        )
+        path = str(tmp_path / "good.tbl")
+        save_table(table, path)
+        assert load_table(path) is not None
+        with open(path) as fh:
+            return fh.read().splitlines()
+
+    @staticmethod
+    def _load_error(tmp_path, lines):
+        path = str(tmp_path / "bad.tbl")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(DomainError) as err:
+            load_table(path)
+        return str(err.value).replace(path, "<path>")
+
+    def test_missing_metadata_key(self, tmp_path, lines):
+        # the header line "q=1" is line 3; "---" moves up to line 8
+        msg = self._load_error(tmp_path, [ln for ln in lines if not ln.startswith("q=")])
+        assert msg.startswith("<path>:8:") and "'q='" in msg
+
+    def test_non_numeric_cell(self, tmp_path, lines):
+        lines[10] = lines[10].replace("8.0", "eight")
+        assert self._load_error(tmp_path, lines).startswith("<path>:11:")
+
+    def test_nan_quantile(self, tmp_path, lines):
+        lines[11] = lines[11].replace("11.0", "nan")
+        msg = self._load_error(tmp_path, lines)
+        assert msg.startswith("<path>:12:") and "finite" in msg
+
+    def test_missing_last_se_field(self, tmp_path, lines):
+        lines[11] = lines[11].rpartition(",")[0]
+        assert self._load_error(tmp_path, lines).startswith("<path>:12:")
+
+    def test_wrong_number_of_c_values(self, tmp_path, lines):
+        lines[10] = "-5.0 1.0" + lines[10][len("-5.0"):]
+        assert self._load_error(tmp_path, lines).startswith("<path>:11:")
+
+    def test_negative_redrawn(self, tmp_path, lines):
+        lines[10] = lines[10].replace(",0,", ",-1,", 1)
+        assert self._load_error(tmp_path, lines).startswith("<path>:11:")
+
+    def test_bad_metadata_value(self, tmp_path, lines):
+        lines[5] = "reps=many"
+        assert self._load_error(tmp_path, lines).startswith("<path>:6:")
