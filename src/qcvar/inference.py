@@ -3,13 +3,13 @@ block and for scalar quasi-cointegrating coefficients.
 
 The LR for a hypothesised dynamics block compares the restricted profile
 fit against the unrestricted maximum of the fixed-weight loglikelihood,
-which is attained exactly at the OLS fit.  Conditional confidence intervals
-for a single subspace coefficient invert the chi-square(1) LR test: at a
-scalar block with q = 1 or r = p - q = 1 exactly, as a quadratic inequality
-in the coefficient built from the partialled moments at the block;
-otherwise by a scan of the projective line through the coefficient, with a
-root search at each change of verdict.  The Bonferroni set unions those
-intervals over a confidence set for the dynamics block.
+which is attained exactly at the OLS fit.  At a scalar block the LR for a
+single subspace coefficient is an eigenvalue difference in the partialled
+moments.  Conditional confidence intervals invert its chi-square(1) test:
+as a quadratic inequality when q = 1 or r = p - q = 1, and otherwise by a
+scan of the projective line through the coefficient, with a root search at
+each change of verdict.  The Bonferroni set unions those intervals over a
+confidence set for the dynamics block.
 """
 
 from __future__ import annotations
@@ -20,20 +20,24 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaincinv
 
-from .exceptions import DomainError, NumericalError, QcvarError, TableCoverageError
+from .exceptions import (DomainError, NumericalError, QcvarError, SingularDesignError,
+                         TableCoverageError)
 from .likelihood import (
     Design,
     FitResult,
     LambdaGrid,
     _as_design,
     _eigh_pair,
+    _fixed_entry_a,
     _known_vector_moments,
+    _normalise,
     ols_fit,
     profile_a,
     profile_lambda,
+    restricted_fit,
 )
 from .limitdist import QuantileTable, c_star, lookup
 from .spectral import split
@@ -56,8 +60,8 @@ logger = logging.getLogger("qcvar.inference")
 #: LR values this far below zero indicate an optimizer inconsistency.
 LR_SLACK = 1e-8
 
-#: Uniform nodes on [-pi/2, pi/2] of the scan of the projective line through a coefficient at a
-#: non-scalar block or with q, r >= 2; both ends are the point at infinity, probed outward from
+#: Uniform nodes on [-pi/2, pi/2] of the scan of the projective line through a coefficient with
+#: q, r >= 2 or at a non-scalar block; both ends are the point at infinity, probed outward from
 #: the interior nodes, and a change of verdict between neighbouring nodes brackets a boundary.
 SCAN_POINTS = 21
 
@@ -85,11 +89,12 @@ class LrStatistic:
 
     ``fit_restricted`` is the profile fit under the null: at the
     hypothesised block for :func:`lr_lambda`, with the coefficient also
-    frozen for :func:`lr_coefficient`.
+    frozen for :func:`lr_coefficient`.  It is None where that fit's design
+    is singular and the value stands without it: far out at a scalar block.
     """
 
     value: float
-    fit_restricted: FitResult
+    fit_restricted: Optional[FitResult]
 
 
 @dataclass(frozen=True)
@@ -156,20 +161,31 @@ def lr_coefficient(
     """LR statistic for the coefficient hypothesis a[i, j] = a0, given lambda0.
 
     Both maximisations impose the dynamics block; the restricted side
-    additionally freezes the (i, j) entry of the subspace matrix.
+    additionally freezes the (i, j) entry of the subspace matrix.  At a
+    scalar block the value is n_eff times the moment LR of
+    :func:`_fixed_entry_a`, exact where a fit far out loses the loglik to
+    rounding, and ``fit_restricted`` is :func:`restricted_fit` at its ``a``,
+    or None where that design is singular (|a0| about 1e11 and beyond).
+    Otherwise it is a difference of two :func:`profile_a` logliks, and
     ``fit_at_lambda0`` may carry a precomputed unrestricted-side fit.
     """
     dz = _as_design(data, k, det, design)
     lambda0 = np.atleast_2d(np.asarray(lambda0, dtype=float))
-    fit_u = fit_at_lambda0 if fit_at_lambda0 is not None else profile_a(
-        lambda0, data, k, det, design=dz
-    )
-    fit_r = profile_a(
-        lambda0, data, k, det,
-        design=dz, fixed_entry=(i, j, float(a0)), init=fit_u.a_hat,
-    )
-    value = _clamp_lr(2.0 * (fit_u.loglik - fit_r.loglik), "lr_coefficient")
-    return LrStatistic(value=value, fit_restricted=fit_r)
+    q = lambda0.shape[0]
+    if np.array_equal(lambda0, lambda0[0, 0] * np.eye(q)):
+        A, S11 = _known_vector_moments(float(lambda0[0, 0]), dz)
+        a_hat, gap = _fixed_entry_a(A, S11, i, j, float(a0), dz.p - q)
+        value = dz.n_eff * gap
+        try:
+            fit_r = restricted_fit(a_hat, lambda0, data, k, det, design=dz)
+        except SingularDesignError:
+            fit_r = None
+    else:
+        fit_u = fit_at_lambda0 or profile_a(lambda0, data, k, det, design=dz)
+        fit_r = profile_a(lambda0, data, k, det, design=dz, fixed_entry=(i, j, float(a0)),
+                          init=fit_u.a_hat)
+        value = 2.0 * (fit_u.loglik - fit_r.loglik)
+    return LrStatistic(value=_clamp_lr(value, "lr_coefficient"), fit_restricted=fit_r)
 
 
 def localisation(n: int, lam0: np.ndarray, fit: FitResult, design: Design) -> np.ndarray:
@@ -265,17 +281,20 @@ def ci_coefficient_given_lambda(
     """Conditional confidence set for a[i, j] given the dynamics block, inverting the
     chi-square(1) LR test.
 
-    At a scalar block with min(q, r) = 1 the set solves a quadratic inequality in the coefficient
-    exactly (:func:`_quadratic_set`), from partialled moments at ``lambda0`` built once per call:
-    an interval, two rays, a half-line or the whole line.  Otherwise :func:`lr_coefficient` is
+    At a scalar block the partialled moments at ``lambda0`` are built once per call.  With
+    min(q, r) = 1 the set solves a quadratic inequality in the coefficient exactly
+    (:func:`_quadratic_set`): an interval, two rays, a half-line or the whole line.  Otherwise
+    the LR, at a scalar block the moment form of :func:`lr_coefficient` with no fit per node, is
     evaluated at ``a0 = center + se tan(theta)`` (the conditional optimum and its curvature
     scale) for the ``SCAN_POINTS`` - 2 interior of ``SCAN_POINTS`` uniform theta on
     [-pi/2, pi/2].  The ends are the point at infinity, where no entry can be fixed, so while
-    the outermost node on a side is accepted a probe doubles its distance to the center, until
-    that distance passes 1e12 se.  Each change of verdict between neighbouring nodes is
-    refined by brentq in the coefficient (tolerance 1e-6).  ``diagnostics`` notes an unbounded
-    set, on the scan naming the outermost probe accepted on each unbounded side, and a set of
-    more pieces than an interval or two rays.
+    the outermost node on a side is accepted, or at a scalar block the LR 1e12 se out on that
+    side, a probe doubles its distance to the center, until that distance passes 1e12 se.  At a
+    scalar block an interior node where the LR peaks towards the threshold adds the LR's
+    extremum between its neighbours as a node.  Each change of verdict between neighbouring
+    nodes is refined by brentq in the coefficient (tolerance 1e-12 at a scalar block, 1e-6 on
+    the search's LR).  ``diagnostics`` notes an unbounded set, on the scan naming the outermost
+    probe accepted on each unbounded side, and a set of more pieces than an interval or two rays.
     """
     dz = _as_design(data, k, det, design)
     lambda0 = np.atleast_2d(np.asarray(lambda0, dtype=float))
@@ -286,35 +305,54 @@ def ci_coefficient_given_lambda(
     level = 1.0 - alpha2
     threshold = chi2_quantile(level)
 
-    if min(q, r) == 1 and np.array_equal(lambda0, lambda0[0, 0] * np.eye(q)):
+    scalar = np.array_equal(lambda0, lambda0[0, 0] * np.eye(q))
+    if scalar:
         A, S11 = _known_vector_moments(float(lambda0[0, 0]), dz)
-        A, rows = (A, S11[[i, -1]]) if q == 1 else (-A, np.eye(dz.p)[[r + j, i]] * [[1.0], [-1.0]])
-        intervals = _quadratic_set(A, S11, rows, threshold / dz.n_eff)
-        unbounded = ("accepted set is unbounded",) if not np.isfinite(intervals).all() else ()
-        return ConfidenceSet(level=level, intervals=intervals, diagnostics=unbounded)
+        if min(q, r) == 1:
+            rows = S11[[i, -1]] if q == 1 else np.eye(dz.p)[[r + j, i]] * [[1.0], [-1.0]]
+            intervals = _quadratic_set(A if q == 1 else -A, S11, rows, threshold / dz.n_eff)
+            unbounded = ("accepted set is unbounded",) if not np.isfinite(intervals).all() else ()
+            return ConfidenceSet(level=level, intervals=intervals, diagnostics=unbounded)
+        center = float(_normalise(_eigh_pair(A, S11)[1][:, q:])[i, j])
 
-    fit_u = profile_a(lambda0, data, k, det, design=dz)
-    center = float(fit_u.a_hat[i, j])
+        def g(a0: float) -> float:
+            return dz.n_eff * _fixed_entry_a(A, S11, i, j, a0, r)[1] - threshold
+    else:
+        fit_u = profile_a(lambda0, data, k, det, design=dz)
+        center = float(fit_u.a_hat[i, j])
 
-    def g(a0: float) -> float:
-        lr = lr_coefficient(a0, i, j, lambda0, data, k, det, design=dz, fit_at_lambda0=fit_u)
-        return lr.value - threshold
+        def g(a0: float) -> float:
+            lr = lr_coefficient(a0, i, j, lambda0, data, k, det, design=dz, fit_at_lambda0=fit_u)
+            return lr.value - threshold
 
     # curvature scale: LR ~ ((a0 - center) / se)^2 near the optimum
     h = 1e-4 * (1.0 + abs(center))
     curv = (g(center + h) + threshold + g(center - h) + threshold) / (2.0 * h * h)
     se = 1.0 / np.sqrt(curv) if curv > 0 else 1.0 + abs(center)
 
-    # +-pi/2 is the point at infinity: an accepted outermost node is followed by probes at twice
-    # its distance to the center until one rejects or the distance passes 1e12 se
+    # +-pi/2 is the point at infinity: while the outermost node on a side, or at a scalar block the
+    # verdict 1e12 se out, is accepted, probes at twice its distance to the center follow
     nodes = list(center + se * np.tan(np.linspace(-np.pi / 2, np.pi / 2, SCAN_POINTS)[1:-1]))
-    accepted = [bool(g(a0) <= 0.0) for a0 in nodes]
-    for end in (0, -1):
-        while accepted[end] and 0.0 < abs(nodes[end] - center) < 1e12 * se:
+    values = [g(a0) for a0 in nodes]
+    # at a scalar block an interior node where g peaks towards zero may hide a stretch of the other
+    # verdict between its neighbours: the extremum of g there joins the nodes.  The search's LR
+    # elsewhere carries rounding of about 3e-9 and costs up to 80 ms, so it keeps its nodes.
+    for m in range(len(nodes) - 2, 0, -1) if scalar else ():
+        s = 1.0 if values[m] <= 0.0 else -1.0
+        if s * values[m] > max(s * values[m - 1], s * values[m + 1]):
+            peak = minimize_scalar(lambda a0: -s * g(a0), bounds=(nodes[m - 1], nodes[m + 1]),
+                                   method="bounded")
+            at = m + int(peak.x > nodes[m])
+            nodes.insert(at, peak.x)
+            values.insert(at, -s * peak.fun)
+    accepted = [bool(v <= 0.0) for v in values]
+    for end, sign in ((0, -1.0), (-1, 1.0)):
+        far = scalar and g(center + sign * 1e12 * se) <= 0.0
+        while (accepted[end] or far) and 0.0 < abs(nodes[end] - center) < 1e12 * se:
             at = len(nodes) if end else 0
             nodes.insert(at, center + 2.0 * (nodes[end] - center))
             accepted.insert(at, bool(g(nodes[at]) <= 0.0))
-    cuts = [brentq(g, nodes[m], nodes[m + 1], xtol=1e-6)
+    cuts = [brentq(g, nodes[m], nodes[m + 1], xtol=1e-12 if scalar else 1e-6)
             for m in range(len(nodes) - 1) if accepted[m] != accepted[m + 1]]
     bounds = [-np.inf] * accepted[0] + cuts + [np.inf] * accepted[-1]
     intervals = tuple((float(lo), float(hi)) for lo, hi in zip(bounds[::2], bounds[1::2]))

@@ -6,12 +6,13 @@ weighted by the *unrestricted* OLS variance estimator, which is held
 fixed inside every restricted maximisation.  Restricted fits impose the
 linear constraint ``Phi @ col{[a; I] lam0^(k-i)} = [a; I] lam0^k`` and
 have a closed form.  For a scalar block ``lam0 * I_q`` the outer profile
-over the subspace coefficients ``a`` has a closed form too, at every
-``lam0``: its argmax is the reduced-rank regression of :func:`rrr_fit`, or
-with an entry of ``a`` fixed at q or r = p - q = 1 Johansen's restricted
-basis.  For non-scalar blocks and a fixed entry with q, r >= 2 a Newton
-search over ``a`` runs on the Wald form of the restricted loglik, which
-needs no fit per step; :func:`restricted_fit` reports its result.
+over the subspace coefficients ``a`` is an eigenproblem in the partialled
+moments, at every ``lam0``: its argmax is the reduced-rank regression of
+:func:`rrr_fit`, or with an entry of ``a`` fixed Johansen's restricted
+basis, by the switching algorithm (exact in one sweep when q or
+r = p - q is 1).  For non-scalar blocks a Newton search over ``a`` runs on
+the Wald form of the restricted loglik, which needs no fit per step;
+:func:`restricted_fit` reports its result.
 """
 
 from __future__ import annotations
@@ -52,11 +53,20 @@ __all__ = [
 
 DET_CASES = ("trend", "const", "none")
 
+#: Sweeps of :func:`_restricted_basis` from one start before it gives up (one took 1900).
+_MAX_SWEEPS = 10_000
+
 
 def _check_det(det: str) -> str:
     if det not in DET_CASES:
         raise DomainError(f"det must be one of {DET_CASES}, got {det!r}")
     return det
+
+
+def _check_entry(i: int, j: int, a0: float, r: int, q: int) -> None:
+    if not (0 <= i < r and 0 <= j < q and np.isfinite(a0)):
+        raise DomainError(f"fixed entry a[{i}, {j}] = {a0} needs 0 <= i < {r}, 0 <= j < {q} "
+                          "and a finite value")
 
 
 @dataclass(frozen=True)
@@ -363,15 +373,16 @@ def profile_a(
 
     With ``fixed_entry=(i, j, a0)`` the (i, j) coordinate is frozen at
     ``a0``, the restricted side of the coefficient LR test.  For a scalar
-    block ``lam0 * I_q`` the profile has a closed form, :func:`restricted_fit`
-    at the ``a`` of a reduced-rank eigenproblem that shares its argmax:
-    :func:`rrr_fit` with no fixed entry, and with one at min(q, r) = 1 and
-    p >= 3 :func:`_rank_one_basis`; ``init`` is then unused.  Otherwise (a
-    non-scalar block, or a fixed entry with q, r >= 2) a trust-region Newton
-    search from ``init`` (default: the OLS split) minimises the Wald form of
-    :func:`_wald_form` over the free entries of a, with its analytic gradient
-    and a central-difference Hessian of that gradient; a failure inside it
-    that is not a :class:`QcvarError` is a :class:`NumericalError`.  Its
+    block ``lam0 * I_q`` the profile is :func:`restricted_fit` at the ``a``
+    of an eigenproblem that shares its argmax: :func:`rrr_fit` with no fixed
+    entry, and with one at p >= 3 the switching algorithm of
+    :func:`_restricted_basis` (one sweep at min(q, r) = 1); at p = 2 the
+    fixed entry is all of a.  ``init`` is then unused.  For a non-scalar
+    block a trust-region Newton search from ``init`` (default: the OLS
+    split) minimises the Wald form of :func:`_wald_form` over the free
+    entries of a, with its analytic gradient and a central-difference
+    Hessian of that gradient; a failure inside it that is not a
+    :class:`QcvarError` is a :class:`NumericalError`.  Its
     status is ``converged`` once the Newton decrement falls to the rounding
     of the objective and ``max-iter`` if it stops before that, unless
     :func:`restricted_fit`, run once at the result, reports the constraint
@@ -384,21 +395,18 @@ def profile_a(
 
     if fixed_entry is not None:
         i, j, a0 = fixed_entry
-        if not (0 <= i < r and 0 <= j < q and np.isfinite(a0)):
-            raise DomainError(f"fixed entry a[{i}, {j}] = {a0} needs 0 <= i < {r}, 0 <= j < {q} "
-                              "and a finite value")
+        _check_entry(i, j, a0, r, q)
 
     if r * q == 0:
         return restricted_fit(np.zeros((r, q)), lam0, data, k, det, design=dz)
 
-    rank_one = fixed_entry is not None and min(q, r) == 1 and dz.p > 2
-    if np.array_equal(lam0, lam0[0, 0] * np.eye(q)) and (fixed_entry is None or rank_one):
-        if rank_one:
-            A, S11 = _known_vector_moments(lam0[0, 0], dz)
-            a_hat = _normalise(_rank_one_basis(A, S11, i, j, a0, r))
-            a_hat[i, j] = a0
-        else:
+    if np.array_equal(lam0, lam0[0, 0] * np.eye(q)):
+        if fixed_entry is None:
             a_hat = rrr_fit(lam0[0, 0], q, data, k, det, design=dz).a_hat
+        elif dz.p == 2:
+            a_hat = np.full((1, 1), a0)
+        else:
+            a_hat = _fixed_entry_a(*_known_vector_moments(lam0[0, 0], dz), i, j, a0, r)[0]
         return restricted_fit(a_hat, lam0, data, k, det, design=dz)
 
     a_start = np.asarray(init, dtype=float).reshape(r, q) if init is not None else _init_a(
@@ -410,10 +418,6 @@ def profile_a(
     if fixed_entry is not None:
         mask[i, j] = False
         base[i, j] = a0
-
-    n_free = int(mask.sum())
-    if n_free == 0:
-        return restricted_fit(base, lam0, data, k, det, design=dz)
 
     value_and_grad = _wald_form(lam0, dz)
 
@@ -524,32 +528,69 @@ def _known_vector_moments(lambda0: float, dz: Design) -> tuple[np.ndarray, np.nd
 
     With ``A = S10 Sigma^-1 S01`` (``Sigma`` the OLS weight), the fixed-weight loglik at a basis
     ``beta`` is a constant plus ``(n_eff/2) tr[(beta'S11 beta)^-1 beta'A beta]``.  Its maximum over
-    rank-r bases is the sum of the top r eigenvalues of (A, S11); under ``a[i, j] = a0`` at
-    min(q, r) = 1 it is attained at :func:`_rank_one_basis`, and the LR is n_eff times the
-    difference."""
+    rank-r bases is the sum of the top r eigenvalues of (A, S11); under ``a[i, j] = a0`` it is
+    attained at :func:`_restricted_basis`, and the LR is n_eff times the difference."""
     *_, S01, S11 = _partialled_moments(lambda0, dz)
     A = S01.T @ dz.solve_weight(S01)
     return 0.5 * (A + A.T), S11
 
 
-def _rank_one_basis(A: np.ndarray, S11: np.ndarray, i: int, j: int, a0: float, r: int):
-    """The best p x r basis beta of (A, S11) given ``a[i, j] = a0`` at a scalar block, q or r = 1.
+def _restricted_basis(A: np.ndarray, S11: np.ndarray, i: int, j: int, a0: float, r: int):
+    """The best p x r basis beta of (A, S11) given ``a[i, j] = a0`` at a scalar block, and its
+    criterion ``tr[(beta'S11 beta)^-1 beta'A beta]``, by the switching algorithm.
 
     The entry holds exactly when beta = (H phi, psi), ``H = [b, e_(r+l) for l != j]`` and
-    ``b = e_i - a0 e_(r+j)`` scaled to unit largest entry (Johansen 1995, ch. 7).  At r = 1 phi is
-    the top eigenvector of ``(H'AH, H'S11H)``.  At q = 1 H is b, the first column, and with E the
-    columns of I_p but b's largest entry and ``P = I - b b'S11 / b'S11b`` the others are ``PE``
-    times the top r - 1 eigenvectors of ``(PE'A PE, PE'S11 PE)``, S11-orthonormal, so the
-    maximised ``tr[(beta'S11 beta)^-1 beta'A beta]`` is ``b'Ab / b'S11b`` plus their eigenvalues."""
-    eye = np.eye(len(A))
+    ``b = e_i - a0 e_(r+j)`` scaled to unit largest entry (Johansen 1995, ch. 7).  Given psi,
+    S11-orthonormal, with P the S11-projection off it, phi is the top eigenvector of
+    ``((PH)'A(PH), (PH)'S11(PH))``: the answer at r = 1, where psi is empty.  Given x = H phi,
+    with E the columns of I_p but x's largest entry and ``P = I - x x'S11 / x'S11x``, psi is PE
+    times the top r - 1 eigenvectors of ``(PE'A PE, PE'S11 PE)``: the answer at q = 1, where x is
+    b.  Otherwise the steps alternate, each sweep also trying 4, 16 and 64 times its change in
+    phi (Doornik 2018), until the criterion gains no more than its rounding.  That is a
+    stationary point, not certainly the global maximum, so it runs from two starts, psi empty
+    and the top r - 1 eigenvectors of (A, S11), and keeps the better; ``_MAX_SWEEPS`` sweeps
+    short of convergence are a :class:`NumericalError`."""
+    eye, q = np.eye(len(A)), len(A) - r
     b = (eye[i] - a0 * eye[r + j]) / max(1.0, abs(a0))
-    if r == 1:
-        H = np.column_stack([b, np.delete(eye[:, 1:], j, axis=1)])
-        return H @ _eigh_pair(H.T @ A @ H, H.T @ S11 @ H)[1][:, -1:]
-    s1b = S11 @ b
-    E = np.delete(eye, np.argmax(np.abs(b)), axis=1)  # b's largest entry: a well-posed complement
-    PE = E - np.outer(b, s1b @ E) / (b @ s1b)
-    return np.column_stack([b, (PE @ _eigh_pair(PE.T @ A @ PE, PE.T @ S11 @ PE)[1])[:, 1:]])
+    H = np.column_stack([b, np.delete(eye[:, r:], j, axis=1)])
+
+    def psi_step(x: np.ndarray) -> tuple:
+        s1x = S11 @ x
+        E = np.delete(eye, np.argmax(np.abs(x)), axis=1)  # x's largest entry: a sound complement
+        PE = E - np.outer(x, s1x @ E) / (x @ s1x)
+        mu, V = _eigh_pair(PE.T @ A @ PE, PE.T @ S11 @ PE)
+        return (PE @ V)[:, q:], x @ A @ x / (x @ s1x) + mu[q:].sum()
+
+    def switching(psi: np.ndarray) -> tuple:
+        phi, last = None, -np.inf
+        for _ in range(_MAX_SWEEPS):
+            PH = H - psi @ (psi.T @ S11 @ H)
+            mu, V = _eigh_pair(PH.T @ A @ PH, PH.T @ S11 @ PH)
+            if r == 1:
+                return H @ V[:, -1:], mu[-1]
+            new = V[:, -1]
+            new = new / np.copysign(np.linalg.norm(new), 1.0 if phi is None else new @ phi)
+            trials = [new] if phi is None else [phi + t * (new - phi) for t in (1, 4, 16, 64)]
+            psi, crit, phi = max((psi_step(H @ f) + (f / np.linalg.norm(f),) for f in trials),
+                                 key=lambda step: step[1])
+            if q == 1 or crit - last <= 4 * np.finfo(float).eps * abs(crit):
+                return np.column_stack([H @ phi, psi]), crit
+            last = crit
+        raise NumericalError(f"the switching algorithm at a[{i}, {j}] = {a0} did not converge "
+                             f"in {_MAX_SWEEPS} sweeps")
+
+    starts = [eye[:, :0]] + [_eigh_pair(A, S11)[1][:, q + 1:]] * (min(q, r) > 1)
+    return max(map(switching, starts), key=lambda fit: fit[1])
+
+
+def _fixed_entry_a(A: np.ndarray, S11: np.ndarray, i: int, j: int, a0: float, r: int):
+    """The ``a`` of :func:`_restricted_basis` with ``a[i, j] = a0`` exactly, and the coefficient
+    LR there over n_eff: the sum of the top r eigenvalues of (A, S11) less the criterion."""
+    _check_entry(i, j, a0, r, len(A) - r)
+    beta, crit = _restricted_basis(A, S11, i, j, a0, r)
+    a_hat = _normalise(beta)
+    a_hat[i, j] = a0
+    return a_hat, _eigh_pair(A, S11, eigvals_only=True)[len(A) - r:].sum() - crit
 
 
 def rrr_fit(
@@ -581,16 +622,19 @@ def rrr_fit(
     r = p - q
     t0, t1, T2, C0, C1, S00, S01, S11 = _partialled_moments(lambda0, dz)
 
-    if r == 0:
-        pi_hat = np.zeros((p, p))
-        beta_hat = np.zeros((p, 0))
-    elif r == p:
-        pi_hat = np.linalg.solve(S11, S01.T).T
-        beta_hat = np.eye(p)
-    else:
-        beta_hat = _canonical_basis(S00, S01, S11, r)
-        alpha_hat = S01 @ beta_hat @ np.linalg.inv(beta_hat.T @ S11 @ beta_hat)
-        pi_hat = alpha_hat @ beta_hat.T
+    try:
+        if r == 0:
+            pi_hat = np.zeros((p, p))
+            beta_hat = np.zeros((p, 0))
+        elif r == p:
+            pi_hat = np.linalg.solve(S11, S01.T).T
+            beta_hat = np.eye(p)
+        else:
+            beta_hat = _canonical_basis(S00, S01, S11, r)
+            alpha_hat = S01 @ beta_hat @ np.linalg.inv(beta_hat.T @ S11 @ beta_hat)
+            pi_hat = alpha_hat @ beta_hat.T
+    except np.linalg.LinAlgError as exc:  # the lag-k levels are collinear given Z2
+        raise NumericalError(f"rank-{r} regression at lambda0 = {lambda0} failed: {exc}") from exc
 
     # Y = W t0 + Z1 Pi' + Z2 (C0 - C1 Pi') in the coefficients of W
     theta = (t0 + t1 @ pi_hat.T + T2 @ (C0 - C1 @ pi_hat.T)).T

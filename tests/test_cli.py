@@ -6,6 +6,7 @@ import pytest
 
 import qcvar.limitdist as limitdist
 from conftest import make_instance
+from test_inference import _rayleigh_curve
 from qcvar.cli import _round15, ingest_csv, main
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
 from qcvar.exceptions import DomainError
@@ -432,12 +433,27 @@ class TestSharedInference:
 
     def test_lr_q2_extreme_coefficient_exits_cleanly(self, tmp_path, capsys):
         # two random walks and white noise, where a search once raised scipy's UnboundLocalError
+        # and a fit difference once gave LR = -1.086; the moment LR is the constrained maximum
         rng = np.random.default_rng(0)
         noise = [rng.normal(size=200) for _ in range(3)]
+        y = np.column_stack([np.cumsum(noise[0]), np.cumsum(noise[1]), noise[2]])
         data_path = tmp_path / "y.csv"
-        write_csv(data_path, ["s1", "s2", "s3"],
-                  np.column_stack([np.cumsum(noise[0]), np.cumsum(noise[1]), noise[2]]))
+        write_csv(data_path, ["s1", "s2", "s3"], y)
         rc = main(["lr", "--data", str(data_path), "--k", "1", "--q", "2", "--lambda0", "0.95",
-                   "--coef", "0,1", "--a0=-5.6e15"])
-        capsys.readouterr()
-        assert rc in (0, 3)
+                   "--coef", "0,1", "--a0=-5.6e15", "--format", "json"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        got = json.loads(out)["sections"][1]["values"]["lr_coefficient"]
+        want = _rayleigh_curve(0.95, 1, make_design(y, 1, "trend"))(-5.6e15)
+        assert got == pytest.approx(want, rel=1e-8)
+
+    def test_fit_identical_walks_exits_with_a_stated_cause(self, tmp_path, capsys):
+        # the lag-k levels are collinear: a singular inverse in rrr_fit is a NumericalError
+        walk = np.cumsum(np.random.default_rng(0).normal(size=200))
+        data_path = tmp_path / "y.csv"
+        write_csv(data_path, ["a", "b"], np.column_stack([walk, walk]))
+        with pytest.warns(UserWarning, match="ill conditioned"):
+            rc = main(["fit", "--data", str(data_path), "--k", "1", "--q", "1"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error (numerical): every grid point failed (21 points)")

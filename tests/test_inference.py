@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, null_space
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 import qcvar.inference as inference
 import qcvar.likelihood as likelihood
@@ -20,6 +20,7 @@ from qcvar.exceptions import (
     NumericalError,
     QcvarError,
     RootSeparationError,
+    SingularDesignError,
     TableCoverageError,
 )
 from qcvar.inference import (
@@ -89,6 +90,28 @@ class TestLrLambda:
     def test_nonnegative(self):
         y, lam_true = sim_local(3)
         assert lr_lambda(lam_true, y, 1, "trend").value >= 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        k=st.sampled_from([1, 2]),
+        q=st.sampled_from([1, 2]),
+        lam=st.floats(0.9, 1.0),
+        scales=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+        trend=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    )
+    def test_invariant_to_rescaling_and_adding_a_trend(self, seed, k, q, lam, scales, trend):
+        # y -> y D rescales every fit alike, and m + d t is absorbed by the deterministic terms;
+        # the LR is a difference of two logliks of order n p, so its rounding is absolute, up to
+        # about 7e-9 once the levels trend
+        y, _ = simulate(DgpSpec.simple(make_instance(seed, p=3, k=k, q=q), 200), seed)
+        lam0 = lam * np.eye(q)
+        base = lr_lambda(lam0, y, k, "trend").value
+        m, d = np.reshape(trend, (2, 3))
+        moved = y + 10.0 * m + np.arange(len(y))[:, None] * d
+        for other in (y * np.array(scales), moved):
+            assert lr_lambda(lam0, other, k, "trend").value == pytest.approx(base, rel=1e-8,
+                                                                             abs=1e-8)
 
 
 class TestLrCoefficient:
@@ -295,17 +318,17 @@ def _bisection_oracle(alpha2, i, lam0, y, k, j=0):
     return ((lo, hi),)
 
 
-def _moment_curve(lam, i, dz):
-    """The q=1 LR of a[i, 0] = a0 as a function of a0: n_eff times the sum of the top r eigenvalues
-    of (A, S11) less ``b'Ab / b'S11b`` and the top r - 1 eigenvalues of the pair partialled by b,
-    which are ``d'Ad`` for its S11-orthonormal eigenvectors d."""
+def _moment_curve(lam, i, dz, j=0, q=1):
+    """The LR of a[i, j] = a0 at the block lam * I_q as a function of a0: n_eff times the sum of the
+    top r eigenvalues of (A, S11) less the criterion at the restricted basis (x, d), evaluated from
+    the basis itself: ``x'Ax / x'S11x`` plus ``d'Ad`` for d, S11-orthonormal and orthogonal to x."""
     A, S11 = likelihood._known_vector_moments(lam, dz)
-    top = eigh(A, S11, eigvals_only=True)[1:].sum()
+    top = eigh(A, S11, eigvals_only=True)[q:].sum()
 
     def lr(a0):
-        beta = likelihood._rank_one_basis(A, S11, i, 0, a0, len(A) - 1)
-        b, d = beta[:, 0], beta[:, 1:]
-        return dz.n_eff * (top - b @ A @ b / (b @ S11 @ b) - np.einsum("ij,ik,kj->", d, A, d))
+        beta = likelihood._restricted_basis(A, S11, i, j, a0, len(A) - q)[0]
+        x, d = beta[:, 0], beta[:, 1:]
+        return dz.n_eff * (top - x @ A @ x / (x @ S11 @ x) - np.einsum("ij,ik,kj->", d, A, d))
 
     return lr
 
@@ -324,6 +347,36 @@ def _rayleigh_curve(lam, j, dz):
         return dz.n_eff * (top - eigh(Q.T @ A @ Q, Q.T @ S11 @ Q, eigvals_only=True)[-1])
 
     return lr
+
+
+def _simplex_lr(lam, i, j, q, dz, a0):
+    """The LR of a[i, j] = a0 at lam * I_q by a multi-start simplex over the free entries of a on
+    ``tr[(beta'S11 beta)^-1 beta'A beta]``, beta = [I_r; -a'], from the pair of
+    ``_known_vector_moments``: from the free optimum, then from wide random starts, since the
+    restricted a can lie far from it."""
+    A, S11 = likelihood._known_vector_moments(lam, dz)
+    mu, V = eigh(A, S11)
+    r = len(A) - q
+    beta = V[:, q:]
+    a_free = -np.linalg.solve(beta[:r].T, beta[r:].T)
+    free = np.ones((r, q), dtype=bool)
+    free[i, j] = False
+
+    def negative_criterion(x):
+        a = np.empty((r, q))
+        a[free], a[i, j] = x, a0
+        beta = np.vstack([np.eye(r), -a.T])
+        return -np.trace(np.linalg.solve(beta.T @ S11 @ beta, beta.T @ A @ beta))
+
+    rng = np.random.default_rng(0)
+    best = -np.inf
+    for start in range(5):
+        x = rng.normal(scale=100.0, size=free.sum()) if start else a_free[free]
+        for _ in range(2):  # a restart shakes the simplex out of a stall
+            x = minimize(negative_criterion, x, method="Nelder-Mead",
+                         options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 3000}).x
+        best = max(best, -negative_criterion(x))
+    return dz.n_eff * (mu[q:].sum() - best)
 
 
 def _walks_and_noise(seed, p, n=200):
@@ -390,18 +443,23 @@ class TestCiCoefficient:
                 stat = lr_coefficient(endpoint, 0, 0, lam_true, y, 1, "trend")
                 assert stat.value == pytest.approx(thr, rel=1e-8)
 
-    def test_moment_curve_matches_lr_coefficient(self):
-        for seed, p, k in ((0, 3, 2), (1, 3, 1), (2, 4, 1)):
-            y = simulate(DgpSpec.simple(make_instance(seed, p=p, k=k, q=1), 300), seed)[0]
+    def test_moment_lr_matches_profile_logliks(self):
+        # lr_coefficient's moment form against twice the free less the fixed profile_a loglik,
+        # at q=1, r=1 and q, r >= 2
+        for seed, p, k, q in ((0, 3, 2, 1), (1, 3, 1, 1), (2, 4, 1, 1), (3, 3, 1, 2), (4, 4, 1, 2),
+                              (5, 5, 2, 2), (6, 5, 1, 3)):
+            y = simulate(DgpSpec.simple(make_instance(seed, p=p, k=k, q=q), 300), seed)[0]
             dz = make_design(y, k, "trend")
             for lam in (0.0, 0.95, 1.0):
-                for i in range(p - 1):
-                    lr = _moment_curve(lam, i, dz)
-                    center = profile_a(np.array([[lam]]), y, k, "trend", design=dz).a_hat[i, 0]
-                    for a0 in center + np.array([-5.0, -0.3, 0.0, 0.01, 0.4, 50.0]):
-                        want = lr_coefficient(a0, i, 0, np.array([[lam]]), y, k, "trend",
-                                              design=dz).value
-                        assert lr(a0) == pytest.approx(want, rel=1e-10, abs=1e-10)
+                lam0 = lam * np.eye(q)
+                free = profile_a(lam0, y, k, "trend", design=dz)
+                for i, j in {(0, 0), (p - q - 1, q - 1)}:
+                    for a0 in free.a_hat[i, j] + np.array([-2.0, -0.3, 0.0, 0.01, 0.4, 2.0]):
+                        fixed = profile_a(lam0, y, k, "trend", design=dz, fixed_entry=(i, j, a0))
+                        got = lr_coefficient(a0, i, j, lam0, y, k, "trend", design=dz)
+                        want = 2.0 * (free.loglik - fixed.loglik)
+                        assert got.value == pytest.approx(want, rel=1e-10, abs=1e-10)
+                        np.testing.assert_array_equal(got.fit_restricted.a_hat, fixed.a_hat)
 
     def test_bounded_rejected_region_gives_two_rays(self):
         # the LR is 162 at a0 = 0 but below the threshold far out on both sides
@@ -505,6 +563,7 @@ class TestCiCoefficient:
         cset = ci_coefficient_given_lambda(0.05, 1, 1, lam0, y, 1, "trend")
         (lo_ray, hi_ray) = cset.intervals
         assert lo_ray[0] == -np.inf and hi_ray[1] == np.inf and not cset.contains(0.0)
+        np.testing.assert_allclose([lo_ray[1], hi_ray[0]], [-46.8431, 8.1807], atol=1e-4)
         assert len(cset.diagnostics) == 2
         for side, message in zip(("lower", "upper"), cset.diagnostics):
             assert message.startswith(f"{side} side accepted at the outermost probe a0 = ")
@@ -512,19 +571,101 @@ class TestCiCoefficient:
             assert abs(probe) > 1e12
             assert lr_coefficient(probe, 1, 1, lam0, y, 1, "trend").value <= chi2_quantile(0.95)
 
+    def test_far_lr_stands_without_its_singular_fit(self):
+        # restricted_fit at the basis is singular at a0 = 1e13 on this series; the moment LR is not
+        y = _walks_and_noise(1, 4)
+        dz = make_design(y, 1, "trend")
+        got = lr_coefficient(1e13, 1, 1, 0.9 * np.eye(2), y, 1, "trend", design=dz)
+        assert got.fit_restricted is None
+        assert got.value == pytest.approx(_moment_curve(0.9, 1, dz, j=1, q=2)(1e13), rel=1e-10)
+        assert got.value == pytest.approx(1.664403, abs=1e-6)
+
+    def test_non_scalar_scan_goes_no_further_than_its_nodes(self, monkeypatch):
+        # a bounded set at a non-scalar block probes nothing far out, so a search that would fail
+        # there leaves the set as it is
+        y = simulate(DgpSpec.simple(make_instance(3, p=4, k=1, q=2), 150), 1)[0]
+        lam0 = np.array([[0.985, 0.02], [-0.01, 0.96]])
+        want = ci_coefficient_given_lambda(0.05, 0, 0, lam0, y, 1, "trend")
+        original = inference.lr_coefficient
+
+        def failing_far_out(a0, *args, **kwargs):
+            if abs(a0) > 1e6:
+                raise SingularDesignError("restricted design is singular at this (a, lam0)")
+            return original(a0, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "lr_coefficient", failing_far_out)
+        got = ci_coefficient_given_lambda(0.05, 0, 0, lam0, y, 1, "trend")
+        assert len(want.intervals) == 1 and got == want
+
+    def test_q2_lr_is_the_switching_maximum(self):
+        # p=4, q=2 (r=2): the Newton search stopped at 7.641 and 7.638, local optima
+        y = _walks_and_noise(1, 4)
+        dz = make_design(y, 1, "trend")
+        for a0, want in ((0.5, 3.992135), (3.0, 4.106517)):
+            got = lr_coefficient(a0, 1, 1, np.eye(2), y, 1, "trend", design=dz)
+            assert got.value == pytest.approx(want, abs=1e-6)
+            assert got.value == pytest.approx(_simplex_lr(1.0, 1, 1, 2, dz, a0), rel=0, abs=1e-9)
+            assert got.fit_restricted.a_hat[1, 1] == a0
+
+    def test_q3_lr_needs_both_switching_starts(self):
+        # p=5, q=3 (r=2): from psi empty alone switching stops in a local maximum here, at LR
+        # 1.638 and 1.788; from the top eigenvectors alone it does at other blocks of this series
+        y = _walks_and_noise(54, 5)
+        dz = make_design(y, 1, "trend")
+        for a0, want in ((-25.0, 0.880279), (-24.0, 0.881194)):
+            got = lr_coefficient(a0, 0, 0, np.eye(3), y, 1, "trend", design=dz).value
+            assert got == pytest.approx(want, abs=1e-6)
+            assert got == pytest.approx(_simplex_lr(1.0, 0, 0, 3, dz, a0), rel=0, abs=1e-8)
+
+    def test_q2_set_at_the_unit_block(self):
+        # the search's local optima gave (-2.11e6, -12.938] and [8.5952, 2.35e6)
+        y = _walks_and_noise(1, 4)
+        cset = ci_coefficient_given_lambda(0.05, 1, 1, np.eye(2), y, 1, "trend")
+        (lo_ray, hi_ray) = cset.intervals
+        assert lo_ray[0] == -np.inf and hi_ray[1] == np.inf
+        np.testing.assert_allclose([lo_ray[1], hi_ray[0]], [-1.7628, 8.5952], atol=1e-4)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        p=st.sampled_from([4, 5]),
+        q=st.sampled_from([2, 3]),
+        walks=st.booleans(),
+        lam=st.floats(0.9, 1.0),
+        level=st.floats(0.5, 0.99),
+    )
+    def test_q2_sets_match_the_moment_curve(self, seed, p, q, walks, lam, level):
+        # q, r >= 2, so the scan runs on the moment LR
+        q = min(q, p - 2)
+        y = _walks_and_noise(seed, p) if walks else simulate(
+            DgpSpec.simple(make_instance(seed, p=p, k=1, q=q), 200), seed)[0]
+        dz = make_design(y, 1, "trend")
+        i, j = seed % (p - q), seed % q
+        lr = _moment_curve(lam, i, dz, j=j, q=q)
+        center = profile_a(lam * np.eye(q), y, 1, "trend", design=dz).a_hat[i, j]
+        cset = ci_coefficient_given_lambda(1.0 - level, i, j, lam * np.eye(q), y, 1, "trend",
+                                           design=dz)
+        steps = np.logspace(-3, 9, 49)
+        grid = np.concatenate([center - steps, [center], center + steps])
+        _check_against_grid(np.vectorize(lr), chi2_quantile(level), cset.intervals, grid)
+        for lo, hi in cset.intervals:
+            for endpoint in np.array([lo, hi])[np.isfinite([lo, hi])]:
+                assert lr(endpoint) == pytest.approx(chi2_quantile(level), rel=1e-8)
+
     def test_singular_pair_is_a_numerical_error(self):
         A, S11 = np.eye(3), np.diag([1.0, 0.0, 1.0])
         for i, j, r in ((1, 0, 2), (0, 1, 1)):  # q=1 and r=1
             with pytest.raises(NumericalError, match="eigenproblem failed"):
-                likelihood._rank_one_basis(A, S11, i, j, 0.5, r)
+                likelihood._restricted_basis(A, S11, i, j, 0.5, r)
         for p in (2, 3):
             with pytest.raises(NumericalError, match="eigenproblem failed"):
                 _quadratic_set(np.eye(p), np.zeros((p, p)), np.eye(p)[[0, -1]], 1.0)
 
-    @pytest.mark.parametrize("system", ["p2", "p3", "p3q2"])
+    @pytest.mark.parametrize("system", ["p2", "p3", "p3q2", "p4q2"])
     def test_moments_built_once_per_interval(self, system, monkeypatch):
-        y, k = (sim_local(9)[0], 1) if system == "p2" else (_p3_data(9), 2)
-        q = 2 if system == "p3q2" else 1
+        y, k = ((sim_local(9)[0], 1) if system == "p2" else (_walks_and_noise(1, 4), 1)
+                if system == "p4q2" else (_p3_data(9), 2))
+        q = 2 if system.endswith("q2") else 1
         calls = {"_partialled_moments": 0, "restricted_fit": 0, "minimize": 0, "lr_coefficient": 0}
         for name in calls:
             module = inference if name == "lr_coefficient" else likelihood
@@ -538,7 +679,7 @@ class TestCiCoefficient:
         ci_coefficient_given_lambda(0.05, 0, 0, 0.98 * np.eye(q), y, k, "trend")
         assert calls["_partialled_moments"] == 1
         assert calls["restricted_fit"] <= 1
-        if system == "p3q2":
+        if system.endswith("q2"):
             assert calls["minimize"] == calls["lr_coefficient"] == 0
 
 

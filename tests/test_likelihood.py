@@ -300,11 +300,31 @@ class TestProfileADispatch:
         assert pinned.a_hat[0, 1] == a0 and pinned.status == "converged"
         assert pinned.loglik <= free.loglik + 1e-10
 
-    def test_fixed_entry_searches_below_free_optimum(self, monkeypatch):
-        # with q, r >= 2 the fixed entry pins one coordinate of a column of a,
-        # neither a whole column of beta nor all of it, and the search remains
+    def test_fixed_entry_at_q2_r2_takes_closed_form(self, monkeypatch):
+        # with q, r >= 2 the fixed entry pins one coordinate of a column of a, neither a whole
+        # column of beta nor all of it; the switching algorithm still needs no search
         y = _oracle_data(4, 2, 2)
         lam0 = 0.97 * np.eye(2)
+        free = profile_a(lam0, y, 2, "trend")
+        a0 = float(free.a_hat[0, 1]) + 0.1
+        searches = _count_calls(monkeypatch, "minimize")
+        fits = _count_calls(monkeypatch, "restricted_fit")
+        pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, a0))
+        assert len(fits) == 1 and not searches
+        assert pinned.a_hat[0, 1] == a0 and pinned.status == "converged"
+        assert pinned.loglik <= free.loglik + 1e-10
+
+    def test_switching_sweep_cap_is_a_numerical_error(self, monkeypatch):
+        y = _oracle_data(4, 2, 2)
+        monkeypatch.setattr(likelihood, "_MAX_SWEEPS", 1)
+        with pytest.raises(NumericalError, match=r"switching algorithm at a\[0, 1\] = 0.5 did not "
+                           "converge in 1 sweeps"):
+            profile_a(0.97 * np.eye(2), y, 2, "trend", fixed_entry=(0, 1, 0.5))
+
+    def test_fixed_entry_searches_below_free_optimum(self, monkeypatch):
+        # at a non-scalar block the search remains
+        y = _oracle_data(4, 2, 2)
+        lam0 = _NON_SCALAR_BLOCKS[1]
         free = profile_a(lam0, y, 2, "trend")
         searches = _count_calls(monkeypatch, "minimize")
         pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, float(free.a_hat[0, 1]) + 0.1))
@@ -314,7 +334,7 @@ class TestProfileADispatch:
     def test_search_keeps_infeasible_status(self):
         # a fixed entry this large leaves the subspace constraint unmet to rounding
         y = _oracle_data(4, 2, 2)
-        lam0 = 0.97 * np.eye(2)
+        lam0 = _NON_SCALAR_BLOCKS[1]
         pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, 1e12))
         assert restricted_fit(pinned.a_hat, lam0, y, 2, "trend").status == "constraint-infeasible"
         assert pinned.status == "constraint-infeasible"
@@ -326,9 +346,9 @@ class TestProfileADispatch:
 
         monkeypatch.setattr(likelihood, "minimize", broken)
         y = _oracle_data(4, 2, 2)
-        with pytest.raises(NumericalError, match=r"lam0 = \[\[0.97, 0.0\], \[0.0, 0.97\]\], "
+        with pytest.raises(NumericalError, match=r"lam0 = \[\[0.985, 0.02\], \[-0.01, 0.96\]\], "
                            r"fixed entry \(0, 1, -5600000000000000.0\).*UnboundLocalError"):
-            profile_a(0.97 * np.eye(2), y, 2, "trend", fixed_entry=(0, 1, -5.6e15))
+            profile_a(_NON_SCALAR_BLOCKS[1], y, 2, "trend", fixed_entry=(0, 1, -5.6e15))
 
 
 def _search_from(a_start, lam0, y, k, det, dz, frozen=None):
