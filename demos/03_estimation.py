@@ -63,10 +63,10 @@ print("LR for a = a_true  :", 2.0 * (prof.loglik - fixed.loglik))
 # ---------------------------------------------------------------------------
 # That eigenproblem is reduced-rank regression of the quasi-differences on
 # the lag-k levels, defined at every lambda, zero included: profile_a takes a
-# from rrr_fit, so the two logliks agree to rounding.  At q=1 a fixed entry of a
-# fixes one column of the cointegrating basis, a known vector with a closed
-# form too; a simplex search over a remains for non-scalar blocks and for a
-# fixed entry at q>=2.
+# from the same eigenvectors as rrr_fit, so the two logliks agree to rounding.
+# A fixed entry of a restricts the cointegrating basis linearly, with a closed
+# form (the switching algorithm) too; a Newton search over a remains for
+# non-scalar blocks.
 # ---------------------------------------------------------------------------
 rrr = rrr_fit(lam_true, q=1, data=y, k=1, det="trend")
 print(f"\nreduced-rank fit   : loglik {rrr.loglik:.6f}  (gap to profile: "

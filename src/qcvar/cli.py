@@ -71,10 +71,10 @@ def ingest_csv(path: str, notices: Optional[list] = None) -> Dataset:
     """Read a comma-delimited file with a header row into a Dataset.
 
     A leading non-numeric column (dates or row labels) is detected and
-    dropped with a notice.  Missing or non-numeric cells are a hard
-    error naming every offending row and column; ragged rows report the
-    line number.  Column order is preserved: the trailing q series are
-    the ones assumed to load on the near-unit directions.
+    dropped with a notice.  Missing or non-numeric cells, and constant
+    columns, are a hard error naming every offending row and column; ragged
+    rows report the line number.  Column order is preserved: the trailing q
+    series are the ones assumed to load on the near-unit directions.
     """
     notices = notices if notices is not None else []
     with open(path, newline="") as fh:
@@ -125,6 +125,9 @@ def ingest_csv(path: str, notices: Optional[list] = None) -> Dataset:
     if bad:
         listed = "; ".join(bad[:20])
         raise DomainError(f"{path}: missing or non-numeric cells: {listed}")
+    constant = [repr(name) for name, col in zip(header[start_col:], values.T) if np.ptp(col) == 0]
+    if len(values) > 1 and constant:
+        raise DomainError(f"{path}: constant columns: {', '.join(constant)}")
     return Dataset(names=tuple(header[start_col:]), values=values)
 
 

@@ -3,9 +3,9 @@ block and for scalar quasi-cointegrating coefficients.
 
 The LR for a hypothesised dynamics block compares the restricted profile
 fit against the unrestricted maximum of the fixed-weight loglikelihood,
-which is attained exactly at the OLS fit.  At a scalar block the LR for a
-single subspace coefficient is an eigenvalue difference in the partialled
-moments.  Conditional confidence intervals invert its chi-square(1) test:
+which is attained exactly at the OLS fit.  At a scalar block it, and the
+LR for a single subspace coefficient, are eigenvalue sums in the partialled
+moments, with no fit.  Conditional intervals invert the latter's test:
 as a quadratic inequality when q = 1 or r = p - q = 1, and otherwise by a
 scan of the projective line through the coefficient, with a root search at
 each change of verdict.  The Bonferroni set unions those intervals over a
@@ -23,8 +23,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaincinv
 
-from .exceptions import (DomainError, NumericalError, QcvarError, SingularDesignError,
-                         TableCoverageError)
+from .exceptions import DomainError, NumericalError, QcvarError, TableCoverageError
 from .likelihood import (
     Design,
     FitResult,
@@ -32,12 +31,11 @@ from .likelihood import (
     _as_design,
     _eigh_pair,
     _fixed_entry_a,
+    _is_scalar,
     _known_vector_moments,
     _normalise,
-    ols_fit,
     profile_a,
     profile_lambda,
-    restricted_fit,
 )
 from .limitdist import QuantileTable, c_star, lookup
 from .spectral import split
@@ -85,12 +83,11 @@ def _clamp_lr(value: float, context: str) -> float:
 
 @dataclass(frozen=True)
 class LrStatistic:
-    """A likelihood-ratio statistic and the restricted fit behind it.
+    """A likelihood-ratio statistic and, at a non-scalar block, the fit behind it.
 
     ``fit_restricted`` is the profile fit under the null: at the
     hypothesised block for :func:`lr_lambda`, with the coefficient also
-    frozen for :func:`lr_coefficient`.  It is None where that fit's design
-    is singular and the value stands without it: far out at a scalar block.
+    frozen for :func:`lr_coefficient`.  It is None at a scalar block.
     """
 
     value: float
@@ -136,14 +133,19 @@ def lr_lambda(
     """LR statistic for the hypothesis that the near-unit block equals lambda0.
 
     ``2 * [max loglik - profile loglik at lambda0]``, where the maximum
-    is the exact unrestricted (OLS) one.
+    is the exact unrestricted (OLS) one; at a scalar block n_eff times the
+    sum of the q smallest eigenvalues of :func:`_known_vector_moments`.
     """
     dz = _as_design(data, k, det, design)
     lambda0 = np.atleast_2d(np.asarray(lambda0, dtype=float))
-    restricted = profile_a(lambda0, data, k, det, design=dz)
-    ref_fit = ols_fit(data, k, det, design=dz)
-    value = _clamp_lr(2.0 * (ref_fit.loglik - restricted.loglik), "lr_lambda")
-    return LrStatistic(value=value, fit_restricted=restricted)
+    if len(lambda0) > dz.p:
+        raise DomainError(f"q = {len(lambda0)} exceeds series dimension {dz.p}")
+    if not _is_scalar(lambda0):
+        fit = profile_a(lambda0, data, k, det, design=dz)
+        return LrStatistic(_clamp_lr(2.0 * (dz.loglik_ols - fit.loglik), "lr_lambda"), fit)
+    A, S11 = _known_vector_moments(float(lambda0[0, 0]), dz)
+    value = dz.n_eff * _eigh_pair(A, S11, eigvals_only=True)[: len(lambda0)].sum()
+    return LrStatistic(_clamp_lr(value, "lr_lambda"), None)
 
 
 def lr_coefficient(
@@ -164,42 +166,34 @@ def lr_coefficient(
     additionally freezes the (i, j) entry of the subspace matrix.  At a
     scalar block the value is n_eff times the moment LR of
     :func:`_fixed_entry_a`, exact where a fit far out loses the loglik to
-    rounding, and ``fit_restricted`` is :func:`restricted_fit` at its ``a``,
-    or None where that design is singular (|a0| about 1e11 and beyond).
-    Otherwise it is a difference of two :func:`profile_a` logliks, and
-    ``fit_at_lambda0`` may carry a precomputed unrestricted-side fit.
+    rounding.  Otherwise it is a difference of two :func:`profile_a`
+    logliks, and ``fit_at_lambda0`` may carry a precomputed unrestricted-side fit.
     """
     dz = _as_design(data, k, det, design)
     lambda0 = np.atleast_2d(np.asarray(lambda0, dtype=float))
-    q = lambda0.shape[0]
-    if np.array_equal(lambda0, lambda0[0, 0] * np.eye(q)):
+    if _is_scalar(lambda0):
         A, S11 = _known_vector_moments(float(lambda0[0, 0]), dz)
-        a_hat, gap = _fixed_entry_a(A, S11, i, j, float(a0), dz.p - q)
-        value = dz.n_eff * gap
-        try:
-            fit_r = restricted_fit(a_hat, lambda0, data, k, det, design=dz)
-        except SingularDesignError:
-            fit_r = None
-    else:
-        fit_u = fit_at_lambda0 or profile_a(lambda0, data, k, det, design=dz)
-        fit_r = profile_a(lambda0, data, k, det, design=dz, fixed_entry=(i, j, float(a0)),
-                          init=fit_u.a_hat)
-        value = 2.0 * (fit_u.loglik - fit_r.loglik)
+        value = dz.n_eff * _fixed_entry_a(A, S11, i, j, float(a0), dz.p - len(lambda0))[1]
+        return LrStatistic(_clamp_lr(value, "lr_coefficient"), None)
+    fit_u = fit_at_lambda0 or profile_a(lambda0, data, k, det, design=dz)
+    fit_r = profile_a(lambda0, data, k, det, design=dz, fixed_entry=(i, j, float(a0)),
+                      init=fit_u.a_hat)
+    value = 2.0 * (fit_u.loglik - fit_r.loglik)
     return LrStatistic(value=_clamp_lr(value, "lr_coefficient"), fit_restricted=fit_r)
 
 
-def localisation(n: int, lam0: np.ndarray, fit: FitResult, design: Design) -> np.ndarray:
+def localisation(n: int, lam0: np.ndarray, fit: Optional[FitResult], design: Design) -> np.ndarray:
     """Feasible localisation argument n(lam0 - I), similarity-transformed.
 
     This is the point at which the block LR statistic at ``lam0`` looks
     up its critical value.  For a scalar block (q = 1 included) the
-    transform is the identity, since ``c_star(c I, delta) = c I``.
-    Otherwise the plug-in scale is ``l_near' sigma l_near`` computed
-    from ``fit``, the restricted fit at ``lam0``.
+    transform is the identity, since ``c_star(c I, delta) = c I``, and
+    ``fit`` is unused.  Otherwise the plug-in scale ``l_near' sigma l_near``
+    comes from ``fit``, the restricted fit at ``lam0``.
     """
     q = lam0.shape[0]
     c_raw = n * (lam0 - np.eye(q))
-    if np.array_equal(lam0, lam0[0, 0] * np.eye(q)):
+    if _is_scalar(lam0):
         return c_raw
     sp = split(fit.coeffs, q, warn_ill_conditioned=False)
     delta = sp.l_near.T @ design.sigma_ols @ sp.l_near
@@ -218,8 +212,8 @@ def ci_lambda(
 ) -> ConfidenceSet:
     """Level 1 - alpha1 confidence set for the near-unit dynamics block.
 
-    Scans the grid and accepts the nodes whose LR statistic is at most
-    the tabulated quantile at :func:`localisation` of the node.
+    Scans the grid and accepts the nodes whose :func:`lr_lambda` is at
+    most the tabulated quantile at :func:`localisation` of the node.
 
     Raises
     ------
@@ -227,27 +221,24 @@ def ci_lambda(
         Listing the localisation values missing from the table.
     """
     dz = _as_design(data, k, det, design)
-    n = dz.n
     level = 1.0 - alpha1
-    ref_loglik = ols_fit(data, k, det, design=dz).loglik
     accepted = []
     diagnostics = []
     missing = []
     for lam in lambda_space.points():
         try:
-            fit = profile_a(lam, data, k, det, design=dz)
+            stat = lr_lambda(lam, data, k, det, design=dz)
         except QcvarError as exc:
             diagnostics.append(f"grid point {lam.tolist()} failed: {exc}")
             continue
-        value = _clamp_lr(2.0 * (ref_loglik - fit.loglik), "ci_lambda")
-        c_query = localisation(n, lam, fit, dz)
+        c_query = localisation(dz.n, lam, stat.fit_restricted, dz)
         try:
             crit = lookup(table, c_query, level)
         except TableCoverageError:
             missing.append(c_query)
             continue
-        if value <= crit:
-            accepted.append((lam, value, crit))
+        if stat.value <= crit:
+            accepted.append((lam, stat.value, crit))
     if missing:
         listed = ", ".join(np.array2string(m, precision=4) for m in missing[:8])
         raise TableCoverageError(
@@ -305,7 +296,7 @@ def ci_coefficient_given_lambda(
     level = 1.0 - alpha2
     threshold = chi2_quantile(level)
 
-    scalar = np.array_equal(lambda0, lambda0[0, 0] * np.eye(q))
+    scalar = _is_scalar(lambda0)
     if scalar:
         A, S11 = _known_vector_moments(float(lambda0[0, 0]), dz)
         if min(q, r) == 1:

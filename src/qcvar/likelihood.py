@@ -5,11 +5,11 @@ convention: the quadratic form of the concentrated loglikelihood is
 weighted by the *unrestricted* OLS variance estimator, which is held
 fixed inside every restricted maximisation.  Restricted fits impose the
 linear constraint ``Phi @ col{[a; I] lam0^(k-i)} = [a; I] lam0^k`` and
-have a closed form.  For a scalar block ``lam0 * I_q`` the outer profile
-over the subspace coefficients ``a`` is an eigenproblem in the partialled
-moments, at every ``lam0``: its argmax is the reduced-rank regression of
-:func:`rrr_fit`, or with an entry of ``a`` fixed Johansen's restricted
-basis, by the switching algorithm (exact in one sweep when q or
+have a closed form.  For a scalar block ``lam0 * I_q`` the profile over
+the subspace coefficients ``a`` and every LR are eigenproblems in the
+partialled moments, at every ``lam0``: the argmax is the top r eigenvectors
+of :func:`_known_vector_moments`, or with an entry of ``a`` fixed Johansen's
+restricted basis, by the switching algorithm (exact in one sweep when q or
 r = p - q is 1).  For non-scalar blocks a Newton search over ``a`` runs on
 the Wald form of the restricted loglik, which needs no fit per step;
 :func:`restricted_fit` reports its result.
@@ -206,6 +206,11 @@ def make_design(data: np.ndarray, k: int, det: str) -> Design:
     return Design(data, k, det)
 
 
+def _is_scalar(lam: np.ndarray) -> bool:
+    """Whether the q x q block ``lam`` is ``lam[0, 0] * I_q``, where the closed forms hold."""
+    return bool(np.array_equal(lam, lam[0, 0] * np.eye(len(lam))))
+
+
 def _as_design(data, k, det, design: Optional[Design]) -> Design:
     if design is not None:
         if design.k != k or design.det != det:
@@ -374,15 +379,15 @@ def profile_a(
     With ``fixed_entry=(i, j, a0)`` the (i, j) coordinate is frozen at
     ``a0``, the restricted side of the coefficient LR test.  For a scalar
     block ``lam0 * I_q`` the profile is :func:`restricted_fit` at the ``a``
-    of an eigenproblem that shares its argmax: :func:`rrr_fit` with no fixed
-    entry, and with one at p >= 3 the switching algorithm of
-    :func:`_restricted_basis` (one sweep at min(q, r) = 1); at p = 2 the
-    fixed entry is all of a.  ``init`` is then unused.  For a non-scalar
-    block a trust-region Newton search from ``init`` (default: the OLS
-    split) minimises the Wald form of :func:`_wald_form` over the free
-    entries of a, with its analytic gradient and a central-difference
-    Hessian of that gradient; a failure inside it that is not a
-    :class:`QcvarError` is a :class:`NumericalError`.  Its
+    of an eigenproblem that shares its argmax: the top r eigenvectors of
+    :func:`_known_vector_moments`, and with a fixed entry at p >= 3 the
+    switching algorithm of :func:`_restricted_basis` (one sweep at
+    min(q, r) = 1); at p = 2 the fixed entry is all of a.  ``init`` is then
+    unused.  For a non-scalar block a trust-region Newton search from
+    ``init`` (default: the OLS split) minimises the Wald form of
+    :func:`_wald_form` over the free entries of a, with its analytic
+    gradient and a central-difference Hessian of that gradient; a failure
+    inside it that is not a :class:`QcvarError` is a :class:`NumericalError`.  Its
     status is ``converged`` once the Newton decrement falls to the rounding
     of the objective and ``max-iter`` if it stops before that, unless
     :func:`restricted_fit`, run once at the result, reports the constraint
@@ -400,13 +405,13 @@ def profile_a(
     if r * q == 0:
         return restricted_fit(np.zeros((r, q)), lam0, data, k, det, design=dz)
 
-    if np.array_equal(lam0, lam0[0, 0] * np.eye(q)):
-        if fixed_entry is None:
-            a_hat = rrr_fit(lam0[0, 0], q, data, k, det, design=dz).a_hat
-        elif dz.p == 2:
+    if _is_scalar(lam0):
+        if fixed_entry is not None and dz.p == 2:
             a_hat = np.full((1, 1), a0)
         else:
-            a_hat = _fixed_entry_a(*_known_vector_moments(lam0[0, 0], dz), i, j, a0, r)[0]
+            A, S11 = _known_vector_moments(lam0[0, 0], dz)
+            a_hat = (_normalise(_eigh_pair(A, S11)[1][:, q:]) if fixed_entry is None
+                     else _fixed_entry_a(A, S11, i, j, a0, r)[0])
         return restricted_fit(a_hat, lam0, data, k, det, design=dz)
 
     a_start = np.asarray(init, dtype=float).reshape(r, q) if init is not None else _init_a(
@@ -524,12 +529,12 @@ def _eigh_pair(A: np.ndarray, B: np.ndarray, eigvals_only: bool = False):
 
 
 def _known_vector_moments(lambda0: float, dz: Design) -> tuple[np.ndarray, np.ndarray]:
-    """The pair ``(A, S11)`` of a scalar block's coefficient LR, from one set of partialled moments.
+    """The pair ``(A, S11)`` of a scalar block's profile and LRs, from one set of moments.
 
     With ``A = S10 Sigma^-1 S01`` (``Sigma`` the OLS weight), the fixed-weight loglik at a basis
     ``beta`` is a constant plus ``(n_eff/2) tr[(beta'S11 beta)^-1 beta'A beta]``.  Its maximum over
-    rank-r bases is the sum of the top r eigenvalues of (A, S11); under ``a[i, j] = a0`` it is
-    attained at :func:`_restricted_basis`, and the LR is n_eff times the difference."""
+    rank-r bases is the sum of the top r eigenvalues of (A, S11), at r = p (OLS) of all; under
+    ``a[i, j] = a0`` it is at :func:`_restricted_basis`.  An LR is n_eff times a difference."""
     *_, S01, S11 = _partialled_moments(lambda0, dz)
     A = S01.T @ dz.solve_weight(S01)
     return 0.5 * (A + A.T), S11

@@ -7,6 +7,7 @@ import pytest
 import qcvar.limitdist as limitdist
 from conftest import make_instance
 from test_inference import _rayleigh_curve
+from test_likelihood import fail_profile_above
 from qcvar.cli import _round15, ingest_csv, main
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
 from qcvar.exceptions import DomainError
@@ -289,32 +290,39 @@ class TestCommands:
         capsys.readouterr()
         assert rc == 3
 
-    def test_every_grid_point_failed_names_the_cause(self, tmp_path, capsys):
-        # a constant second series leaves the levels moment matrix singular at every lambda
-        rng = np.random.default_rng(0)
-        path = tmp_path / "constant.csv"
-        write_csv(path, ["x", "c"], np.column_stack([np.cumsum(rng.normal(size=200)),
-                                                      np.zeros(200)]))
-        with pytest.warns(UserWarning, match="ill conditioned"):
-            rc = main(["fit", "--data", str(path), "--k", "1", "--q", "1", "--grid-step", "0.05"])
+    def test_every_grid_point_failed_names_the_cause(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "walks.csv"
+        write_csv(path, ["x", "y"], np.cumsum(np.random.default_rng(0).normal(size=(200, 2)), 0))
+        fail_profile_above(monkeypatch, -np.inf)
+        rc = main(["fit", "--data", str(path), "--k", "1", "--q", "1", "--grid-step", "0.05"])
         err = capsys.readouterr().err
         assert rc == 3
-        assert "every grid point failed (3 points)" in err
-        assert "NumericalError: canonical correlation eigenproblem failed" in err
+        assert ("every grid point failed (3 points); the first failed with NumericalError: "
+                "injected failure at lambda = 0.9") in err
 
-    def test_failed_refine_point_keeps_the_grid_best(self, tmp_path):
-        # a constant second series equal to the intercept: the top node and a point the
-        # refine visits fail, and the grid's best node stands
-        rng = np.random.default_rng(0)
-        path, out = tmp_path / "intercept.csv", tmp_path / "fit.json"
-        values = np.column_stack([np.cumsum(rng.normal(size=200)), np.ones(200)])
-        write_csv(path, ["x", "c"], values)
-        with pytest.warns(UserWarning, match="ill conditioned"):
-            rc = main(["fit", "--data", str(path), "--k", "1", "--q", "1", "--grid-step", "0.05",
-                       "--format", "json", "--output", str(out)])
+    def test_failed_refine_point_keeps_the_grid_best(self, tmp_path, monkeypatch):
+        # the profile peaks near 0.97; the top node and a point the refine visits fail, and the
+        # grid's best node stands
+        path, out = tmp_path / "walks.csv", tmp_path / "fit.json"
+        write_csv(path, ["x", "y"], np.cumsum(np.random.default_rng(0).normal(size=(200, 2)), 0))
+        fail_profile_above(monkeypatch, 0.95)
+        rc = main(["fit", "--data", str(path), "--k", "1", "--q", "1", "--grid-step", "0.05",
+                   "--format", "json", "--output", str(out)])
         assert rc == 0
         sections = {s["title"]: s for s in json.loads(out.read_text())["sections"]}
         assert sections["profile estimate: near-unit dynamics"]["rows"] == [[0, 0.95]]
+
+    def test_constant_column_is_an_input_error(self, tmp_path, capsys):
+        # a constant series duplicates the intercept: fitted, it gave a = (-8.2e16, -1.2e17) and a
+        # profile loglik above the unrestricted maximum
+        rng = np.random.default_rng(0)
+        walks = np.cumsum(rng.normal(size=(200, 2)), axis=0)
+        path = tmp_path / "constant.csv"
+        write_csv(path, ["x", "y", "c"], np.column_stack([walks, np.full(200, 3.0)]))
+        rc = main(["fit", "--data", str(path), "--k", "1", "--q", "1", "--grid-step", "0.02"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error (input)") and "constant columns: 'c'" in err
 
     def test_half_life_and_rho_mutually_exclusive(self, sample_csv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -448,7 +456,7 @@ class TestSharedInference:
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_fit_identical_walks_exits_with_a_stated_cause(self, tmp_path, capsys):
-        # the lag-k levels are collinear: a singular inverse in rrr_fit is a NumericalError
+        # identical series leave the OLS residual covariance singular at every grid point
         walk = np.cumsum(np.random.default_rng(0).normal(size=200))
         data_path = tmp_path / "y.csv"
         write_csv(data_path, ["a", "b"], np.column_stack([walk, walk]))

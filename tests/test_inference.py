@@ -17,6 +17,7 @@ import qcvar.likelihood as likelihood
 from conftest import make_instance
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
 from qcvar.exceptions import (
+    DomainError,
     NumericalError,
     QcvarError,
     RootSeparationError,
@@ -86,10 +87,43 @@ class TestChi2:
         assert out.stdout.strip() == "[]"
 
 
+def _drifting_walks(seed, p, n=150):
+    """p drifting random walks, the first made cointegrated with the last."""
+    rng = np.random.default_rng(seed)
+    y = np.cumsum(rng.standard_normal((n, p)) + 0.1, axis=0)
+    y[:, 0] = y[:, -1] + rng.standard_normal(n)
+    return y
+
+
+#: (seed, p, q, k, det, lambda0, LR) of ``lr_lambda`` at ``lambda0 * I_q`` on
+#: ``_drifting_walks(seed, p)``, evaluated offline with mpmath 1.3.0 at 60 digits from the raw
+#: series: Sigma from the OLS fit of the levels VAR, S01 and S11 from the quasi-differences and
+#: lag-k levels partialled on the free regressors, and n_eff times the sum of the q smallest
+#: eigenvalues of (S10 Sigma^-1 S01, S11); shown to 25 digits, stable from 60 to 100
+_LR_LAMBDA_ORACLE = (
+    (1, 2, 1, 1, "trend", 0.97, "4.531582744311305344348725"),
+    (2, 2, 2, 2, "none", 1.0, "91.35292964744296246198999"),
+    (3, 3, 1, 2, "const", 0.0, "0.09547899513904186385992985"),
+    (4, 3, 2, 1, "trend", 1.0, "13.07754650667822638806861"),
+    (5, 4, 3, 1, "const", 0.97, "16.46372253260067857527687"),
+    (6, 4, 2, 2, "trend", 0.0, "1.485704939481774533869331"),
+)
+
+
 class TestLrLambda:
+    @pytest.mark.parametrize("seed, p, q, k, det, lam, want", _LR_LAMBDA_ORACLE)
+    def test_matches_40_digit_oracle(self, seed, p, q, k, det, lam, want):
+        y = _drifting_walks(seed, p)
+        assert lr_lambda(lam * np.eye(q), y, k, det).value == pytest.approx(float(want), rel=1e-12)
+
     def test_nonnegative(self):
         y, lam_true = sim_local(3)
         assert lr_lambda(lam_true, y, 1, "trend").value >= 0.0
+
+    def test_block_larger_than_the_series_is_a_domain_error(self):
+        y, _ = sim_local(3)
+        with pytest.raises(DomainError, match="q = 3 exceeds series dimension 2"):
+            lr_lambda(0.97 * np.eye(3), y, 1, "trend")
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -101,17 +135,15 @@ class TestLrLambda:
         trend=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
     )
     def test_invariant_to_rescaling_and_adding_a_trend(self, seed, k, q, lam, scales, trend):
-        # y -> y D rescales every fit alike, and m + d t is absorbed by the deterministic terms;
-        # the LR is a difference of two logliks of order n p, so its rounding is absolute, up to
-        # about 7e-9 once the levels trend
+        # y -> y D rescales every fit alike, and m + d t is absorbed by the deterministic terms
         y, _ = simulate(DgpSpec.simple(make_instance(seed, p=3, k=k, q=q), 200), seed)
         lam0 = lam * np.eye(q)
         base = lr_lambda(lam0, y, k, "trend").value
         m, d = np.reshape(trend, (2, 3))
         moved = y + 10.0 * m + np.arange(len(y))[:, None] * d
         for other in (y * np.array(scales), moved):
-            assert lr_lambda(lam0, other, k, "trend").value == pytest.approx(base, rel=1e-8,
-                                                                             abs=1e-8)
+            assert lr_lambda(lam0, other, k, "trend").value == pytest.approx(base, rel=1e-10,
+                                                                             abs=1e-11)
 
 
 class TestLrCoefficient:
@@ -154,9 +186,38 @@ class TestLrCoefficient:
         base = lr_coefficient(a0, i, 0, lam0, y, k, "trend")
         scaled = lr_coefficient(d[i] * a0 / d[2], i, 0, lam0, y * d, k, "trend")
         assert scaled.value == pytest.approx(base.value, rel=1e-8)
-        np.testing.assert_allclose(
-            scaled.fit_restricted.a_hat, d[:2, None] * base.fit_restricted.a_hat / d[2], rtol=1e-8
-        )
+        fit = profile_a(lam0, y, k, "trend", fixed_entry=(i, 0, a0))
+        fit_scaled = profile_a(lam0, y * d, k, "trend", fixed_entry=(i, 0, d[i] * a0 / d[2]))
+        np.testing.assert_allclose(fit_scaled.a_hat, d[:2, None] * fit.a_hat / d[2], rtol=1e-8)
+
+
+class TestScalarBlockBuildsNoFit:
+    """At a scalar block every LR is read from eigenvalues, and no fit is built."""
+
+    @pytest.fixture
+    def no_fit(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            pytest.fail("a fit was built at a scalar block")
+
+        for name in ("profile_a", "restricted_fit", "rrr_fit", "ols_fit", "FitResult"):
+            monkeypatch.setattr(likelihood, name, forbidden)
+        monkeypatch.setattr(inference, "profile_a", forbidden)
+
+    def test_lr_lambda_and_lr_coefficient(self, no_fit):
+        y = _walks_and_noise(1, 4)
+        dz = make_design(y, 1, "trend")
+        for q in (1, 2, 4):
+            for lam in (0.0, 0.97, 1.0):
+                assert lr_lambda(lam * np.eye(q), y, 1, "trend", design=dz).fit_restricted is None
+                if q < 4:
+                    stat = lr_coefficient(0.5, 0, q - 1, lam * np.eye(q), y, 1, "trend", design=dz)
+                    assert stat.fit_restricted is None
+
+    def test_ci_lambda(self, no_fit, small_table):
+        y, _ = sim_local(3)
+        grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.01)
+        cset = ci_lambda(0.05, y, 1, "trend", grid, small_table)
+        assert cset.accepted and not cset.diagnostics
 
 
 class TestCiLambda:
@@ -459,7 +520,7 @@ class TestCiCoefficient:
                         got = lr_coefficient(a0, i, j, lam0, y, k, "trend", design=dz)
                         want = 2.0 * (free.loglik - fixed.loglik)
                         assert got.value == pytest.approx(want, rel=1e-10, abs=1e-10)
-                        np.testing.assert_array_equal(got.fit_restricted.a_hat, fixed.a_hat)
+                        assert got.fit_restricted is None and fixed.a_hat[i, j] == a0
 
     def test_bounded_rejected_region_gives_two_rays(self):
         # the LR is 162 at a0 = 0 but below the threshold far out on both sides
@@ -605,7 +666,8 @@ class TestCiCoefficient:
             got = lr_coefficient(a0, 1, 1, np.eye(2), y, 1, "trend", design=dz)
             assert got.value == pytest.approx(want, abs=1e-6)
             assert got.value == pytest.approx(_simplex_lr(1.0, 1, 1, 2, dz, a0), rel=0, abs=1e-9)
-            assert got.fit_restricted.a_hat[1, 1] == a0
+            fit = profile_a(np.eye(2), y, 1, "trend", design=dz, fixed_entry=(1, 1, a0))
+            assert fit.a_hat[1, 1] == a0
 
     def test_q3_lr_needs_both_switching_starts(self):
         # p=5, q=3 (r=2): from psi empty alone switching stops in a local maximum here, at LR
