@@ -42,8 +42,8 @@ MAX_TRIES = 50
 class DgpSpec:
     """Full specification of a simulated VAR path.
 
-    ``sigma`` must be symmetric positive definite; ``mu`` and ``delta``
-    are the intercept and trend of the observed series.
+    ``sigma`` must be finite, symmetric and positive definite; ``mu`` and
+    ``delta`` are the intercept and trend of the observed series.
     """
 
     coeffs: VarCoefficients
@@ -59,6 +59,8 @@ class DgpSpec:
         delta = np.asarray(self.delta, dtype=float).reshape(-1)
         if sigma.shape != (p, p):
             raise DomainError(f"sigma must be {p}x{p}, got {sigma.shape}")
+        if not np.isfinite(sigma).all():
+            raise DomainError("sigma must be finite")
         if not np.allclose(sigma, sigma.T, atol=1e-12):
             raise DomainError("sigma must be symmetric")
         try:

@@ -7,7 +7,11 @@ path Z driven by standard Brownian increments, with
 where Zbar is the path detrended per the deterministic case.  Quantiles
 are tabulated on a grid of localisation matrices and persisted in a
 self-describing text format.  A table build draws each chunk of
-replications once and computes every node's statistics from it.
+replications once and computes every node's statistics from it.  The
+path recursion runs time-major, in blocks of steps, over one time-major
+copy of the chunk's draws, and writes each block back into the
+(replication, step) layout; its arithmetic and every reduction over time
+are those of a step-by-step loop, so the statistics are the same bits.
 
 Discretisation conventions: the path follows the exact local recursion
 ``Z_j = (I + C/steps) Z_{j-1} + dW_j`` with ``Z_0 = 0``; the lagged
@@ -52,6 +56,8 @@ _TABLE_VERSION = "1"
 #: The metadata a build must share with a saved table to reuse its nodes.
 _TABLE_META = ("q", "det", "steps", "reps", "seed", "levels")
 _CHUNK = 2048
+#: Block length: steps of the time-major recursion, replications of the detrend.
+_BLOCK = 64
 #: Redraw rounds for replications with a singular second-moment matrix.
 MAX_REDRAWS = 100
 
@@ -129,21 +135,44 @@ def _draw(config: LimitDistConfig, rep_indices: Sequence[int]) -> np.ndarray:
     return dw
 
 
-def _statistics(config: LimitDistConfig, dw: np.ndarray) -> np.ndarray:
-    """The statistic of each replication of ``dw`` at ``config``'s localisation."""
+def _time_major(dw: np.ndarray) -> np.ndarray:
+    """A contiguous (steps, m, q) copy of the (m, steps, q) draws."""
+    return np.ascontiguousarray(dw.transpose(1, 0, 2))
+
+
+def _statistics(config: LimitDistConfig, dw: np.ndarray, dw_t: np.ndarray) -> np.ndarray:
+    """The statistic of each replication of ``dw`` at ``config``'s localisation.
+
+    ``dw_t`` is ``_time_major(dw)``.  The recursion steps through it in
+    blocks of ``_BLOCK`` steps and writes each block back into the
+    (m, steps, q) layout, so every reduction over time sees the same
+    array, and the same bits, as a step-by-step loop over ``dw``.
+    """
     m, n, q = dw.shape
     A_T = (np.eye(q) + config.c_star / n).T
     lagged = np.empty((m, n, q))
-    z = np.zeros((m, q))
-    for j in range(n):
-        lagged[:, j, :] = z
-        z = z @ A_T + dw[:, j, :]
+    blk = np.zeros((_BLOCK + 1, m, q))
+    for j0 in range(0, n, _BLOCK):
+        b = min(_BLOCK, n - j0)
+        for j in range(b):
+            if q == 1:  # a 1x1 matmul rounds to this product
+                np.multiply(blk[j], A_T[0, 0], out=blk[j + 1])
+            else:
+                np.matmul(blk[j], A_T, out=blk[j + 1])
+            blk[j + 1] += dw_t[j0 + j]
+        lagged[:, j0: j0 + b] = blk[:b].transpose(1, 0, 2)
+        blk[0] = blk[b]
 
     s_grid = (np.arange(1, n + 1) - 0.5) / n
     if config.det != "none":
         H, X = _detrend_coefficients(s_grid, config.det)
         coef = np.einsum("dn,mnq->mdq", H, lagged)
-        lagged = lagged - np.einsum("nd,mdq->mnq", X, coef)
+        for i in range(0, m, _BLOCK):
+            # the fitted values X @ coef, summed term by term as einsum sums them
+            fitted = X[:, 0, None] * coef[i: i + _BLOCK, None, 0]
+            for d in range(1, X.shape[1]):
+                fitted += X[:, d, None] * coef[i: i + _BLOCK, None, d]
+            lagged[i: i + _BLOCK] -= fitted
 
     s1 = np.einsum("mnq,mnr->mqr", dw, lagged)
     s2 = np.einsum("mnq,mnr->mqr", lagged, lagged) / n
@@ -159,7 +188,8 @@ def _statistics(config: LimitDistConfig, dw: np.ndarray) -> np.ndarray:
 
 def _simulate_chunk(config: LimitDistConfig, rep_indices: Sequence[int]) -> np.ndarray:
     """Statistics for the given replication indices (deterministic per index)."""
-    return _statistics(config, _draw(config, rep_indices))
+    dw = _draw(config, rep_indices)
+    return _statistics(config, dw, _time_major(dw))
 
 
 def _simulate_nodes(configs: Sequence[LimitDistConfig]) -> Iterator[tuple[np.ndarray, int]]:
@@ -171,8 +201,9 @@ def _simulate_nodes(configs: Sequence[LimitDistConfig]) -> Iterator[tuple[np.nda
     outs = [np.empty(reps) for _ in configs]
     for start in range(0, reps, _CHUNK):
         dw = _draw(configs[0], range(start, min(start + _CHUNK, reps)))
+        dw_t = _time_major(dw)
         for config, out in zip(configs, outs):
-            out[start: start + len(dw)] = _statistics(config, dw)
+            out[start: start + len(dw)] = _statistics(config, dw, dw_t)
             if start + len(dw) < reps:
                 continue
             redrawn, attempt = 0, 1
@@ -361,9 +392,10 @@ def build_table(
 
     One pass over the replication chunks serves every missing node: each
     chunk is drawn once, and a node is saved as soon as the last chunk
-    gives its statistics.  The pass holds one float64 vector of ``reps``
-    per missing node, 33 MB for 41 nodes at 100 000 reps (one chunk's
-    draws at 2000 steps).  If ``path`` exists and carries identical
+    gives its statistics.  The pass holds one chunk's draws and one
+    time-major copy of them, 33 MB each at 2000 steps and q = 1, and one
+    float64 vector of ``reps`` per missing node, 33 MB for 41 nodes at
+    100 000 reps.  If ``path`` exists and carries identical
     metadata, its nodes are reused, so an interrupted build keeps only the
     nodes already saved: above one chunk of ``reps``, no node is saved
     before the last chunk.
@@ -414,7 +446,10 @@ def lookup(table: QuantileTable, c_query: Union[float, np.ndarray], level: float
     Exact at grid nodes.  Between nodes the q = 1 case interpolates
     linearly; queries outside the grid hull raise
     :class:`TableCoverageError`.  For q >= 2 the nearest node is used,
-    with a warning reporting its distance when the match is not exact.
+    with a warning reporting its distance when the match is not exact; a
+    query farther from it than the largest distance between a node and its
+    nearest neighbour raises :class:`TableCoverageError`, so a one-node
+    table covers only its node.
     """
     idx = _level_index(table, level)
     if not table.entries:
@@ -439,8 +474,20 @@ def lookup(table: QuantileTable, c_query: Union[float, np.ndarray], level: float
         return float((1.0 - w) * values[lo] + w * values[hi])
 
     cq = np.atleast_2d(np.asarray(c_query, dtype=float))
-    dists = [float(np.linalg.norm(e.c - cq)) for e in table.entries]
+    nodes = np.array([e.c.ravel() for e in table.entries])
+    dists = np.linalg.norm(nodes - cq.ravel(), axis=1)
     j = int(np.argmin(dists))
+    # the largest distance from a node to its nearest neighbour (the second-nearest of
+    # its distances to all nodes, itself included); 0 for one node
+    spacing = 0.0
+    if len(nodes) > 1:
+        spacing = max(np.partition(np.linalg.norm(nodes - c, axis=1), 1)[1] for c in nodes)
+    if dists[j] > max(spacing, 1e-9):
+        raise TableCoverageError(
+            f"query C={(cq.ravel() + 0.0).tolist()} is at Frobenius distance {dists[j]:.6g} "
+            f"from the nearest node {(nodes[j] + 0.0).tolist()}, beyond the table's largest "
+            f"node spacing {spacing:.6g}"
+        )
     if dists[j] > 1e-9:
         warnings.warn(
             f"no exact node for the queried localisation matrix; using the nearest "

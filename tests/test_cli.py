@@ -13,7 +13,15 @@ from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
 from qcvar.exceptions import DomainError
 from qcvar.inference import bonferroni_ci, localisation, lr_lambda
 from qcvar.likelihood import LambdaGrid, make_design
-from qcvar.limitdist import LimitDistConfig, build_table, load_table, lookup
+from qcvar.limitdist import (
+    LimitDistConfig,
+    QuantileTable,
+    TableEntry,
+    build_table,
+    load_table,
+    lookup,
+    save_table,
+)
 
 
 def write_csv(path, names, values):
@@ -118,6 +126,7 @@ class TestCommands:
     @pytest.mark.parametrize("payload, code", [
         ({"phi": [[[5.0]]]}, 3),  # explosive: the path overflows
         ({"phi": [[[0.5]]], "mu": [float("nan")]}, 2),
+        ({"phi": [[[0.5, 0.0], [0.0, 0.5]]], "sigma": [[1.0, 0.0], [0.0, float("inf")]]}, 2),
     ])
     def test_simulate_non_finite_path_exits_nonzero(self, tmp_path, capsys, payload, code):
         coeffs_path, out_path = tmp_path / "c.json", tmp_path / "path.csv"
@@ -194,9 +203,9 @@ class TestCommands:
         generators = []
         statistics, default_rng = limitdist._statistics, np.random.default_rng
 
-        def counted(config, dw):
+        def counted(config, *arrays):
             runs.append(float(config.c_star[0, 0]))
-            return statistics(config, dw)
+            return statistics(config, *arrays)
 
         def counted_rng(*args, **kwargs):
             generators.append(args)
@@ -418,6 +427,25 @@ class TestSharedInference:
             want = lookup(table, c_plugin, level)
             assert want != lookup(table, c_raw, level)
             assert values[f"critical[{level:g}]"] == _round15(want)
+
+    def test_lr_q2_lambda0_far_from_every_node_exits_4(self, tmp_path, capsys):
+        y, _ = simulate(DgpSpec.simple(make_instance(3, p=3, k=1, q=2), 200), 1)
+        data_path = tmp_path / "y.csv"
+        write_csv(data_path, ["s1", "s2", "s3"], y)
+        # scalar nodes 5 sqrt(2) apart; C = 200 (lambda0 - I) is near [[-20, 10], [0, -40]]
+        table_path = str(tmp_path / "cv2.tbl")
+        save_table(QuantileTable(
+            q=2, det="trend", steps=100, reps=1000, seed=0, levels=(0.9, 0.95),
+            entries=tuple(TableEntry(c=c * np.eye(2), quantiles=(12.0, 14.0), se=(0.1, 0.2),
+                                     redrawn=0) for c in (-10.0, -5.0, 0.0)),
+        ), table_path)
+        rc = main(["lr", "--data", str(data_path), "--k", "1", "--q", "2",
+                   "--lambda0", "0.9,0.05,0,0.8", "--table", table_path])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert "critical" not in captured.out
+        assert captured.err.startswith("error (table coverage): query C=")
+        assert "from the nearest node [-10.0, 0.0, 0.0, -10.0]" in captured.err
 
     def test_ci_build_table_q2(self, tmp_path, capsys):
         y, _ = simulate(DgpSpec.simple(make_instance(3, p=3, k=1, q=2), 100), 1)

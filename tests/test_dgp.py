@@ -237,6 +237,13 @@ class TestSimulateNonFinite:
         with pytest.raises(DomainError, match="finite"):
             DgpSpec(coeffs=make_instance(0, p=2, k=1, q=1), sigma=np.eye(2), n=10, **kw)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_sigma_rejected(self, bad):
+        # checked before symmetry and the Cholesky factor, which pass an infinite diagonal
+        with pytest.raises(DomainError, match="sigma must be finite"):
+            DgpSpec(coeffs=make_instance(0, p=2, k=1, q=1), sigma=np.diag([1.0, bad]),
+                    mu=np.zeros(2), delta=np.zeros(2), n=10)
+
 
 class TestSimulateInvariances:
     @settings(max_examples=100, deadline=None)

@@ -190,6 +190,31 @@ class TestLrCoefficient:
         fit_scaled = profile_a(lam0, y * d, k, "trend", fixed_entry=(i, 0, d[i] * a0 / d[2]))
         np.testing.assert_allclose(fit_scaled.a_hat, d[:2, None] * fit.a_hat / d[2], rtol=1e-8)
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        k=st.sampled_from([1, 2]),
+        pq=st.sampled_from([(3, 1), (4, 2)]),
+        det=st.sampled_from(["const", "trend"]),
+        lam=st.floats(0.9, 1.0),
+        entry=st.tuples(st.sampled_from([0, 1]), st.sampled_from([0, 1])),
+        shift=st.floats(-0.5, 0.5),
+        trend=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    )
+    def test_invariant_to_adding_deterministic_terms(self, seed, k, pq, det, lam, entry, shift,
+                                                     trend):
+        # m, and d t under "trend", is absorbed by the deterministic terms of every fit
+        p, q = pq
+        i, j = entry[0], entry[1] % q
+        y, _ = simulate(DgpSpec.simple(make_instance(seed, p=p, k=k, q=q), 200), seed)
+        lam0 = lam * np.eye(q)
+        a0 = float(profile_a(lam0, y, k, det).a_hat[i, j]) + shift
+        m, d = np.reshape(trend, (2, 4))[:, :p]
+        moved = y + 10.0 * m + (np.arange(len(y))[:, None] * d if det == "trend" else 0.0)
+        base = lr_coefficient(a0, i, j, lam0, y, k, det).value
+        assert lr_coefficient(a0, i, j, lam0, moved, k, det).value == pytest.approx(
+            base, rel=1e-10, abs=1e-11)
+
 
 class TestScalarBlockBuildsNoFit:
     """At a scalar block every LR is read from eigenvalues, and no fit is built."""

@@ -189,6 +189,30 @@ class TestQuantileTable:
         with pytest.warns(UserWarning, match="nearest"):
             lookup(table, -1.0 * np.eye(2), 0.95)
 
+    @staticmethod
+    def _q2_table(*nodes):
+        entries = tuple(TableEntry(c=np.asarray(c, dtype=float), quantiles=(12.0, 14.0),
+                                   se=(0.1, 0.2), redrawn=0) for c in nodes)
+        return QuantileTable(q=2, det="const", steps=100, reps=1000, seed=0,
+                             levels=(0.9, 0.95), entries=entries)
+
+    def test_q2_query_beyond_the_node_spacing_raises(self):
+        # nodes 0, -5 I and -10 I: each node's nearest neighbour is 5 sqrt(2) = 7.07 away
+        table = self._q2_table(*(c * np.eye(2) for c in (0.0, -5.0, -10.0)))
+        with pytest.warns(UserWarning, match="nearest"):
+            assert lookup(table, [[-12.0, 1.0], [0.0, -15.0]], 0.95) == 14.0  # 5.48 from -10 I
+        with pytest.raises(TableCoverageError, match=(
+                r"query C=\[-20.0, 6.0, 0.0, -20.0\] is at Frobenius distance 15\.3623 from the "
+                r"nearest node \[-10.0, 0.0, 0.0, -10.0\], beyond the table's largest node "
+                r"spacing 7\.07107")):
+            lookup(table, [[-20.0, 6.0], [0.0, -20.0]], 0.95)
+
+    def test_one_node_q2_table_covers_only_its_node(self):
+        table = self._q2_table(-5.0 * np.eye(2))
+        assert lookup(table, -5.0 * np.eye(2), 0.9) == 12.0
+        with pytest.raises(TableCoverageError, match="distance 0.001 "):
+            lookup(table, [[-5.0, 0.001], [0.0, -5.0]], 0.9)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             build_table([], self.TEMPLATE)
@@ -238,9 +262,9 @@ class TestSharedDraws:
         runs = []
         statistics = limitdist._statistics
 
-        def counted(config, dw):
+        def counted(config, *arrays):
             runs.append(float(config.c_star[0, 0]))
-            return statistics(config, dw)
+            return statistics(config, *arrays)
 
         monkeypatch.setattr(limitdist, "_statistics", counted)
         resumed = build_table(grid, self.TEMPLATE, path)
@@ -274,6 +298,48 @@ class TestSharedDraws:
                 assert e.redrawn == 0
                 got[tuple(e.c.ravel().tolist())] = [f"{v:.10g}" for v in e.quantiles + e.se]
         assert got == golden
+
+
+def _stepwise_statistics(config, dw):
+    """The statistic as a step-by-step loop over the (m, steps, q) draws computes it."""
+    m, n, q = dw.shape
+    A_T = (np.eye(q) + config.c_star / n).T
+    lagged = np.empty((m, n, q))
+    z = np.zeros((m, q))
+    for j in range(n):
+        lagged[:, j, :] = z
+        z = z @ A_T + dw[:, j, :]
+
+    s_grid = (np.arange(1, n + 1) - 0.5) / n
+    if config.det != "none":
+        H, X = _detrend_coefficients(s_grid, config.det)
+        coef = np.einsum("dn,mnq->mdq", H, lagged)
+        lagged = lagged - np.einsum("nd,mdq->mnq", X, coef)
+
+    s1 = np.einsum("mnq,mnr->mqr", dw, lagged)
+    s2 = np.einsum("mnq,mnr->mqr", lagged, lagged) / n
+    return np.einsum("mqr,mrq->m", s1, np.linalg.solve(s2, np.transpose(s1, (0, 2, 1))))
+
+
+class TestStatisticsOracle:
+    """The blocked time-major recursion reproduces the step-by-step loop bit for bit."""
+
+    C_GRID = {1: [[[-7.0]], [[2.0]]],
+              2: [-3.0 * np.eye(2), [[-5.0, 1.0], [0.0, -2.0]], [[-1.0, 2.0], [-4.0, -7.0]]]}
+
+    @pytest.mark.parametrize("steps", [100, 127])  # 127 is not a multiple of _BLOCK
+    @pytest.mark.parametrize("det", ["none", "const", "trend"])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_matches_stepwise_loop(self, q, det, steps):
+        configs = [LimitDistConfig(q=q, c_star=c, det=det, steps=steps, reps=2500, seed=13)
+                   for c in self.C_GRID[q]]
+        chunks = [limitdist._draw(configs[0], range(s, min(s + limitdist._CHUNK, 2500)))
+                  for s in range(0, 2500, limitdist._CHUNK)]
+        assert len(chunks) == 2
+        for config, (got, redrawn) in zip(configs, limitdist._simulate_nodes(configs)):
+            want = np.concatenate([_stepwise_statistics(config, dw) for dw in chunks])
+            assert redrawn == 0
+            assert np.array_equal(got, want)
 
 
 class TestLoadTableValidation:
