@@ -73,8 +73,9 @@ print(f"\nreduced-rank fit   : loglik {rrr.loglik:.6f}  (gap to profile: "
       f"{abs(rrr.loglik - prof.loglik):.2e})")
 
 # ---------------------------------------------------------------------------
-# Profiling over the dynamics block itself: scan a grid on [rho, 1] and
-# refine the incumbent continuously.
+# Profiling over the dynamics block itself: rank a grid on [rho, 1] by the
+# block LR (eigenvalues only, no fit), refine the best node continuously
+# on the same LR, and fit once, at the block reported.
 # ---------------------------------------------------------------------------
 grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.005)
 scan = profile_lambda(grid, y, k=1, det="trend", refine=True)

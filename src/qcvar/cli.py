@@ -36,7 +36,7 @@ from .inference import (
     bonferroni_ci, bonferroni_level, chi2_quantile, localisation, lr_coefficient, lr_lambda,
 )
 from .likelihood import DET_CASES, LambdaGrid, make_design, ols_fit, profile_lambda
-from .limitdist import LimitDistConfig, build_table, load_table, lookup
+from .limitdist import LimitDistConfig, _read_text, build_table, load_table, lookup
 from .representation import irf
 from .spectral import (
     RegionSpec,
@@ -73,13 +73,12 @@ def ingest_csv(path: str, notices: Optional[list] = None) -> Dataset:
     A leading non-numeric column (dates or row labels) is detected and
     dropped with a notice.  Missing or non-numeric cells, and constant
     columns, are a hard error naming every offending row and column; ragged
-    rows report the line number.  Column order is preserved: the trailing q
-    series are the ones assumed to load on the near-unit directions.
+    rows report the line number, and a file that is not UTF-8 text its name.
+    Column order is preserved: the trailing q series are the ones assumed to
+    load on the near-unit directions.
     """
     notices = notices if notices is not None else []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    rows = list(csv.reader(io.StringIO(_read_text(path))))
     if not rows:
         raise DomainError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
@@ -132,8 +131,7 @@ def ingest_csv(path: str, notices: Optional[list] = None) -> Dataset:
 
 
 def _load_coeffs_json(path: str) -> tuple[VarCoefficients, dict]:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = json.loads(_read_text(path))
     phi = payload.get("phi")
     if phi is None:
         raise DomainError(f"{path}: missing 'phi' (list of k p-by-p lag matrices)")
@@ -478,10 +476,11 @@ def cmd_ci(args) -> int:
     for note in notices:
         em.add_scalars("notice", {"message": note})
 
-    # reject bad input before any simulation or fit
+    # reject bad input and too few observations before any simulation or fit
     _check_block(ds.p, args.q, args.coef)
     lambda_space = LambdaGrid(family="scalar", q=args.q, rho=rho, eig_step=args.grid_step)
     bonferroni_level(args.alpha1, args.alpha2)
+    design = make_design(ds.values, args.k, args.det)
     if os.path.exists(args.table):
         table = load_table(args.table)
     elif args.build_table:
@@ -501,7 +500,6 @@ def cmd_ci(args) -> int:
             f"critical-value table {args.table} not found; rerun with --build-table to create it"
         )
 
-    design = make_design(ds.values, args.k, args.det)
     result = bonferroni_ci(
         args.alpha1, args.alpha2, i, j, ds.values, args.k, args.det, lambda_space, table,
         design=design,

@@ -29,6 +29,7 @@ from .likelihood import (
     FitResult,
     LambdaGrid,
     _as_design,
+    _block_lr,
     _eigh_pair,
     _fixed_entry_a,
     _is_scalar,
@@ -134,18 +135,12 @@ def lr_lambda(
 
     ``2 * [max loglik - profile loglik at lambda0]``, where the maximum
     is the exact unrestricted (OLS) one; at a scalar block n_eff times the
-    sum of the q smallest eigenvalues of :func:`_known_vector_moments`.
+    sum of the q smallest eigenvalues of :func:`_known_vector_moments`
+    (:func:`_block_lr`, which :func:`profile_lambda` ranks its grid by).
     """
     dz = _as_design(data, k, det, design)
-    lambda0 = np.atleast_2d(np.asarray(lambda0, dtype=float))
-    if len(lambda0) > dz.p:
-        raise DomainError(f"q = {len(lambda0)} exceeds series dimension {dz.p}")
-    if not _is_scalar(lambda0):
-        fit = profile_a(lambda0, data, k, det, design=dz)
-        return LrStatistic(_clamp_lr(2.0 * (dz.loglik_ols - fit.loglik), "lr_lambda"), fit)
-    A, S11 = _known_vector_moments(float(lambda0[0, 0]), dz)
-    value = dz.n_eff * _eigh_pair(A, S11, eigvals_only=True)[: len(lambda0)].sum()
-    return LrStatistic(_clamp_lr(value, "lr_lambda"), None)
+    value, fit = _block_lr(np.atleast_2d(np.asarray(lambda0, dtype=float)), dz, None)
+    return LrStatistic(_clamp_lr(value, "lr_lambda"), fit)
 
 
 def lr_coefficient(

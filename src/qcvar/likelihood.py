@@ -598,6 +598,19 @@ def _fixed_entry_a(A: np.ndarray, S11: np.ndarray, i: int, j: int, a0: float, r:
     return a_hat, _eigh_pair(A, S11, eigvals_only=True)[len(A) - r:].sum() - crit
 
 
+def _block_lr(lam0: np.ndarray, dz: Design, init: Optional[np.ndarray]):
+    """``2 (loglik_ols - profile loglik)`` at lam0, unclamped, and the :func:`profile_a` fit behind
+    it, searched from ``init``; at a scalar block n_eff times the sum of the q smallest eigenvalues
+    of :func:`_known_vector_moments` (Johansen 1995, ch. 6), and no fit."""
+    if len(lam0) > dz.p:
+        raise DomainError(f"q = {len(lam0)} exceeds series dimension {dz.p}")
+    if not _is_scalar(lam0):
+        fit = profile_a(lam0, None, dz.k, dz.det, design=dz, init=init)
+        return 2.0 * (dz.loglik_ols - fit.loglik), fit
+    A, S11 = _known_vector_moments(float(lam0[0, 0]), dz)
+    return dz.n_eff * _eigh_pair(A, S11, eigvals_only=True)[: len(lam0)].sum(), None
+
+
 def rrr_fit(
     lambda0: float,
     q: int,
@@ -676,9 +689,12 @@ class LambdaGrid:
     q = 2 they are ``R(theta) diag(e1, e2) R(theta)'``, R a plane rotation,
     over the tensor product of ordered eigenvalue pairs e1 >= e2 on [rho, 1]
     (step ``eig_step``, default 0.01) and angles theta on [0, pi/2) (step
-    ``angle_step``).  Explicit candidate matrices may be supplied
-    instead via ``candidates``.  A q below 1, a rho above 1 or a step
-    that is not positive raises :class:`DomainError`.
+    ``angle_step``).  That grid covers half of the symmetric family: every
+    block on it has an off-diagonal ``(e1 - e2) sin(theta) cos(theta) >= 0``,
+    so a block with a negative one enters only as an explicit candidate.
+    Explicit candidate matrices may be supplied instead via ``candidates``.
+    A q below 1, a rho above 1 or a step that is not positive raises
+    :class:`DomainError`.
     """
 
     family: str = "scalar"
@@ -737,8 +753,8 @@ class LambdaGrid:
 class ProfileLambdaResult:
     """Grid profile over the near-unit dynamics space.
 
-    ``trace`` holds a (lam, loglik, status) tuple for each grid block that
-    was fitted and ``failures`` a (lam, message) tuple for each that failed.
+    ``trace`` holds a (lam, loglik, status) tuple for each grid block whose
+    LR evaluated and ``failures`` a (lam, message) tuple for each that failed.
     """
 
     best_lam: np.ndarray
@@ -762,63 +778,54 @@ def profile_lambda(
 ) -> ProfileLambdaResult:
     """Maximise the profile loglikelihood over a grid of dynamics blocks.
 
-    Evaluates :func:`profile_a` at every grid point, recording the full
-    trace; failing grid points are recorded and skipped.  With
-    ``refine=True`` (scalar family) the incumbent is polished by a
-    bounded continuous search between its neighbouring grid nodes.  A
-    block that fails there is recorded in ``failures`` too, and ends the
-    polish at the grid's best node.
+    Ranks the grid blocks by the LR of :func:`_block_lr`, an eigenvalue sum at a scalar block and
+    otherwise a :func:`profile_a` search from the last searched block's a; ``trace`` holds
+    ``(lam, loglik_ols - lr / 2, status)`` for each block that evaluates and ``failures`` each that
+    raises.  ``refine=True`` (scalar family) polishes the best node by a bounded search of the LR
+    between its neighbours, which a failing block ends at the grid's best node.  The best block is
+    reported with its :func:`profile_a` fit, whose error (e.g. NormalizationError) is raised.
     """
     dz = _as_design(data, k, det, design)
     pts = lambda_space.points()
     if not pts:
         raise DomainError("lambda grid is empty")
-    trace = []
-    failures = []
-    best = None
-    warm = None
-    for lam in pts:
+    failures, nodes, warm = [], [], None
+
+    def block_lr(lam: np.ndarray, init: Optional[np.ndarray] = None):
         try:
-            fit = profile_a(lam, data, k, det, design=dz, init=warm)
+            return _block_lr(lam, dz, init)
         except QcvarError as exc:
             failures.append((lam, f"{type(exc).__name__}: {exc}"))
+            raise
+
+    for lam in pts:
+        try:
+            lr, fit = block_lr(lam, warm)
+        except QcvarError:
             continue
-        warm = fit.a_hat
-        trace.append((lam, fit.loglik, fit.status))
-        if best is None or fit.loglik > best[1].loglik:
-            best = (lam, fit)
-    if best is None:
+        warm = warm if fit is None else fit.a_hat
+        nodes.append((lr, lam, fit))
+    if not nodes:
         raise NumericalError(f"every grid point failed ({len(failures)} points); the first "
                              f"failed with {failures[0][1]}")
-    best_lam, best_fit = best
+    best_lr, best_lam, best_fit = min(nodes, key=lambda node: node[0])
 
     if refine and lambda_space.candidates is None and lambda_space.family == "scalar":
-        step = lambda_space.resolved_eig_step
+        step, eye = lambda_space.resolved_eig_step, np.eye(lambda_space.q)
         lo = max(lambda_space.rho, float(best_lam[0, 0]) - step)
         hi = min(1.0, float(best_lam[0, 0]) + step)
-
-        def neg_profile(lam_scalar: float) -> float:
-            lam = lam_scalar * np.eye(lambda_space.q)
-            try:
-                return -profile_a(lam, data, k, det, design=dz).loglik
-            except QcvarError as exc:
-                failures.append((lam, f"{type(exc).__name__}: {exc}"))
-                raise
-
         try:
-            res = minimize_scalar(neg_profile, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-8})
+            res = minimize_scalar(lambda lam: block_lr(lam * eye)[0], bounds=(lo, hi),
+                                  method="bounded", options={"xatol": 1e-8})
         except QcvarError:
             res = None  # recorded above; the grid's best node stands
-        if res is not None and -res.fun > best_fit.loglik:
-            lam_ref = float(res.x) * np.eye(lambda_space.q)
-            fit_ref = profile_a(lam_ref, data, k, det, design=dz)
-            if fit_ref.loglik > best_fit.loglik:
-                best_lam, best_fit = lam_ref, fit_ref
+        if res is not None and res.fun < best_lr:
+            best_lam = float(res.x) * eye
 
     return ProfileLambdaResult(
         best_lam=best_lam,
-        best_fit=best_fit,
-        trace=tuple(trace),
+        best_fit=best_fit or profile_a(best_lam, data, k, det, design=dz),
+        trace=tuple((lam, dz.loglik_ols - 0.5 * lr, "converged" if fit is None else fit.status)
+                    for lr, lam, fit in nodes),
         failures=tuple(failures),
     )

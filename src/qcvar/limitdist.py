@@ -314,13 +314,22 @@ def save_table(table: QuantileTable, path: str) -> None:
     os.replace(tmp, path)
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 are a :class:`DomainError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_table(path: str) -> QuantileTable:
     """Read a table written by :func:`save_table`.
 
-    A malformed table raises :class:`DomainError` naming the file and line.
+    A malformed table raises :class:`DomainError` naming the file and line, and a file that is
+    not UTF-8 text one naming the file.
     """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = _read_text(path).split("\n")
     meta, meta_line = {}, {}
     body_at = None
     for i, ln in enumerate(lines):

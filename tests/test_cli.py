@@ -7,7 +7,7 @@ import pytest
 import qcvar.limitdist as limitdist
 from conftest import make_instance
 from test_inference import _rayleigh_curve
-from test_likelihood import fail_profile_above
+from test_likelihood import fail_block_lr_above
 from qcvar.cli import _round15, ingest_csv, main
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
 from qcvar.exceptions import DomainError
@@ -256,6 +256,48 @@ class TestCommands:
         capsys.readouterr()
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["fit --data", "roots --coeffs", "ci --table"])
+    def test_file_that_is_not_utf8_is_an_input_error(self, tmp_path, sample_csv, capsys, command):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"x,y\n1.0,2.0\n\xff,3.0\n")
+        argv = {
+            "fit --data": ["fit", "--data", str(bad), "--k", "1", "--q", "1"],
+            "roots --coeffs": ["roots", "--coeffs", str(bad)],
+            "ci --table": ["ci", "--data", sample_csv, "--k", "1", "--q", "1", "--coef", "0,0",
+                           "--table", str(bad)],
+        }[command]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error (input)") and f"{bad} is not UTF-8 text" in err
+
+    @pytest.mark.parametrize("command", ["roots", "irf"])
+    def test_nan_lag_matrix_is_an_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"phi": [[[0.5, float("nan")], [0.0, 0.3]]]}))
+        rc = main([command, "--coeffs", str(path)] + (["--q", "1"] if command == "irf" else []))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error (input)") and "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--q", "1"],
+        ["lr", "--q", "1", "--lambda0", "0.98"],
+        ["roots"],
+        ["ci", "--q", "1", "--coef", "0,0", "--build-table", "--reps", "200"],
+    ], ids=["fit", "lr", "roots --data", "ci --build-table"])
+    def test_too_few_usable_observations_is_a_numerical_error(self, tmp_path, capsys, argv):
+        # 5 rows at p = 3, k = 2 and a trend leave 3 observations for 8 regressors; ci finds that
+        # out before it simulates a table
+        data, table = tmp_path / "short.csv", tmp_path / "never.tbl"
+        write_csv(data, ["a", "b", "c"], np.random.default_rng(0).normal(size=(5, 3)))
+        extra = ["--table", str(table)] if argv[0] == "ci" else []
+        rc = main(argv + extra + ["--data", str(data), "--k", "2"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "only 3 usable observations for 8 regressors" in err
+        assert not table.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["ci", "--q", "1", "--coef", "5,0"], "--coef 5,0 needs 0 <= i < 1"),
         (["ci", "--q", "2", "--coef", "0,0"], "--coef 0,0 needs 0 <= i < 0"),
@@ -302,7 +344,7 @@ class TestCommands:
     def test_every_grid_point_failed_names_the_cause(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "walks.csv"
         write_csv(path, ["x", "y"], np.cumsum(np.random.default_rng(0).normal(size=(200, 2)), 0))
-        fail_profile_above(monkeypatch, -np.inf)
+        fail_block_lr_above(monkeypatch, -np.inf)
         rc = main(["fit", "--data", str(path), "--k", "1", "--q", "1", "--grid-step", "0.05"])
         err = capsys.readouterr().err
         assert rc == 3
@@ -314,7 +356,7 @@ class TestCommands:
         # grid's best node stands
         path, out = tmp_path / "walks.csv", tmp_path / "fit.json"
         write_csv(path, ["x", "y"], np.cumsum(np.random.default_rng(0).normal(size=(200, 2)), 0))
-        fail_profile_above(monkeypatch, 0.95)
+        fail_block_lr_above(monkeypatch, 0.95)
         rc = main(["fit", "--data", str(path), "--k", "1", "--q", "1", "--grid-step", "0.05",
                    "--format", "json", "--output", str(out)])
         assert rc == 0

@@ -46,6 +46,33 @@ class TestBuildVar:
         # under the trailing-identity normalisation the block matches entrywise
         assert np.abs(s.lam_near - lam).max() <= 1e-8
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        p=st.integers(2, 4),
+        q=st.integers(1, 2),
+        k=st.integers(1, 2),
+        moduli=st.lists(st.floats(0.9, 1.0), min_size=2, max_size=2),
+        angle=st.one_of(st.just(0.0), st.floats(1e-10, 0.5)),
+    )
+    def test_split_recovers_a_and_the_roots_of_lam(self, seed, p, q, k, moduli, angle):
+        # at q = 2 a nonzero angle makes lam a rotation, whose roots are a complex pair
+        q = min(q, p - 1)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(p - q, q))
+        if q == 1:
+            lam = np.array([[moduli[0]]])
+        else:
+            basis = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
+            core = (moduli[0] * np.array([[np.cos(angle), -np.sin(angle)],
+                                          [np.sin(angle), np.cos(angle)]]) if angle
+                    else np.diag(moduli))
+            lam = basis @ core @ np.linalg.inv(basis)
+        s = split(build_var(a, lam, k, seed=seed), q)
+        assert np.abs(s.a - a).max() <= 1e-10 * max(1.0, np.abs(a).max())
+        got, want = (np.sort_complex(np.linalg.eigvals(m)) for m in (s.lam_near, lam))
+        assert np.abs(got - want).max() <= 1e-10
+
     def test_root_gap_enforced_for_explicit_stable_part(self):
         with pytest.raises(ConstructionError):
             build_var(

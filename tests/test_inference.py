@@ -145,6 +145,37 @@ class TestLrLambda:
             assert lr_lambda(lam0, other, k, "trend").value == pytest.approx(base, rel=1e-10,
                                                                              abs=1e-11)
 
+    @pytest.mark.parametrize("system", ["p2", "p3", "p4q2"])
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_profile_lambda_ranks_scalar_blocks_by_it_and_fits_once(self, system, refine,
+                                                                    monkeypatch):
+        y, k = ((sim_local(9)[0], 1) if system == "p2" else (_walks_and_noise(1, 4), 1)
+                if system == "p4q2" else (_p3_data(9), 2))
+        q = 2 if system.endswith("q2") else 1
+        dz = make_design(y, k, "trend")
+        grid = LambdaGrid(family="scalar", q=q, rho=0.9, eig_step=0.02)
+        lrs = [lr_lambda(lam, y, k, "trend", design=dz).value for lam in grid.points()]
+        calls = {"restricted_fit": 0, "profile_a": 0}
+        for name in calls:
+            original = getattr(likelihood, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(likelihood, name, counted)
+        prof = profile_lambda(grid, y, k, "trend", design=dz, refine=refine)
+        assert calls == {"restricted_fit": 1, "profile_a": 1}
+        best = int(np.argmin(lrs))
+        if refine:
+            assert lr_lambda(prof.best_lam, y, k, "trend", design=dz).value <= lrs[best]
+        else:
+            np.testing.assert_array_equal(prof.best_lam, grid.points()[best])
+        assert len(prof.trace) == len(lrs) and not prof.failures
+        for (_, loglik, status), lr in zip(prof.trace, lrs):
+            assert loglik == pytest.approx(dz.loglik_ols - lr / 2, rel=1e-12)
+            assert status == "converged"
+
 
 class TestLrCoefficient:
     def test_zero_at_conditional_optimum(self):

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 import qcvar.likelihood as likelihood
 from conftest import make_instance
 from qcvar.dgp import DgpSpec, build_var, simulate
-from qcvar.exceptions import ConditionWarning, DomainError, NumericalError
+from qcvar.exceptions import ConditionWarning, DomainError, NormalizationError, NumericalError
 from qcvar.inference import lr_coefficient
 from qcvar.likelihood import (
     DET_CASES,
@@ -234,16 +234,17 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def fail_profile_above(monkeypatch, lam_max):
-    """Make ``likelihood.profile_a`` raise a NumericalError at every block above ``lam_max``."""
-    original = likelihood.profile_a
+def fail_block_lr_above(monkeypatch, lam_max):
+    """Make ``likelihood._block_lr``, the node LR of ``profile_lambda``, raise a NumericalError at
+    every block above ``lam_max``."""
+    original = likelihood._block_lr
 
     def failing(lam0, *args, **kwargs):
         if lam0[0, 0] > lam_max:
             raise NumericalError(f"injected failure at lambda = {lam0[0, 0]:g}")
         return original(lam0, *args, **kwargs)
 
-    monkeypatch.setattr(likelihood, "profile_a", failing)
+    monkeypatch.setattr(likelihood, "_block_lr", failing)
 
 
 class TestProfileADispatch:
@@ -618,7 +619,7 @@ class TestProfileLambda:
         # point of the polish fail
         y = np.cumsum(np.random.default_rng(0).normal(size=(200, 2)), axis=0)
         grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.05)
-        fail_profile_above(monkeypatch, 0.95)
+        fail_block_lr_above(monkeypatch, 0.95)
         coarse = profile_lambda(grid, y, 1, "trend")
         fine = profile_lambda(grid, y, 1, "trend", refine=True)
         assert fine.best_lam[0, 0] == coarse.best_lam[0, 0] == 0.95
@@ -626,6 +627,17 @@ class TestProfileLambda:
         assert len(fine.failures) > len(coarse.failures) == 1
         for lam, msg in fine.failures:
             assert 0.95 < lam[0, 0] <= 1.0 and "NumericalError" in msg
+
+    def test_failed_fit_at_the_reported_block_is_raised(self, monkeypatch):
+        # the grid ranks scalar blocks without a fit, so the one fit, at the best node, has no
+        # next-best node to fall back on
+        def failing(*args, **kwargs):
+            raise NormalizationError("injected failure of the fit")
+
+        monkeypatch.setattr(likelihood, "profile_a", failing)
+        grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.05)
+        with pytest.raises(NormalizationError, match="injected failure of the fit"):
+            profile_lambda(grid, TestRrrFit()._sim(7, n=300), 2, "trend", refine=True)
 
     def test_symmetric_grid_q2(self):
         coeffs = make_instance(8, p=3, k=1, q=2, lam_lo=0.95)
