@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -67,18 +69,26 @@ class Dataset:
         return self.values.shape[1]
 
 
+def _numeric(cell: str) -> Optional[float]:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def ingest_csv(path: str, notices: Optional[list] = None) -> Dataset:
     """Read a comma-delimited file with a header row into a Dataset.
 
-    A leading non-numeric column (dates or row labels) is detected and
-    dropped with a notice.  Missing or non-numeric cells, and constant
-    columns, are a hard error naming every offending row and column; ragged
-    rows report the line number, and a file that is not UTF-8 text its name.
-    Column order is preserved: the trailing q series are the ones assumed to
-    load on the near-unit directions.
+    A leading byte-order mark is ignored.  A leading non-numeric column
+    (dates or row labels) is detected and dropped with a notice.  Cells are
+    read with Python's ``float``; missing, non-numeric or non-finite cells,
+    and constant columns, are a hard error naming every offending row and
+    column; ragged rows report the line number, and a file that is not UTF-8
+    text its name.  Column order is preserved: the trailing q series are the
+    ones assumed to load on the near-unit directions.
     """
     notices = notices if notices is not None else []
-    rows = list(csv.reader(io.StringIO(_read_text(path))))
+    rows = list(csv.reader(io.StringIO(_read_text(path).removeprefix("\ufeff"))))
     if not rows:
         raise DomainError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
@@ -92,12 +102,6 @@ def ingest_csv(path: str, notices: Optional[list] = None) -> Dataset:
                 f"{path}: line {line_no} has {len(row)} fields, expected {width}"
             )
 
-    def numeric(cell: str) -> Optional[float]:
-        try:
-            return float(cell)
-        except ValueError:
-            return None
-
     na_markers = ("", "NA", "NaN", "nan")
     start_col = 0
     first_cells = [row[0].strip() for row in body]
@@ -105,25 +109,27 @@ def ingest_csv(path: str, notices: Optional[list] = None) -> Dataset:
     # cells are data errors, not an index column
     if (
         width > 1
-        and all(numeric(c) is None for c in first_cells)
+        and all(_numeric(c) is None for c in first_cells)
         and not any(c in na_markers for c in first_cells)
     ):
         notices.append(f"dropped non-numeric leading column {header[0]!r}")
         start_col = 1
 
-    bad = []
-    values = np.empty((len(body), width - start_col))
-    for i, row in enumerate(body):
-        for j in range(start_col, width):
-            cell = row[j].strip()
-            v = numeric(cell) if cell not in na_markers else None
-            if v is None or not np.isfinite(v):
-                bad.append(f"row {i + 2}, column {header[j]!r}: {row[j]!r}")
-            else:
-                values[i, j - start_col] = v
-    if bad:
-        listed = "; ".join(bad[:20])
-        raise DomainError(f"{path}: missing or non-numeric cells: {listed}")
+    # str.strip also removes the separators \x1c-\x1f, which float() rejects;
+    # the cell loop below runs only to name the offending cells
+    cells = itertools.chain.from_iterable(row[start_col:] for row in body)
+    try:
+        values = np.array(list(map(float, map(str.strip, cells)))).reshape(len(body), -1)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        bad = []
+        for i, row in enumerate(body, start=2):
+            for j in range(start_col, width):
+                v = _numeric(row[j].strip())
+                if v is None or not np.isfinite(v):
+                    bad.append(f"row {i}, column {header[j]!r}: {row[j]!r}")
+        raise DomainError(f"{path}: missing or non-numeric cells: {'; '.join(bad[:20])}")
     constant = [repr(name) for name, col in zip(header[start_col:], values.T) if np.ptp(col) == 0]
     if len(values) > 1 and constant:
         raise DomainError(f"{path}: constant columns: {', '.join(constant)}")
@@ -588,7 +594,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The qcvar argument parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="qcvar",
         description="Quasi-cointegration analysis for VARs with near-unit roots",

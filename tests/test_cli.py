@@ -1,14 +1,19 @@
+import csv
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcvar.limitdist as limitdist
 from conftest import make_instance
 from test_inference import _rayleigh_curve
 from test_likelihood import fail_block_lr_above
-from qcvar.cli import _round15, ingest_csv, main
+from qcvar.cli import Dataset, _round15, build_parser, ingest_csv, main
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
 from qcvar.exceptions import DomainError
 from qcvar.inference import bonferroni_ci, localisation, lr_lambda
@@ -78,6 +83,122 @@ class TestIngestCsv:
         ds = ingest_csv(str(path))
         assert ds.names == ("z2", "z1")
         assert ds.values[0, 0] == 1.0
+
+    @pytest.mark.parametrize("dated", [False, True])
+    def test_byte_order_mark_is_ignored(self, tmp_path, dated):
+        # spreadsheets' "CSV UTF-8" export starts the file with U+FEFF
+        path = tmp_path / "bom.csv"
+        with open(path, "w", encoding="utf-8-sig") as fh:
+            fh.write("date,x,y\n" if dated else "x,y\n")
+            for t in range(4):
+                fh.write(f"2020-01-0{t + 1}," * dated + f"{t * 1.5},{t * t}\n")
+        notices = []
+        ds = ingest_csv(str(path), notices)
+        assert ds.names == ("x", "y")
+        assert notices == (["dropped non-numeric leading column 'date'"] if dated else [])
+        np.testing.assert_array_equal(ds.values[:, 0], [0.0, 1.5, 3.0, 4.5])
+
+
+def _reference_ingest(path, notices):
+    """The cell-by-cell parser ingest_csv replaced, kept as the oracle for its one-pass parse."""
+    with open(path, encoding="utf-8") as fh:
+        rows = list(csv.reader(io.StringIO(fh.read())))
+    if not rows:
+        raise DomainError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    width = len(header)
+    body = rows[1:]
+    if not body:
+        raise DomainError(f"{path}: no data rows")
+    for line_no, row in enumerate(body, start=2):
+        if len(row) != width:
+            raise DomainError(f"{path}: line {line_no} has {len(row)} fields, expected {width}")
+
+    def numeric(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+
+    na_markers = ("", "NA", "NaN", "nan")
+    start_col = 0
+    first_cells = [row[0].strip() for row in body]
+    if (
+        width > 1
+        and all(numeric(c) is None for c in first_cells)
+        and not any(c in na_markers for c in first_cells)
+    ):
+        notices.append(f"dropped non-numeric leading column {header[0]!r}")
+        start_col = 1
+
+    bad = []
+    values = np.empty((len(body), width - start_col))
+    for i, row in enumerate(body):
+        for j in range(start_col, width):
+            cell = row[j].strip()
+            v = numeric(cell) if cell not in na_markers else None
+            if v is None or not np.isfinite(v):
+                bad.append(f"row {i + 2}, column {header[j]!r}: {row[j]!r}")
+            else:
+                values[i, j - start_col] = v
+    if bad:
+        listed = "; ".join(bad[:20])
+        raise DomainError(f"{path}: missing or non-numeric cells: {listed}")
+    constant = [repr(name) for name, col in zip(header[start_col:], values.T) if np.ptp(col) == 0]
+    if len(values) > 1 and constant:
+        raise DomainError(f"{path}: constant columns: {', '.join(constant)}")
+    return Dataset(names=tuple(header[start_col:]), values=values)
+
+
+def _parse_outcome(parser, path):
+    notices = []
+    try:
+        ds = parser(path, notices)
+    except DomainError as exc:
+        return "error", str(exc)
+    return ds.names, ds.values.shape, ds.values.tobytes(), notices
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_pad = st.sampled_from(["", " ", "\t", "\x1c"])
+_good_cells = st.one_of(
+    st.builds("{}{}{}".format, _pad, st.one_of(
+        _finite.map(repr),
+        _finite.map("{:e}".format),
+        _finite.map("{:_f}".format),
+        st.integers(-10**9, 10**9).map("{:_}".format),
+    ), _pad),
+    st.sampled_from(["1", "2", "0.5"]),  # few distinct values, so constant columns occur
+)
+_bad_cells = st.sampled_from(["", "NA", "NaN", "nan", "inf", "-inf", "1e400", "abc", "0x10", " NA "])
+_labels = st.sampled_from(["2020-01-01", "2020-01-02", "Q1", "jan", "", "NA", "1"])
+
+
+@st.composite
+def _csv_files(draw):
+    n, width = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    cells = draw(st.sampled_from([_good_cells, st.one_of(_good_cells, _bad_cells)]))
+    rows = [draw(st.lists(cells, min_size=width, max_size=width)) for _ in range(n)]
+    header = [draw(st.sampled_from(["x", " y ", "z", "x"])) for _ in range(width)]
+    if draw(st.booleans()):
+        header.insert(0, "date")
+        rows = [[draw(_labels)] + row for row in rows]
+    buf = io.StringIO()
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    csv.writer(buf, quoting=quoting, lineterminator="\n").writerows([header] + rows)
+    return buf.getvalue()
+
+
+class TestIngestCsvOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_files())
+    def test_matches_the_cell_by_cell_parser(self, text):
+        """Equal names, notices and bits, or the same DomainError, as the per-cell loop."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert _parse_outcome(ingest_csv, path) == _parse_outcome(_reference_ingest, path)
 
 
 class TestCommands:
@@ -330,6 +451,42 @@ class TestCommands:
         assert rc == 2, err
         assert message in err and err.startswith("error (input)")
         assert not (tmp_path / "cv.tbl").exists()
+
+    @pytest.mark.parametrize("first, second, first_rc", [
+        (["ci", "--q", "1", "--coef", "0,0", "--grid-step", "0.05", "--build-table",
+          "--reps", "1000", "--steps", "100", "--seed", "3"],
+         ["ci", "--q", "1", "--coef", "0,0", "--grid-step", "0.05"], 0),
+        (["fit", "--q", "1", "--rho", "0.8"], ["fit", "--q", "1", "--half-life", "12"], 0),
+        (["fit", "--q", "1", "--half-life", "12"], ["fit", "--q", "1", "--rho", "0.8"], 0),
+        (["lr", "--q", "1", "--lambda0", "0.5", "--coef", "x"],
+         ["lr", "--q", "1", "--lambda0", "0.98"], "exit 2"),
+    ], ids=["ci --build-table, ci", "fit --rho, fit --half-life", "fit --half-life, fit --rho",
+            "rejected argv, lr"])
+    def test_parser_built_once_keeps_no_state(self, tmp_path, capsys, first, second, first_rc):
+        """Each command reads the same through the cached parser as through a new one."""
+        data, table = tmp_path / "p2.csv", tmp_path / "cv.tbl"
+        write_csv(data, ["x", "y"], np.cumsum(np.random.default_rng(1).normal(size=(100, 2)), axis=0))
+        extra = ["--data", str(data), "--k", "1"] + (["--table", str(table)] if first[0] == "ci" else [])
+
+        def run(argv):
+            try:
+                rc = main(argv + extra)
+            except SystemExit as exc:
+                rc = f"exit {exc.code}"
+            out = capsys.readouterr()
+            return rc, out.out, out.err
+
+        build_parser.cache_clear()
+        reused = [run(first), run(second)]
+        assert build_parser.cache_info().hits >= 1
+        fresh = []
+        for argv in (first, second):
+            if "--build-table" in argv:
+                table.unlink()
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert [rc for rc, _, _ in reused] == [first_rc, 0]
 
     def test_separation_error_exit_code(self, tmp_path, capsys):
         # conjugate roots far from both regions: classification fails
