@@ -88,7 +88,7 @@ def ingest_csv(path: str, notices: Optional[list] = None) -> Dataset:
     ones assumed to load on the near-unit directions.
     """
     notices = notices if notices is not None else []
-    rows = list(csv.reader(io.StringIO(_read_text(path).removeprefix("\ufeff"))))
+    rows = list(csv.reader(io.StringIO(_read_text(path))))
     if not rows:
         raise DomainError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]

@@ -16,7 +16,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import linear_sum_assignment
 
 from .exceptions import ConstructionError, DomainError, NumericalError
 from .spectral import VarCoefficients, companion, constraint_matrices, roots
@@ -116,6 +115,7 @@ def _match_roots(found: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.
     Returns (matched roots, remaining roots), using an optimal
     assignment so conjugate pairs cannot be double-counted.
     """
+    from scipy.optimize import linear_sum_assignment
     cost = np.abs(found[None, :] - target[:, None])
     rows, cols = linear_sum_assignment(cost)
     matched = found[cols[np.argsort(rows)]]

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import gammaincinv
 
 from .exceptions import DomainError, NumericalError, QcvarError, TableCoverageError
 from .likelihood import (
@@ -66,7 +64,8 @@ SCAN_POINTS = 21
 
 
 def chi2_quantile(level: float) -> float:
-    """Chi-square(1) quantile, as ``scipy.stats.chi2.ppf`` computes it, minus a slow import."""
+    """Chi-square(1) quantile, as ``scipy.stats.chi2.ppf`` computes it, from ``scipy.special``."""
+    from scipy.special import gammaincinv
     return float(2.0 * gammaincinv(0.5, level))
 
 
@@ -311,6 +310,7 @@ def ci_coefficient_given_lambda(
             lr = lr_coefficient(a0, i, j, lambda0, data, k, det, design=dz, fit_at_lambda0=fit_u)
             return lr.value - threshold
 
+    from scipy.optimize import brentq, minimize_scalar
     # curvature scale: LR ~ ((a0 - center) / se)^2 near the optimum
     h = 1e-4 * (1.0 + abs(center))
     curv = (g(center + h) + threshold + g(center - h) + threshold) / (2.0 * h * h)

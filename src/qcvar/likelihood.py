@@ -24,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.optimize import minimize, minimize_scalar
 
 from .exceptions import (
     ConditionWarning,
@@ -458,6 +457,7 @@ def profile_a(
             converged = True
             raise StopIteration
 
+    from scipy.optimize import minimize
     try:
         res = minimize(objective, base[mask], method="trust-exact", jac=True, hess=hessian,
                        callback=stop_at_rounding, options={"gtol": 0.0, "maxiter": 100})
@@ -814,6 +814,7 @@ def profile_lambda(
         step, eye = lambda_space.resolved_eig_step, np.eye(lambda_space.q)
         lo = max(lambda_space.rho, float(best_lam[0, 0]) - step)
         hi = min(1.0, float(best_lam[0, 0]) + step)
+        from scipy.optimize import minimize_scalar
         try:
             res = minimize_scalar(lambda lam: block_lr(lam * eye)[0], bounds=(lo, hi),
                                   method="bounded", options={"xatol": 1e-8})

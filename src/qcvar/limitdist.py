@@ -315,9 +315,9 @@ def save_table(table: QuantileTable, path: str) -> None:
 
 
 def _read_text(path: str) -> str:
-    """The text of the file at ``path``; bytes that are not UTF-8 are a :class:`DomainError`."""
+    """The text of the file at ``path`` less a leading BOM; non-UTF-8 bytes are a DomainError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path} is not UTF-8 text: {exc}") from None

@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +202,52 @@ class TestIngestCsvOracle:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             assert _parse_outcome(ingest_csv, path) == _parse_outcome(_reference_ingest, path)
+
+
+class TestByteOrderMark:
+    """The coefficient JSON and table readers ignore a leading U+FEFF, as a spreadsheet or Notepad
+    may write it; the CSV reader's case is ``TestIngestCsv::test_byte_order_mark_is_ignored``."""
+
+    @staticmethod
+    def _read_both_ways(path, text, read):
+        """``read(path)`` with ``text`` written to ``path`` without, then with, a leading BOM."""
+        results = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path.write_text(text, encoding=encoding)
+            results.append(read(str(path)))
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        return results
+
+    @pytest.mark.parametrize("argv", [
+        ["roots", "--rho", "0.9"],
+        ["irf", "--q", "1", "--horizon", "5"],
+        ["simulate", "--n", "4", "--seed", "9", "--format", "csv"],
+    ])
+    def test_coefficient_json(self, tmp_path, capsys, argv):
+        def run(path):
+            assert main(argv[:1] + ["--coeffs", path] + argv[1:]) == 0
+            return capsys.readouterr().out
+
+        text = json.dumps({"phi": [[[0.5, 0.0], [0.0, 0.95]]]})
+        plain, marked = self._read_both_ways(tmp_path / "c.json", text, run)
+        assert plain == marked
+
+    @pytest.mark.parametrize("comment", [True, False])
+    def test_table(self, tmp_path, comment):
+        # without its comment line the file's first line is version=1, which the mark would hide
+        table = QuantileTable(q=1, det="trend", steps=100, reps=200, seed=3, levels=(0.9, 0.95),
+                              entries=(TableEntry(c=np.array([[-5.0]]), quantiles=(2.5, 3.75),
+                                                  se=(0.01, 0.02), redrawn=0),))
+        saved = str(tmp_path / "saved.tbl")
+        save_table(table, saved)
+        text = open(saved).read()
+
+        def resave(path):
+            save_table(load_table(path), saved)
+            return open(saved).read()
+
+        body = text if comment else text.split("\n", 1)[1]
+        assert self._read_both_ways(tmp_path / "cv.tbl", body, resave) == [text, text]
 
 
 class TestCommands:
@@ -692,3 +741,45 @@ class TestSharedInference:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("error (numerical): every grid point failed (21 points)")
+
+
+class TestStartUpImports:
+    """A command imports scipy.optimize and scipy.special only when it solves with them: together
+    they are about a third of a shell command's start-up."""
+
+    LAZY = ("scipy.optimize", "scipy.special")
+
+    def _loaded(self, argv=None):
+        """Which of LAZY a fresh interpreter holds after importing qcvar and qcvar.cli, and after
+        ``main(argv)`` when argv is given."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import json, sys, qcvar, qcvar.cli\n"
+        if argv is not None:
+            code += f"assert qcvar.cli.main({argv!r}) == 0\n"
+        code += f"print(json.dumps([m for m in {self.LAZY!r} if m in sys.modules]))\n"
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, check=True)
+        return set(json.loads(out.stdout.strip().splitlines()[-1]))
+
+    def test_import_loads_neither(self):
+        assert self._loaded() == set()
+
+    def test_roots_loads_neither(self, sample_csv):
+        assert self._loaded(["roots", "--data", sample_csv, "--k", "1"]) == set()
+
+    def test_scalar_block_lr_loads_no_optimizer(self, sample_csv):
+        argv = ["lr", "--data", sample_csv, "--k", "1", "--q", "1", "--lambda0", "0.975",
+                "--coef", "0,0", "--a0", "1.0"]
+        assert "scipy.optimize" not in self._loaded(argv)
+
+    def test_q1_ci_loads_only_the_chi_square_quantile(self, q1_inputs, tmp_path):
+        data_path, _, table_path = q1_inputs
+        argv = _ci_argv(data_path, table_path) + ["--output", str(tmp_path / "ci.txt")]
+        assert self._loaded(argv) == {"scipy.special"}
+
+    def test_fit_polish_loads_both(self, sample_csv):
+        # fit's lambda polish calls minimize_scalar: the guard above is live
+        argv = ["fit", "--data", sample_csv, "--k", "1", "--q", "1", "--rho", "0.9",
+                "--grid-step", "0.02"]
+        assert self._loaded(argv) == set(self.LAZY)

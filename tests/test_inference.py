@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, null_space
@@ -786,7 +787,7 @@ class TestCiCoefficient:
         q = 2 if system.endswith("q2") else 1
         calls = {"_partialled_moments": 0, "restricted_fit": 0, "minimize": 0, "lr_coefficient": 0}
         for name in calls:
-            module = inference if name == "lr_coefficient" else likelihood
+            module = {"lr_coefficient": inference, "minimize": scipy.optimize}.get(name, likelihood)
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
@@ -222,15 +223,17 @@ class TestProfileA:
 
 
 def _count_calls(monkeypatch, name):
-    """Wrap ``likelihood.<name>`` so that each call is counted."""
+    """Wrap ``likelihood.<name>`` so that each call is counted; ``"minimize"`` is
+    ``scipy.optimize.minimize``, which likelihood imports where it calls it."""
     calls = []
-    original = getattr(likelihood, name)
+    module = scipy.optimize if name == "minimize" else likelihood
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(likelihood, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -357,7 +360,7 @@ class TestProfileADispatch:
         def broken(*args, **kwargs):
             raise UnboundLocalError("cannot access local variable 'p'")
 
-        monkeypatch.setattr(likelihood, "minimize", broken)
+        monkeypatch.setattr("scipy.optimize.minimize", broken)
         y = _oracle_data(4, 2, 2)
         with pytest.raises(NumericalError, match=r"lam0 = \[\[0.985, 0.02\], \[-0.01, 0.96\]\], "
                            r"fixed entry \(0, 1, -5600000000000000.0\).*UnboundLocalError"):
