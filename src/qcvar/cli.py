@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -700,6 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    format_warning = warnings.formatwarning  # a shown warning reads as its message alone
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except TableCoverageError as exc:
@@ -714,6 +717,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except QcvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ partialled moments, at every ``lam0``: the argmax is the top r eigenvectors
 of :func:`_known_vector_moments`, or with an entry of ``a`` fixed Johansen's
 restricted basis, by the switching algorithm (exact in one sweep when q or
 r = p - q is 1).  For non-scalar blocks a Newton search over ``a`` runs on
-the Wald form of the restricted loglik, which needs no fit per step;
-:func:`restricted_fit` reports its result.
+the Wald form of the restricted loglik, with its analytic gradient and
+Hessian, which needs no fit per step; :func:`restricted_fit` reports its
+result.
 """
 
 from __future__ import annotations
@@ -137,6 +138,7 @@ class Design:
         self.WtW = W.T @ W
         self.WtY = W.T @ Y
         self.YtY = Y.T @ Y
+        self._moments = {}  # _known_vector_moments by float(lambda0)
         cond = np.linalg.cond(self.WtW)
         if np.isfinite(cond) and cond < 1e12:
             self.Q = np.linalg.inv(self.WtW)
@@ -334,33 +336,48 @@ def _init_a(lam0: np.ndarray, data, k, det, dz: Design) -> np.ndarray:
 
 
 def _wald_form(lam0: np.ndarray, dz: Design):
-    """The search objective ``f(a) = 2 (loglik_ols - restricted_fit(a).loglik)`` and its gradient.
+    """The search objective ``f(a) = 2 (loglik_ols - restricted_fit(a).loglik)``, with its analytic
+    gradient and Hessian.
 
     The constraint ``Phi M = N`` is linear in Phi, so under the fixed OLS weight Sigma ``f`` is the
-    Wald form ``tr(Sigma^-1 g G^-1 g')`` exactly, with ``g = Phi_hat M - N`` and ``G = M'HM`` (H the
-    lag block of ``dz.Q``).  With ``P = Sigma^-1 g G^-1``, ``X = G^-1 g'P`` and ``J = HMX``, its
-    gradient is ``2 E'[sum_i (Phi_hat_i'P - J_i)(lam0^(k-i))' - P (lam0^k)']``, E the first r
-    columns of I_p.  Returns ``value_and_grad(a) -> (f, r x q gradient)``.
+    Wald form ``tr(Sigma^-1 g K g')`` exactly, with ``g = Phi_hat M - N`` and ``K = G^-1``,
+    ``G = M'HM`` (H the lag block of ``dz.Q``).  M and N are affine in a; with their constant
+    derivatives ``M_e, N_e`` in an entry a_e, ``g_e = Phi_hat M_e - N_e``,
+    ``G_e = M_e'HM + M'HM_e``, ``G_ef = M_e'HM_f + M_f'HM_e`` and ``X = K g'Sigma^-1 g K``, the
+    gradient is ``2 tr(Sigma^-1 g_e K g') - tr(G_e X)`` and the Hessian ``2 tr(Sigma^-1 g_e K g_f')
+    - 2 tr(Sigma^-1 g_e K G_f K g') - 2 tr(Sigma^-1 g_f K G_e K g') + 2 tr(G_f K G_e X)
+    - tr(G_ef X)``, one einsum a term over all entries.  Returns ``evaluate(a) -> (f, gradient,
+    Hessian)``, shaped as a, a and a x a.
     """
     k, p, q = dz.k, dz.p, lam0.shape[0]
     phi = dz.theta_ols[:, dz.n_det:]
     H = dz.Q[dz.n_det:, dz.n_det:]
-    powers = [np.linalg.matrix_power(lam0, j).T for j in range(k + 1)]
+    _, M0, N0 = constraint_matrices(np.zeros((p - q, q)), lam0, k)
+    units = [constraint_matrices(u, lam0, k) for u in np.eye((p - q) * q)]
+    Ms = np.array([M for _, M, _ in units]) - M0  # M_e, e over the entries of a, row-major
+    gs = phi @ Ms - (np.array([N for *_, N in units]) - N0)
+    gSg = np.einsum("epa,pr,frb->efab", gs, dz.solve_weight(np.eye(p)), gs)  # g_e'Sigma^-1 g_f
+    MHM = np.einsum("eka,fkb->efab", Ms, H @ Ms)  # M_e'HM_f; G_ef is it plus its transpose
 
-    def value_and_grad(a: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         _, M, N = constraint_matrices(a, lam0, k)
         g = phi @ M - N
         HM = H @ M
         try:
-            G_inv = np.linalg.inv(M.T @ HM)
+            K = np.linalg.inv(M.T @ HM)
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError("restricted design is singular at this (a, lam0)") from exc
-        P = dz.solve_weight(g) @ G_inv
-        B = phi.T @ P - HM @ (G_inv @ (g.T @ P))  # row block i: Phi_hat_i'P - J_i
-        D = sum(B[(i - 1) * p: i * p] @ powers[k - i] for i in range(1, k + 1)) - P @ powers[k]
-        return float(np.sum(P * g)), 2.0 * D[: p - q]
+        P = dz.solve_weight(g) @ K
+        X = K @ g.T @ P
+        Gs = HM.T @ Ms + Ms.transpose(0, 2, 1) @ HM  # G_e
+        grad = 2.0 * np.einsum("pa,epa->e", P, gs) - np.einsum("eab,ba->e", Gs, X)
+        cross = np.einsum("eab,fba->ef", P.T @ gs @ K, Gs)  # tr(Sigma^-1 g_e K G_f K g')
+        # the Hessian is this plus its transpose
+        half = (np.einsum("efab,ba->ef", gSg, K) + np.einsum("fab,eba->ef", Gs @ K, Gs @ X)
+                - np.einsum("efab,ba->ef", MHM, X) - 2.0 * cross)
+        return float(np.sum(P * g)), grad.reshape(a.shape), (half + half.T).reshape(a.shape * 2)
 
-    return value_and_grad
+    return evaluate
 
 
 def profile_a(
@@ -385,7 +402,7 @@ def profile_a(
     unused.  For a non-scalar block a trust-region Newton search from
     ``init`` (default: the OLS split) minimises the Wald form of
     :func:`_wald_form` over the free entries of a, with its analytic
-    gradient and a central-difference Hessian of that gradient; a failure
+    gradient and Hessian, evaluated once per point the search visits; a failure
     inside it that is not a :class:`QcvarError` is a :class:`NumericalError`.  Its
     status is ``converged`` once the Newton decrement falls to the rounding
     of the objective and ``max-iter`` if it stops before that, unless
@@ -423,44 +440,36 @@ def profile_a(
         mask[i, j] = False
         base[i, j] = a0
 
-    value_and_grad = _wald_form(lam0, dz)
+    evaluate = _wald_form(lam0, dz)
+    points = {}  # f, gradient and Hessian on the free entries, by the bytes of each point
 
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        a = base.copy()
-        a[mask] = x
-        f, grad = value_and_grad(a)
-        return f, grad[mask]
-
-    hessians = {}  # by the bytes of each point the search visited
-
-    def hessian(x: np.ndarray) -> np.ndarray:
-        h = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
-        hess = np.column_stack([(objective(x + e)[1] - objective(x - e)[1]) / (2.0 * h_j)
-                                for h_j, e in zip(h, np.diag(h))])
-        hessians[x.tobytes()] = hess = 0.5 * (hess + hess.T)
-        return hess
+    def at(x: np.ndarray) -> tuple:
+        if x.tobytes() not in points:
+            a = base.copy()
+            a[mask] = x
+            f, grad, hess = evaluate(a)
+            points[x.tobytes()] = f, grad[mask], hess[mask][:, mask]
+        return points[x.tobytes()]
 
     converged = False
 
     def stop_at_rounding(intermediate_result) -> None:
         nonlocal converged
-        x, f = intermediate_result.x, intermediate_result.fun
-        if x.tobytes() not in hessians:
-            return
-        grad = objective(x)[1]
+        _, grad, hess = at(intermediate_result.x)
         try:
-            decrement = grad @ cho_solve(cho_factor(hessians[x.tobytes()]), grad)
+            decrement = grad @ cho_solve(cho_factor(hess), grad)
         except (np.linalg.LinAlgError, ValueError):
             return  # not yet in a convex region, or not finite
         # the Newton step's predicted gain, decrement / 2, is below the objective's rounding
-        if decrement <= 64 * np.finfo(float).eps * max(1.0, abs(f)):
+        if decrement <= 64 * np.finfo(float).eps * max(1.0, abs(intermediate_result.fun)):
             converged = True
             raise StopIteration
 
     from scipy.optimize import minimize
     try:
-        res = minimize(objective, base[mask], method="trust-exact", jac=True, hess=hessian,
-                       callback=stop_at_rounding, options={"gtol": 0.0, "maxiter": 100})
+        res = minimize(lambda x: at(x)[:2], base[mask], method="trust-exact", jac=True,
+                       hess=lambda x: at(x)[2], callback=stop_at_rounding,
+                       options={"gtol": 0.0, "maxiter": 100})
     except QcvarError:
         raise
     except Exception as exc:  # scipy's own failures, e.g. far from the optimum
@@ -534,10 +543,15 @@ def _known_vector_moments(lambda0: float, dz: Design) -> tuple[np.ndarray, np.nd
     With ``A = S10 Sigma^-1 S01`` (``Sigma`` the OLS weight), the fixed-weight loglik at a basis
     ``beta`` is a constant plus ``(n_eff/2) tr[(beta'S11 beta)^-1 beta'A beta]``.  Its maximum over
     rank-r bases is the sum of the top r eigenvalues of (A, S11), at r = p (OLS) of all; under
-    ``a[i, j] = a0`` it is at :func:`_restricted_basis`.  An LR is n_eff times a difference."""
-    *_, S01, S11 = _partialled_moments(lambda0, dz)
-    A = S01.T @ dz.solve_weight(S01)
-    return 0.5 * (A + A.T), S11
+    ``a[i, j] = a0`` it is at :func:`_restricted_basis`.  An LR is n_eff times a difference.  The
+    pair is kept in ``dz._moments``, read-only, so the statistics of one design build it once."""
+    lambda0 = float(lambda0)
+    if lambda0 not in dz._moments:
+        *_, S01, S11 = _partialled_moments(lambda0, dz)
+        A = S01.T @ dz.solve_weight(S01)
+        A, S11 = dz._moments[lambda0] = 0.5 * (A + A.T), S11
+        A.flags.writeable = S11.flags.writeable = False
+    return dz._moments[lambda0]
 
 
 def _restricted_basis(A: np.ndarray, S11: np.ndarray, i: int, j: int, a0: float, r: int):

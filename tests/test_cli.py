@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcvar.likelihood as likelihood
 import qcvar.limitdist as limitdist
 from conftest import make_instance
 from test_inference import _rayleigh_curve
@@ -646,6 +648,20 @@ class TestSharedInference:
         assert "alpha1 + alpha2" in capsys.readouterr().err
         assert not new_table.exists()
 
+    def test_lr_coef_builds_the_moments_once(self, sample_csv, monkeypatch):
+        # the block LR and the coefficient LR at one scalar block share the design's moments
+        calls = []
+        original = likelihood._partialled_moments
+
+        def counted(lambda0, dz):
+            calls.append(lambda0)
+            return original(lambda0, dz)
+
+        monkeypatch.setattr(likelihood, "_partialled_moments", counted)
+        rc = main(["lr", "--data", sample_csv, "--k", "1", "--q", "1", "--lambda0", "0.975",
+                   "--coef", "0,0", "--a0", "1.0"])
+        assert rc == 0 and calls == [0.975]
+
     def test_lr_nonscalar_lambda0_uses_shared_localisation(self, tmp_path):
         n = 200
         y, _ = simulate(DgpSpec.simple(make_instance(3, p=3, k=1, q=2), n), 1)
@@ -741,6 +757,36 @@ class TestSharedInference:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("error (numerical): every grid point failed (21 points)")
+
+
+class TestWarningText:
+    """A warning raised while a command runs reaches stderr as ``warning: <message>``, without the
+    source path and line of Python's default format."""
+
+    def _identical_walks(self, tmp_path):
+        # identical series leave the regressor moment matrix ill conditioned
+        walk = np.cumsum(np.random.default_rng(0).normal(size=200))
+        data_path = tmp_path / "y.csv"
+        write_csv(data_path, ["a", "b"], np.column_stack([walk, walk]))
+        return ["fit", "--data", str(data_path), "--k", "1", "--q", "1"]
+
+    def test_warning_shows_its_message_alone(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "qcvar.cli"] + self._identical_walks(tmp_path),
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert lines[0].startswith("warning: regressor moment matrix is ill conditioned")
+        assert ".py:" not in proc.stderr
+        assert all(line.startswith(("warning: ", "error ")) for line in lines), proc.stderr
+
+    def test_callers_own_handling_is_kept(self, tmp_path, capsys):
+        before = warnings.formatwarning
+        with pytest.warns(UserWarning, match="ill conditioned"):
+            assert main(self._identical_walks(tmp_path)) == 3
+        assert warnings.formatwarning is before
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestStartUpImports:

@@ -826,6 +826,26 @@ class TestBonferroni:
             for lo, hi in cond.intervals:
                 assert bset.contains(lo + 1e-9) and bset.contains(hi - 1e-9)
 
+    def test_moments_built_once_per_node(self, small_table, monkeypatch):
+        # an accepted node's conditional set reads the moments its block LR built
+        y, _ = sim_local(13)
+        grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.02)
+        calls = []
+        original = likelihood._partialled_moments
+
+        def counted(lambda0, dz):
+            calls.append(lambda0)
+            return original(lambda0, dz)
+
+        monkeypatch.setattr(likelihood, "_partialled_moments", counted)
+        dz = make_design(y, 1, "trend")
+        bset = bonferroni_ci(0.05, 0.05, 0, 0, y, 1, "trend", grid, small_table, design=dz)
+        assert bset.accepted
+        assert calls == [float(lam[0, 0]) for lam in grid.points()]
+        A, S11 = likelihood._known_vector_moments(bset.accepted[0][0][0, 0], dz)
+        assert len(calls) == len(grid.points())  # served from the design, read-only
+        assert not (A.flags.writeable or S11.flags.writeable)
+
     def test_empty_block_set_falls_back_with_warning(self):
         y, _ = sim_local(14)
         # absurd table whose critical values are all zero rejects everything

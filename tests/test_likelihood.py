@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -494,16 +495,135 @@ class TestWaldForm:
         for det in DET_CASES:
             dz = make_design(y, k, det)
             for lam0 in _NON_SCALAR_BLOCKS + (0.97 * np.eye(2),):
-                value_and_grad = likelihood._wald_form(lam0, dz)
+                evaluate = likelihood._wald_form(lam0, dz)
                 for a in rng.normal(size=(3, 2, 2)):
-                    f, grad = value_and_grad(a)
+                    f, grad, hess = evaluate(a)
                     fit = restricted_fit(a, lam0, y, k, det, design=dz)
                     assert dz.loglik_ols - f / 2 == pytest.approx(fit.loglik, rel=1e-10, abs=0)
                     h = 1e-6
                     steps = h * np.eye(a.size).reshape(a.size, *a.shape)
-                    central = [(value_and_grad(a + e)[0] - value_and_grad(a - e)[0]) / (2 * h)
-                               for e in steps]
+                    central = [(evaluate(a + e)[0] - evaluate(a - e)[0]) / (2 * h) for e in steps]
                     np.testing.assert_allclose(grad.ravel(), central, rtol=1e-6, atol=1e-9 * f)
+                    # the Hessian against central differences of the analytic gradient
+                    h = 1e-5
+                    central = np.array([(evaluate(a + e)[1] - evaluate(a - e)[1]).ravel() / (2 * h)
+                                        for e in h * np.eye(a.size).reshape(a.size, *a.shape)])
+                    np.testing.assert_allclose(hess.reshape(a.size, a.size), central, rtol=1e-6)
+                    # with a[i, j] fixed the search's Hessian is the sub-Hessian of the others
+                    i, j = rng.integers(2, size=2)
+                    free = np.ones(a.shape, dtype=bool)
+                    free[i, j] = False
+                    steps = h * np.eye(a.size)[free.ravel()].reshape(-1, *a.shape)
+                    central = np.array([(evaluate(a + e)[1] - evaluate(a - e)[1])[free] / (2 * h)
+                                        for e in steps])
+                    np.testing.assert_allclose(hess[free][:, free], central, rtol=1e-6)
+
+    def test_search_evaluates_no_point_twice(self, monkeypatch):
+        points = []
+        original = likelihood._wald_form
+
+        def recorded(lam0, dz):
+            evaluate = original(lam0, dz)
+
+            def at(a):
+                points.append(a.tobytes())
+                return evaluate(a)
+
+            return at
+
+        monkeypatch.setattr(likelihood, "_wald_form", recorded)
+        y = _oracle_data(4, 2, 2)
+        lam0 = _NON_SCALAR_BLOCKS[1]
+        free = profile_a(lam0, y, 2, "trend")
+        assert len(points) > 2 and len(set(points)) == len(points)
+        points.clear()
+        profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, float(free.a_hat[0, 1]) + 0.1))
+        assert len(points) > 2 and len(set(points)) == len(points)
+
+
+def _fd_search(lam0, y, k, det, dz, init, fixed_entry=None):
+    """The non-scalar profile search with a central-difference Hessian of the analytic gradient,
+    as :func:`profile_a` ran it before its Hessian was analytic: trust-exact from ``init``,
+    stopped once the Newton decrement falls to the rounding of the objective."""
+    r, q = init.shape
+    mask, base = np.ones((r, q), dtype=bool), init.copy()
+    if fixed_entry is not None:
+        i, j, a0 = fixed_entry
+        mask[i, j], base[i, j] = False, a0
+    evaluate = likelihood._wald_form(lam0, dz)
+
+    def objective(x):
+        a = base.copy()
+        a[mask] = x
+        f, grad = evaluate(a)[:2]
+        return f, grad[mask]
+
+    hessians = {}
+
+    def hessian(x):
+        h = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
+        hess = np.column_stack([(objective(x + e)[1] - objective(x - e)[1]) / (2.0 * h_j)
+                                for h_j, e in zip(h, np.diag(h))])
+        hessians[x.tobytes()] = hess = 0.5 * (hess + hess.T)
+        return hess
+
+    converged = False
+
+    def stop_at_rounding(intermediate_result):
+        nonlocal converged
+        x, f = intermediate_result.x, intermediate_result.fun
+        if x.tobytes() not in hessians:
+            return
+        grad = objective(x)[1]
+        try:
+            cho = scipy.linalg.cho_factor(hessians[x.tobytes()])
+            decrement = grad @ scipy.linalg.cho_solve(cho, grad)
+        except (np.linalg.LinAlgError, ValueError):
+            return
+        if decrement <= 64 * np.finfo(float).eps * max(1.0, abs(f)):
+            converged = True
+            raise StopIteration
+
+    res = minimize(objective, base[mask], method="trust-exact", jac=True, hess=hessian,
+                   callback=stop_at_rounding, options={"gtol": 0.0, "maxiter": 100})
+    a_hat = base.copy()
+    a_hat[mask] = res.x
+    fit = restricted_fit(a_hat, lam0, y, k, det, design=dz)
+    return fit.loglik, fit.status if fit.status != "converged" else (
+        "converged" if converged else "max-iter")
+
+
+def _random_block(rng, q, symmetric):
+    """A q x q block with distinct eigenvalues in [0.9, 1]: symmetric, or that plus a
+    perturbation of scale 0.02."""
+    rot, _ = np.linalg.qr(rng.normal(size=(q, q)))
+    lam0 = rot @ np.diag(rng.uniform(0.9, 1.0, size=q)) @ rot.T
+    return lam0 if symmetric else lam0 + 0.02 * rng.normal(size=(q, q))
+
+
+class TestSearchOracle:
+    """The analytic-Hessian search against a central-difference-Hessian search of the same Wald
+    form: a seeded sweep of 150 cases over p 3-5, q 2-3, k 1-3, every det, symmetric and
+    perturbed blocks, free and fixed entries."""
+
+    @pytest.mark.parametrize("p,q,k", [(p, q, k) for p in (3, 4, 5) for q in (2, 3) if q < p
+                                       for k in (1, 2, 3)])
+    def test_never_below_the_finite_difference_search(self, p, q, k):
+        y = _oracle_data(p, k, q)
+        rng = np.random.default_rng(100 * p + 10 * q + k)
+        for case in range(10):
+            det = DET_CASES[case % 3]
+            dz = make_design(y, k, det)
+            lam0 = _random_block(rng, q, symmetric=case % 2 == 0)
+            init = likelihood._init_a(lam0, y, k, det, dz)
+            fixed_entry = None
+            if case >= 4:
+                i, j = rng.integers(p - q), rng.integers(q)
+                fixed_entry = (int(i), int(j), float(init[i, j] + rng.normal(scale=0.3)))
+            fit = profile_a(lam0, y, k, det, design=dz, fixed_entry=fixed_entry)
+            loglik, status = _fd_search(lam0, y, k, det, dz, init, fixed_entry)
+            assert fit.status == status, (case, lam0.tolist(), fixed_entry)
+            assert fit.loglik >= loglik - 1e-10 * abs(loglik), (case, lam0.tolist(), fixed_entry)
 
 
 def _lag_one_rrr(lam0, y, k, det):
