@@ -10,10 +10,9 @@ the subspace coefficients ``a`` and every LR are eigenproblems in the
 partialled moments, at every ``lam0``: the argmax is the top r eigenvectors
 of :func:`_known_vector_moments`, or with an entry of ``a`` fixed Johansen's
 restricted basis, by the switching algorithm (exact in one sweep when q or
-r = p - q is 1).  For non-scalar blocks a Newton search over ``a`` runs on
-the Wald form of the restricted loglik, with its analytic gradient and
-Hessian, which needs no fit per step; :func:`restricted_fit` reports its
-result.
+r = p - q is 1).  For non-scalar blocks a damped Newton loop over ``a``
+minimises the Wald form of the restricted loglik, with its analytic gradient
+and Hessian, and :func:`restricted_fit` reports its result.
 """
 
 from __future__ import annotations
@@ -73,12 +72,12 @@ def _check_entry(i: int, j: int, a0: float, r: int, q: int) -> None:
 class FitResult:
     """Outcome of a (possibly restricted) VAR fit.
 
-    ``sigma`` is the residual second-moment matrix of this fit divided
-    by the effective sample size; ``loglik`` is the concentrated value,
-    always weighted by the unrestricted OLS variance estimator of the
-    same design.  ``det_coeffs`` holds the intercept/trend coefficients
-    in the original (unscaled) time parametrisation, one column per
-    deterministic term.
+    ``sigma`` is the residual second-moment matrix of this fit divided by the effective sample
+    size; ``loglik`` is the concentrated value, always weighted by the unrestricted OLS variance
+    estimator of the same design.  ``det_coeffs`` holds the intercept/trend coefficients in the
+    original (unscaled) time parametrisation, one column per deterministic term.
+    ``evaluations`` counts the Wald-form evaluations of a :func:`profile_a` search; it is None
+    on every closed-form path.
     """
 
     coeffs: VarCoefficients
@@ -90,6 +89,7 @@ class FitResult:
     n_eff: int
     constraint_residual: Optional[float] = None
     a_hat: Optional[np.ndarray] = None
+    evaluations: Optional[int] = None
 
 
 class Design:
@@ -325,16 +325,6 @@ def restricted_fit(
     )
 
 
-def _init_a(lam0: np.ndarray, data, k, det, dz: Design) -> np.ndarray:
-    """Starting value for the profile search over a."""
-    q = lam0.shape[0]
-    r = dz.p - q
-    try:
-        return split(ols_fit(data, k, det, design=dz).coeffs, q, warn_ill_conditioned=False).a
-    except QcvarError:
-        return np.zeros((r, q))
-
-
 def _wald_form(lam0: np.ndarray, dz: Design):
     """The search objective ``f(a) = 2 (loglik_ols - restricted_fit(a).loglik)``, with its analytic
     gradient and Hessian.
@@ -347,7 +337,7 @@ def _wald_form(lam0: np.ndarray, dz: Design):
     gradient is ``2 tr(Sigma^-1 g_e K g') - tr(G_e X)`` and the Hessian ``2 tr(Sigma^-1 g_e K g_f')
     - 2 tr(Sigma^-1 g_e K G_f K g') - 2 tr(Sigma^-1 g_f K G_e K g') + 2 tr(G_f K G_e X)
     - tr(G_ef X)``, one einsum a term over all entries.  Returns ``evaluate(a) -> (f, gradient,
-    Hessian)``, shaped as a, a and a x a.
+    Hessian)``, shaped as a, a and a x a: one call a step of :func:`profile_a`'s Newton loop.
     """
     k, p, q = dz.k, dz.p, lam0.shape[0]
     phi = dz.theta_ols[:, dz.n_det:]
@@ -392,22 +382,20 @@ def profile_a(
 ) -> FitResult:
     """Profile the concentrated loglikelihood over the subspace matrix a.
 
-    With ``fixed_entry=(i, j, a0)`` the (i, j) coordinate is frozen at
-    ``a0``, the restricted side of the coefficient LR test.  For a scalar
-    block ``lam0 * I_q`` the profile is :func:`restricted_fit` at the ``a``
-    of an eigenproblem that shares its argmax: the top r eigenvectors of
-    :func:`_known_vector_moments`, and with a fixed entry at p >= 3 the
-    switching algorithm of :func:`_restricted_basis` (one sweep at
-    min(q, r) = 1); at p = 2 the fixed entry is all of a.  ``init`` is then
-    unused.  For a non-scalar block a trust-region Newton search from
-    ``init`` (default: the OLS split) minimises the Wald form of
-    :func:`_wald_form` over the free entries of a, with its analytic
-    gradient and Hessian, evaluated once per point the search visits; a failure
-    inside it that is not a :class:`QcvarError` is a :class:`NumericalError`.  Its
-    status is ``converged`` once the Newton decrement falls to the rounding
-    of the objective and ``max-iter`` if it stops before that, unless
-    :func:`restricted_fit`, run once at the result, reports the constraint
-    infeasible there.
+    With ``fixed_entry=(i, j, a0)`` the (i, j) coordinate is frozen at ``a0``, the restricted side
+    of the coefficient LR test.  For a scalar block ``lam0 * I_q`` the profile is
+    :func:`restricted_fit` at the ``a`` of an eigenproblem that shares its argmax: the top r
+    eigenvectors of :func:`_known_vector_moments`, and with a fixed entry at p >= 3 the switching
+    algorithm of :func:`_restricted_basis` (one sweep at min(q, r) = 1); at p = 2 the fixed entry
+    is all of a.  ``init`` is then unused.  For a non-scalar block a damped Newton loop (Nocedal &
+    Wright 2006, ch. 3) from ``init`` (default: the OLS split) minimises the Wald form of
+    :func:`_wald_form` over the free entries of a, one evaluation a point: the step of
+    :func:`_newton_step`, halved until ``f(x + t s) <= f(x) - 1e-4 t decrement`` (Armijo).  Its
+    status is ``converged`` once the unshifted decrement is at most ``64 eps max(1, |f|)``, the
+    objective's rounding, and ``max-iter`` after 100 steps or when no backtracked step lowers f,
+    unless :func:`restricted_fit` at the result reports the constraint infeasible.  A non-finite
+    f, gradient or Hessian, or a non-:class:`QcvarError` failure in the loop, is a
+    :class:`NumericalError`, and an ``init`` of another size than r x q a :class:`DomainError`.
     """
     dz = _as_design(data, k, det, design)
     lam0 = np.atleast_2d(np.asarray(lam0, dtype=float))
@@ -430,56 +418,68 @@ def profile_a(
                      else _fixed_entry_a(A, S11, i, j, a0, r)[0])
         return restricted_fit(a_hat, lam0, data, k, det, design=dz)
 
-    a_start = np.asarray(init, dtype=float).reshape(r, q) if init is not None else _init_a(
-        lam0, data, k, det, dz
-    )
-
-    mask = np.ones((r, q), dtype=bool)
-    base = a_start.copy()
+    if init is None:
+        try:
+            init = split(ols_fit(data, k, det, design=dz).coeffs, q, warn_ill_conditioned=False).a
+        except QcvarError:
+            init = np.zeros((r, q))
+    elif np.size(init) != r * q:
+        raise DomainError(f"init must be the ({r}, {q}) matrix a, got shape {np.shape(init)}")
+    base, mask = np.array(init, dtype=float).reshape(r, q), np.ones((r, q), dtype=bool)
     if fixed_entry is not None:
-        mask[i, j] = False
-        base[i, j] = a0
+        mask[i, j], base[i, j] = False, a0
 
     evaluate = _wald_form(lam0, dz)
-    points = {}  # f, gradient and Hessian on the free entries, by the bytes of each point
+    where = f"search at lam0 = {lam0.tolist()}, fixed entry {fixed_entry}"
 
     def at(x: np.ndarray) -> tuple:
-        if x.tobytes() not in points:
-            a = base.copy()
-            a[mask] = x
-            f, grad, hess = evaluate(a)
-            points[x.tobytes()] = f, grad[mask], hess[mask][:, mask]
-        return points[x.tobytes()]
+        a = base.copy()
+        a[mask] = x
+        f, grad, hess = evaluate(a)
+        out = f, grad[mask], hess[mask][:, mask]
+        if not all(np.isfinite(v).all() for v in out):
+            raise NumericalError(f"{where}: the Wald form is not finite at a = {a.tolist()}")
+        return out
 
-    converged = False
-
-    def stop_at_rounding(intermediate_result) -> None:
-        nonlocal converged
-        _, grad, hess = at(intermediate_result.x)
-        try:
-            decrement = grad @ cho_solve(cho_factor(hess), grad)
-        except (np.linalg.LinAlgError, ValueError):
-            return  # not yet in a convex region, or not finite
-        # the Newton step's predicted gain, decrement / 2, is below the objective's rounding
-        if decrement <= 64 * np.finfo(float).eps * max(1.0, abs(intermediate_result.fun)):
-            converged = True
-            raise StopIteration
-
-    from scipy.optimize import minimize
+    x, status, evaluations = base[mask], "max-iter", 1
     try:
-        res = minimize(lambda x: at(x)[:2], base[mask], method="trust-exact", jac=True,
-                       hess=lambda x: at(x)[2], callback=stop_at_rounding,
-                       options={"gtol": 0.0, "maxiter": 100})
+        f, grad, hess = at(x)
+        for _ in range(100):
+            step, decrement, mu = _newton_step(grad, hess)
+            # the Newton step's predicted gain, decrement / 2, is below the objective's rounding
+            if mu == 0.0 and decrement <= 64 * np.finfo(float).eps * max(1.0, abs(f)):
+                status = "converged"
+                break
+            t = 1.0
+            while not np.array_equal(x + t * step, x):  # Armijo backtracking
+                evaluations += 1
+                f_t, grad_t, hess_t = at(x + t * step)
+                if f_t <= f - 1e-4 * t * decrement:
+                    break
+                t /= 2.0
+            else:
+                break  # no backtracked step lowers f
+            x, f, grad, hess = x + t * step, f_t, grad_t, hess_t
     except QcvarError:
         raise
-    except Exception as exc:  # scipy's own failures, e.g. far from the optimum
-        raise NumericalError(f"search at lam0 = {lam0.tolist()}, fixed entry {fixed_entry} "
-                             f"failed: {exc!r}") from exc
-    a_hat = base.copy()
-    a_hat[mask] = res.x
-    fit = restricted_fit(a_hat, lam0, data, k, det, design=dz)
-    return fit if fit.status != "converged" else replace(fit, status="converged" if converged
-                                                          else "max-iter")
+    except Exception as exc:
+        raise NumericalError(f"{where} failed: {exc!r}") from exc
+    base[mask] = x
+    fit = restricted_fit(base, lam0, data, k, det, design=dz)
+    return replace(fit, evaluations=evaluations,
+                   status=status if fit.status == "converged" else fit.status)
+
+
+def _newton_step(grad: np.ndarray, hess: np.ndarray) -> tuple:
+    """``s = -H^-1 g``, the decrement ``g'H^-1 g`` and the Levenberg shift mu: 0 where H factors,
+    else the first of ``1e-8 max|H| 10^m`` at which ``H + mu I`` is positive definite."""
+    mu, eye = 0.0, np.eye(len(hess))
+    while True:
+        try:
+            solved = cho_solve(cho_factor(hess + mu * eye, check_finite=False), grad)
+            return -solved, float(grad @ solved), mu
+        except np.linalg.LinAlgError:
+            mu = 10.0 * mu or max(1e-8 * float(np.abs(hess).max()), np.finfo(float).tiny)
 
 
 def _partialled_moments(lambda0: float, dz: Design):

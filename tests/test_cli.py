@@ -824,6 +824,17 @@ class TestStartUpImports:
         argv = _ci_argv(data_path, table_path) + ["--output", str(tmp_path / "ci.txt")]
         assert self._loaded(argv) == {"scipy.special"}
 
+    def test_symmetric_fit_loads_neither(self, sample_csv):
+        # the non-scalar search is a Newton loop of its own, and no scalar node is polished
+        argv = ["fit", "--data", sample_csv, "--k", "1", "--q", "2", "--family", "symmetric",
+                "--grid-step", "0.1"]
+        assert self._loaded(argv) == set()
+
+    def test_non_scalar_lr_loads_only_the_chi_square_quantile(self, sample_csv):
+        argv = ["lr", "--data", sample_csv, "--k", "1", "--q", "2", "--lambda0",
+                "0.98,0.01,0.01,0.95", "--coef", "0,1", "--a0", "0.3"]
+        assert self._loaded(argv) == {"scipy.special"}
+
     def test_fit_polish_loads_both(self, sample_csv):
         # fit's lambda polish calls minimize_scalar: the guard above is live
         argv = ["fit", "--data", sample_csv, "--k", "1", "--q", "1", "--rho", "0.9",

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
@@ -224,18 +223,23 @@ class TestProfileA:
 
 
 def _count_calls(monkeypatch, name):
-    """Wrap ``likelihood.<name>`` so that each call is counted; ``"minimize"`` is
-    ``scipy.optimize.minimize``, which likelihood imports where it calls it."""
+    """Wrap ``likelihood.<name>`` so that each call is counted; ``"_wald_form"`` builds the
+    objective of a non-scalar search, so no closed-form path calls it."""
     calls = []
-    module = scipy.optimize if name == "minimize" else likelihood
-    original = getattr(module, name)
+    original = getattr(likelihood, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(likelihood, name, counted)
     return calls
+
+
+def _wrap_evaluator(monkeypatch, wrap):
+    """Make ``likelihood._wald_form`` return ``wrap(evaluate)`` in place of its evaluator."""
+    original = likelihood._wald_form
+    monkeypatch.setattr(likelihood, "_wald_form", lambda lam0, dz: wrap(original(lam0, dz)))
 
 
 def fail_block_lr_above(monkeypatch, lam_max):
@@ -258,18 +262,18 @@ class TestProfileADispatch:
         # a is read from the eigenvectors of (A, S11); rrr_fit's S00 pencil shares them
         y = TestRrrFit()._sim(3)
         rrr = rrr_fit(0.97, 1, y, 2, "trend")
-        searches = _count_calls(monkeypatch, "minimize")
+        searches = _count_calls(monkeypatch, "_wald_form")
         fits = _count_calls(monkeypatch, "restricted_fit")
         rank_fits = _count_calls(monkeypatch, "rrr_fit")
         fit = profile_a(np.array([[0.97]]), y, 2, "trend")
         assert len(fits) == 1 and not searches and not rank_fits
-        assert fit.status == "converged"
+        assert fit.status == "converged" and fit.evaluations is None
         np.testing.assert_allclose(fit.a_hat, rrr.a_hat, rtol=1e-12)
 
     def test_lambda0_zero_k2_takes_closed_form(self, monkeypatch):
         y = TestRrrFit()._sim(3)
         lam0 = np.zeros((1, 1))
-        searches = _count_calls(monkeypatch, "minimize")
+        searches = _count_calls(monkeypatch, "_wald_form")
         fits = _count_calls(monkeypatch, "restricted_fit")
         free = profile_a(lam0, y, 2, "trend")
         assert len(fits) == 1 and not searches
@@ -280,7 +284,7 @@ class TestProfileADispatch:
 
     def test_non_scalar_block_searches(self, monkeypatch):
         y = TestRrrFit()._sim(3)
-        searches = _count_calls(monkeypatch, "minimize")
+        searches = _count_calls(monkeypatch, "_wald_form")
         fit = profile_a(np.array([[0.98, 0.01], [0.01, 0.95]]), y, 2, "trend")
         assert searches and np.isfinite(fit.loglik)
 
@@ -298,7 +302,7 @@ class TestProfileADispatch:
         lam0 = np.array([[0.97]])
         free = profile_a(lam0, y, 2, "trend")
         a0 = float(free.a_hat[0, 0]) + 0.1
-        searches = _count_calls(monkeypatch, "minimize")
+        searches = _count_calls(monkeypatch, "_wald_form")
         fits = _count_calls(monkeypatch, "restricted_fit")
         pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 0, a0))
         assert len(fits) == 1 and not searches
@@ -310,7 +314,7 @@ class TestProfileADispatch:
         lam0 = 0.97 * np.eye(2)
         free = profile_a(lam0, y, 2, "trend")
         a0 = float(free.a_hat[0, 1]) + 0.1
-        searches = _count_calls(monkeypatch, "minimize")
+        searches = _count_calls(monkeypatch, "_wald_form")
         fits = _count_calls(monkeypatch, "restricted_fit")
         pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, a0))
         assert len(fits) == 1 and not searches
@@ -324,10 +328,10 @@ class TestProfileADispatch:
         lam0 = 0.97 * np.eye(2)
         free = profile_a(lam0, y, 2, "trend")
         a0 = float(free.a_hat[0, 1]) + 0.1
-        searches = _count_calls(monkeypatch, "minimize")
+        searches = _count_calls(monkeypatch, "_wald_form")
         fits = _count_calls(monkeypatch, "restricted_fit")
         pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, a0))
-        assert len(fits) == 1 and not searches
+        assert len(fits) == 1 and not searches and pinned.evaluations is None
         assert pinned.a_hat[0, 1] == a0 and pinned.status == "converged"
         assert pinned.loglik <= free.loglik + 1e-10
 
@@ -343,7 +347,7 @@ class TestProfileADispatch:
         y = _oracle_data(4, 2, 2)
         lam0 = _NON_SCALAR_BLOCKS[1]
         free = profile_a(lam0, y, 2, "trend")
-        searches = _count_calls(monkeypatch, "minimize")
+        searches = _count_calls(monkeypatch, "_wald_form")
         pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, float(free.a_hat[0, 1]) + 0.1))
         assert searches
         assert pinned.loglik <= free.loglik + 1e-10
@@ -357,15 +361,42 @@ class TestProfileADispatch:
         assert pinned.status == "constraint-infeasible"
 
     def test_search_failure_is_a_numerical_error(self, monkeypatch):
-        # scipy's trust-exact has raised UnboundLocalError at an extreme fixed entry
-        def broken(*args, **kwargs):
-            raise UnboundLocalError("cannot access local variable 'p'")
+        # a failure inside the search that is not a QcvarError, e.g. at an extreme fixed entry
+        def broken(evaluate):
+            def at(a):
+                raise UnboundLocalError("cannot access local variable 'p'")
+            return at
 
-        monkeypatch.setattr("scipy.optimize.minimize", broken)
+        _wrap_evaluator(monkeypatch, broken)
         y = _oracle_data(4, 2, 2)
         with pytest.raises(NumericalError, match=r"lam0 = \[\[0.985, 0.02\], \[-0.01, 0.96\]\], "
                            r"fixed entry \(0, 1, -5600000000000000.0\).*UnboundLocalError"):
             profile_a(_NON_SCALAR_BLOCKS[1], y, 2, "trend", fixed_entry=(0, 1, -5.6e15))
+
+    def test_nan_init_is_a_numerical_error(self):
+        y = _oracle_data(4, 2, 2)
+        with pytest.raises(NumericalError, match=r"lam0 = \[\[0.985, 0.02\], \[-0.01, 0.96\]\]"):
+            profile_a(_NON_SCALAR_BLOCKS[1], y, 2, "trend", init=np.full((2, 2), np.nan))
+
+    def test_infinite_objective_is_a_numerical_error(self, monkeypatch):
+        # not a silent max-iter: the search stops at the first non-finite value
+        def infinite(evaluate):
+            def at(a):
+                f, grad, hess = evaluate(a)
+                return np.inf, grad, hess
+            return at
+
+        _wrap_evaluator(monkeypatch, infinite)
+        y = _oracle_data(4, 2, 2)
+        with pytest.raises(NumericalError, match=r"fixed entry \(0, 1, 0.5\): the Wald form is not "
+                           "finite"):
+            profile_a(_NON_SCALAR_BLOCKS[1], y, 2, "trend", fixed_entry=(0, 1, 0.5))
+
+    def test_init_of_the_wrong_size_is_a_domain_error(self):
+        y = _oracle_data(4, 2, 2)
+        with pytest.raises(DomainError, match=r"init must be the \(2, 2\) matrix a, got shape "
+                           r"\(3,\)"):
+            profile_a(_NON_SCALAR_BLOCKS[1], y, 2, "trend", init=np.zeros(3))
 
 
 def _search_from(a_start, lam0, y, k, det, dz, frozen=None):
@@ -519,26 +550,23 @@ class TestWaldForm:
                     np.testing.assert_allclose(hess[free][:, free], central, rtol=1e-6)
 
     def test_search_evaluates_no_point_twice(self, monkeypatch):
+        # and FitResult.evaluations counts them
         points = []
-        original = likelihood._wald_form
 
-        def recorded(lam0, dz):
-            evaluate = original(lam0, dz)
-
+        def recorded(evaluate):
             def at(a):
                 points.append(a.tobytes())
                 return evaluate(a)
-
             return at
 
-        monkeypatch.setattr(likelihood, "_wald_form", recorded)
+        _wrap_evaluator(monkeypatch, recorded)
         y = _oracle_data(4, 2, 2)
         lam0 = _NON_SCALAR_BLOCKS[1]
         free = profile_a(lam0, y, 2, "trend")
-        assert len(points) > 2 and len(set(points)) == len(points)
+        assert len(points) > 2 and len(set(points)) == len(points) == free.evaluations
         points.clear()
-        profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, float(free.a_hat[0, 1]) + 0.1))
-        assert len(points) > 2 and len(set(points)) == len(points)
+        pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, float(free.a_hat[0, 1]) + 0.1))
+        assert len(points) > 2 and len(set(points)) == len(points) == pinned.evaluations
 
 
 def _fd_search(lam0, y, k, det, dz, init, fixed_entry=None):
@@ -615,7 +643,7 @@ class TestSearchOracle:
             det = DET_CASES[case % 3]
             dz = make_design(y, k, det)
             lam0 = _random_block(rng, q, symmetric=case % 2 == 0)
-            init = likelihood._init_a(lam0, y, k, det, dz)
+            init = split(ols_fit(y, k, det, design=dz).coeffs, q, warn_ill_conditioned=False).a
             fixed_entry = None
             if case >= 4:
                 i, j = rng.integers(p - q), rng.integers(q)
