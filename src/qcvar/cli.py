@@ -442,20 +442,16 @@ def cmd_lr(args) -> int:
     for note in notices:
         em.add_scalars("notice", {"message": note})
     design = make_design(ds.values, args.k, args.det)
-    stat = lr_lambda(lam0, ds.values, args.k, args.det, design=design)
-    items = {"lr_lambda": stat.value}
+    items = {"lr_lambda": lr_lambda(lam0, ds.values, args.k, args.det, design=design).value}
     if args.table:
         table = load_table(args.table)
-        c_query = localisation(ds.n, lam0, stat.fit_restricted, design)
+        c_query = localisation(lam0, design)
         for level in table.levels:
             items[f"critical[{level:g}]"] = lookup(table, c_query, level)
     em.add_scalars("dynamics-block LR", items)
     if args.coef is not None:
         i, j = args.coef
-        cstat = lr_coefficient(
-            args.a0, i, j, lam0, ds.values, args.k, args.det,
-            design=design, fit_at_lambda0=stat.fit_restricted,
-        )
+        cstat = lr_coefficient(args.a0, i, j, lam0, ds.values, args.k, args.det, design=design)
         em.add_scalars(
             "coefficient LR",
             {

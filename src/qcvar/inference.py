@@ -26,6 +26,7 @@ from .likelihood import (
     Design,
     FitResult,
     LambdaGrid,
+    _as_block,
     _as_design,
     _block_lr,
     _eigh_pair,
@@ -138,7 +139,7 @@ def lr_lambda(
     (:func:`_block_lr`, which :func:`profile_lambda` ranks its grid by).
     """
     dz = _as_design(data, k, det, design)
-    value, fit = _block_lr(np.atleast_2d(np.asarray(lambda0, dtype=float)), dz, None)
+    value, fit = _block_lr(lambda0, dz)
     return LrStatistic(_clamp_lr(value, "lr_lambda"), fit)
 
 
@@ -152,44 +153,41 @@ def lr_coefficient(
     det: str,
     *,
     design: Optional[Design] = None,
-    fit_at_lambda0: Optional[FitResult] = None,
 ) -> LrStatistic:
     """LR statistic for the coefficient hypothesis a[i, j] = a0, given lambda0.
 
-    Both maximisations impose the dynamics block; the restricted side
-    additionally freezes the (i, j) entry of the subspace matrix.  At a
-    scalar block the value is n_eff times the moment LR of
-    :func:`_fixed_entry_a`, exact where a fit far out loses the loglik to
-    rounding.  Otherwise it is a difference of two :func:`profile_a`
-    logliks, and ``fit_at_lambda0`` may carry a precomputed unrestricted-side fit.
+    Both maximisations impose the dynamics block; the restricted side additionally freezes the
+    (i, j) entry of the subspace matrix.  At a scalar block the value is n_eff times the moment LR
+    of :func:`_fixed_entry_a`, exact where a fit far out loses the loglik to rounding.  Otherwise
+    it compares the design's shared free fit at lambda0 (:func:`_block_lr`, searched at most once
+    per design) with a fixed-entry :func:`profile_a` search started from its a.
     """
     dz = _as_design(data, k, det, design)
-    lambda0 = np.atleast_2d(np.asarray(lambda0, dtype=float))
+    lambda0 = _as_block(lambda0, dz)
     if _is_scalar(lambda0):
         A, S11 = _known_vector_moments(float(lambda0[0, 0]), dz)
         value = dz.n_eff * _fixed_entry_a(A, S11, i, j, float(a0), dz.p - len(lambda0))[1]
         return LrStatistic(_clamp_lr(value, "lr_coefficient"), None)
-    fit_u = fit_at_lambda0 or profile_a(lambda0, data, k, det, design=dz)
+    fit_u = _block_lr(lambda0, dz)[1]
     fit_r = profile_a(lambda0, data, k, det, design=dz, fixed_entry=(i, j, float(a0)),
                       init=fit_u.a_hat)
     value = 2.0 * (fit_u.loglik - fit_r.loglik)
     return LrStatistic(value=_clamp_lr(value, "lr_coefficient"), fit_restricted=fit_r)
 
 
-def localisation(n: int, lam0: np.ndarray, fit: Optional[FitResult], design: Design) -> np.ndarray:
-    """Feasible localisation argument n(lam0 - I), similarity-transformed.
+def localisation(lam0: np.ndarray, design: Design) -> np.ndarray:
+    """Feasible localisation argument n(lam0 - I), similarity-transformed, n = ``design.n``.
 
-    This is the point at which the block LR statistic at ``lam0`` looks
-    up its critical value.  For a scalar block (q = 1 included) the
-    transform is the identity, since ``c_star(c I, delta) = c I``, and
-    ``fit`` is unused.  Otherwise the plug-in scale ``l_near' sigma l_near``
-    comes from ``fit``, the restricted fit at ``lam0``.
+    This is the point at which the block LR statistic at ``lam0`` looks up its critical value.
+    For a scalar block (q = 1 included) the transform is the identity, since ``c_star(c I,
+    delta) = c I``.  Otherwise the plug-in scale ``l_near' sigma l_near`` comes from the
+    design's shared free fit at ``lam0`` (:func:`_block_lr`), searched at most once per design.
     """
     q = lam0.shape[0]
-    c_raw = n * (lam0 - np.eye(q))
+    c_raw = design.n * (lam0 - np.eye(q))
     if _is_scalar(lam0):
         return c_raw
-    sp = split(fit.coeffs, q, warn_ill_conditioned=False)
+    sp = split(_block_lr(lam0, design)[1].coeffs, q, warn_ill_conditioned=False)
     delta = sp.l_near.T @ design.sigma_ols @ sp.l_near
     return c_star(c_raw, 0.5 * (delta + delta.T))
 
@@ -225,7 +223,7 @@ def ci_lambda(
         except QcvarError as exc:
             diagnostics.append(f"grid point {lam.tolist()} failed: {exc}")
             continue
-        c_query = localisation(dz.n, lam, stat.fit_restricted, dz)
+        c_query = localisation(lam, dz)
         try:
             crit = lookup(table, c_query, level)
         except TableCoverageError:
@@ -266,23 +264,24 @@ def ci_coefficient_given_lambda(
     """Conditional confidence set for a[i, j] given the dynamics block, inverting the
     chi-square(1) LR test.
 
-    At a scalar block the partialled moments at ``lambda0`` are built once per call.  With
+    At a scalar block the partialled moments at ``lambda0`` are built once per design.  With
     min(q, r) = 1 the set solves a quadratic inequality in the coefficient exactly
     (:func:`_quadratic_set`): an interval, two rays, a half-line or the whole line.  Otherwise
     the LR, at a scalar block the moment form of :func:`lr_coefficient` with no fit per node, is
-    evaluated at ``a0 = center + se tan(theta)`` (the conditional optimum and its curvature
-    scale) for the ``SCAN_POINTS`` - 2 interior of ``SCAN_POINTS`` uniform theta on
-    [-pi/2, pi/2].  The ends are the point at infinity, where no entry can be fixed, so while
-    the outermost node on a side is accepted, or at a scalar block the LR 1e12 se out on that
-    side, a probe doubles its distance to the center, until that distance passes 1e12 se.  At a
-    scalar block an interior node where the LR peaks towards the threshold adds the LR's
-    extremum between its neighbours as a node.  Each change of verdict between neighbouring
-    nodes is refined by brentq in the coefficient (tolerance 1e-12 at a scalar block, 1e-6 on
-    the search's LR).  ``diagnostics`` notes an unbounded set, on the scan naming the outermost
-    probe accepted on each unbounded side, and a set of more pieces than an interval or two rays.
+    evaluated at ``a0 = center + se tan(theta)`` (the conditional optimum, of the moments or of
+    :func:`_block_lr`'s shared fit, and its curvature scale) for the ``SCAN_POINTS`` - 2 interior
+    of ``SCAN_POINTS`` uniform theta on [-pi/2, pi/2].  The ends are the point at infinity,
+    where no entry can be fixed, so while the outermost node on a side is accepted, or at a
+    scalar block the LR 1e12 se out on that side, a probe doubles its distance to the center,
+    until that distance passes 1e12 se.  At a scalar block an interior node where the LR peaks
+    towards the threshold adds the LR's extremum between its neighbours as a node.  Each change
+    of verdict between neighbouring nodes is refined by brentq in the coefficient (tolerance
+    1e-12 at a scalar block, 1e-6 on the search's LR).  ``diagnostics`` notes an unbounded set,
+    on the scan naming the outermost probe accepted on each unbounded side, and a set of more
+    pieces than an interval or two rays.
     """
     dz = _as_design(data, k, det, design)
-    lambda0 = np.atleast_2d(np.asarray(lambda0, dtype=float))
+    lambda0 = _as_block(lambda0, dz)
     q = lambda0.shape[0]
     r = dz.p - q
     if not (0 <= i < r and 0 <= j < q):
@@ -303,12 +302,10 @@ def ci_coefficient_given_lambda(
         def g(a0: float) -> float:
             return dz.n_eff * _fixed_entry_a(A, S11, i, j, a0, r)[1] - threshold
     else:
-        fit_u = profile_a(lambda0, data, k, det, design=dz)
-        center = float(fit_u.a_hat[i, j])
+        center = float(_block_lr(lambda0, dz)[1].a_hat[i, j])
 
         def g(a0: float) -> float:
-            lr = lr_coefficient(a0, i, j, lambda0, data, k, det, design=dz, fit_at_lambda0=fit_u)
-            return lr.value - threshold
+            return lr_coefficient(a0, i, j, lambda0, data, k, det, design=dz).value - threshold
 
     from scipy.optimize import brentq, minimize_scalar
     # curvature scale: LR ~ ((a0 - center) / se)^2 near the optimum

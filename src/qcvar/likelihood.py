@@ -138,7 +138,7 @@ class Design:
         self.WtW = W.T @ W
         self.WtY = W.T @ Y
         self.YtY = Y.T @ Y
-        self._moments = {}  # _known_vector_moments by float(lambda0)
+        self._moments = {}  # memo by float(lambda0), block bytes or ("split", q): see _block_lr
         cond = np.linalg.cond(self.WtW)
         if np.isfinite(cond) and cond < 1e12:
             self.Q = np.linalg.inv(self.WtW)
@@ -205,6 +205,16 @@ class Design:
 def make_design(data: np.ndarray, k: int, det: str) -> Design:
     """Build (or reuse) the regression design for repeated fits."""
     return Design(data, k, det)
+
+
+def _as_block(lam0, dz: Design) -> np.ndarray:
+    """``lam0`` as a float q x q array, q <= p; a non-finite block is a :class:`DomainError`."""
+    lam0 = np.atleast_2d(np.asarray(lam0, dtype=float))
+    if lam0.shape != (len(lam0),) * 2 or not np.isfinite(lam0).all():
+        raise DomainError(f"the dynamics block must be a finite square matrix, got {lam0.tolist()}")
+    if len(lam0) > dz.p:
+        raise DomainError(f"q = {len(lam0)} exceeds series dimension {dz.p}")
+    return lam0
 
 
 def _is_scalar(lam: np.ndarray) -> bool:
@@ -287,10 +297,8 @@ def restricted_fit(
     scales the reported loglikelihood).
     """
     dz = _as_design(data, k, det, design)
-    lam0 = np.atleast_2d(np.asarray(lam0, dtype=float))
+    lam0 = _as_block(lam0, dz)
     q = lam0.shape[0]
-    if q > dz.p:
-        raise DomainError(f"q = {q} exceeds series dimension {dz.p}")
     a = np.asarray(a, dtype=float).reshape(dz.p - q, q)
 
     if q == 0:
@@ -388,7 +396,7 @@ def profile_a(
     eigenvectors of :func:`_known_vector_moments`, and with a fixed entry at p >= 3 the switching
     algorithm of :func:`_restricted_basis` (one sweep at min(q, r) = 1); at p = 2 the fixed entry
     is all of a.  ``init`` is then unused.  For a non-scalar block a damped Newton loop (Nocedal &
-    Wright 2006, ch. 3) from ``init`` (default: the OLS split) minimises the Wald form of
+    Wright 2006, ch. 3) from ``init`` (default: the OLS split's a) minimises the Wald form of
     :func:`_wald_form` over the free entries of a, one evaluation a point: the step of
     :func:`_newton_step`, halved until ``f(x + t s) <= f(x) - 1e-4 t decrement`` (Armijo).  Its
     status is ``converged`` once the unshifted decrement is at most ``64 eps max(1, |f|)``, the
@@ -398,7 +406,7 @@ def profile_a(
     :class:`NumericalError`, and an ``init`` of another size than r x q a :class:`DomainError`.
     """
     dz = _as_design(data, k, det, design)
-    lam0 = np.atleast_2d(np.asarray(lam0, dtype=float))
+    lam0 = _as_block(lam0, dz)
     q = lam0.shape[0]
     r = dz.p - q
 
@@ -418,11 +426,14 @@ def profile_a(
                      else _fixed_entry_a(A, S11, i, j, a0, r)[0])
         return restricted_fit(a_hat, lam0, data, k, det, design=dz)
 
+    if init is None:  # the OLS split's a, built once per (design, q)
+        init = dz._moments.get(("split", q))
     if init is None:
         try:
             init = split(ols_fit(data, k, det, design=dz).coeffs, q, warn_ill_conditioned=False).a
         except QcvarError:
             init = np.zeros((r, q))
+        dz._moments["split", q] = init
     elif np.size(init) != r * q:
         raise DomainError(f"init must be the ({r}, {q}) matrix a, got shape {np.shape(init)}")
     base, mask = np.array(init, dtype=float).reshape(r, q), np.ones((r, q), dtype=bool)
@@ -548,7 +559,9 @@ def _known_vector_moments(lambda0: float, dz: Design) -> tuple[np.ndarray, np.nd
     lambda0 = float(lambda0)
     if lambda0 not in dz._moments:
         *_, S01, S11 = _partialled_moments(lambda0, dz)
-        A = S01.T @ dz.solve_weight(S01)
+        A = S01.T @ dz.solve_weight(S01) if np.isfinite(S01).all() else S01
+        if not (np.isfinite(A).all() and np.isfinite(S11).all()):
+            raise NumericalError(f"the partialled moments at lambda0 = {lambda0} are not finite")
         A, S11 = dz._moments[lambda0] = 0.5 * (A + A.T), S11
         A.flags.writeable = S11.flags.writeable = False
     return dz._moments[lambda0]
@@ -612,17 +625,20 @@ def _fixed_entry_a(A: np.ndarray, S11: np.ndarray, i: int, j: int, a0: float, r:
     return a_hat, _eigh_pair(A, S11, eigvals_only=True)[len(A) - r:].sum() - crit
 
 
-def _block_lr(lam0: np.ndarray, dz: Design, init: Optional[np.ndarray]):
-    """``2 (loglik_ols - profile loglik)`` at lam0, unclamped, and the :func:`profile_a` fit behind
-    it, searched from ``init``; at a scalar block n_eff times the sum of the q smallest eigenvalues
-    of :func:`_known_vector_moments` (Johansen 1995, ch. 6), and no fit."""
-    if len(lam0) > dz.p:
-        raise DomainError(f"q = {len(lam0)} exceeds series dimension {dz.p}")
-    if not _is_scalar(lam0):
-        fit = profile_a(lam0, None, dz.k, dz.det, design=dz, init=init)
-        return 2.0 * (dz.loglik_ols - fit.loglik), fit
-    A, S11 = _known_vector_moments(float(lam0[0, 0]), dz)
-    return dz.n_eff * _eigh_pair(A, S11, eigvals_only=True)[: len(lam0)].sum(), None
+def _block_lr(lam0, dz: Design):
+    """``2 (loglik_ols - profile loglik)`` at lam0, unclamped, and the fit behind it; at a scalar
+    block n_eff times the sum of the q smallest eigenvalues of :func:`_known_vector_moments`
+    (Johansen 1995, ch. 6), and no fit.  A non-scalar block is searched once per design, from the
+    OLS split's a, and every statistic at lam0 shares the fit, kept in ``dz._moments``."""
+    lam0 = _as_block(lam0, dz)
+    if _is_scalar(lam0):
+        A, S11 = _known_vector_moments(float(lam0[0, 0]), dz)
+        return dz.n_eff * _eigh_pair(A, S11, eigvals_only=True)[: len(lam0)].sum(), None
+    fit = dz._moments.get(lam0.tobytes())
+    if fit is None:
+        fit = dz._moments[lam0.tobytes()] = profile_a(lam0, None, dz.k, dz.det, design=dz)
+        fit.a_hat.flags.writeable = False
+    return 2.0 * (dz.loglik_ols - fit.loglik), fit
 
 
 def rrr_fit(
@@ -792,32 +808,31 @@ def profile_lambda(
 ) -> ProfileLambdaResult:
     """Maximise the profile loglikelihood over a grid of dynamics blocks.
 
-    Ranks the grid blocks by the LR of :func:`_block_lr`, an eigenvalue sum at a scalar block and
-    otherwise a :func:`profile_a` search from the last searched block's a; ``trace`` holds
-    ``(lam, loglik_ols - lr / 2, status)`` for each block that evaluates and ``failures`` each that
-    raises.  ``refine=True`` (scalar family) polishes the best node by a bounded search of the LR
-    between its neighbours, which a failing block ends at the grid's best node.  The best block is
-    reported with its :func:`profile_a` fit, whose error (e.g. NormalizationError) is raised.
+    Ranks the grid blocks by the LR of :func:`_block_lr`, which does not depend on the grid's
+    order; ``trace`` holds ``(lam, loglik_ols - lr / 2, status)`` for each block that evaluates
+    and ``failures`` each that raises.  ``refine=True`` (scalar family) polishes the best node by
+    a bounded search of the LR between its neighbours, which a failing block ends at the grid's
+    best node.  The best block is reported with its :func:`profile_a` fit, whose error (e.g.
+    NormalizationError) is raised.
     """
     dz = _as_design(data, k, det, design)
     pts = lambda_space.points()
     if not pts:
         raise DomainError("lambda grid is empty")
-    failures, nodes, warm = [], [], None
+    failures, nodes = [], []
 
-    def block_lr(lam: np.ndarray, init: Optional[np.ndarray] = None):
+    def block_lr(lam: np.ndarray):
         try:
-            return _block_lr(lam, dz, init)
+            return _block_lr(lam, dz)
         except QcvarError as exc:
             failures.append((lam, f"{type(exc).__name__}: {exc}"))
             raise
 
     for lam in pts:
         try:
-            lr, fit = block_lr(lam, warm)
+            lr, fit = block_lr(lam)
         except QcvarError:
             continue
-        warm = warm if fit is None else fit.a_hat
         nodes.append((lr, lam, fit))
     if not nodes:
         raise NumericalError(f"every grid point failed ({len(failures)} points); the first "

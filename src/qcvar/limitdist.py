@@ -87,7 +87,7 @@ def c_star(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
 class LimitDistConfig:
     """Configuration of one limit-law simulation.
 
-    ``c_star`` is the q-by-q localisation argument of the limit law,
+    ``c_star`` is the finite q-by-q localisation argument of the limit law,
     ``det`` the detrending case, ``steps`` the Euler grid size,
     ``reps`` the number of replications and ``levels`` the quantile
     levels to report.
@@ -109,8 +109,8 @@ class LimitDistConfig:
         if self.reps < 1000:
             raise DomainError("reps must be at least 1000")
         c = np.atleast_2d(np.asarray(self.c_star, dtype=float))
-        if c.shape != (self.q, self.q):
-            raise DomainError(f"c_star must be {self.q}x{self.q}, got {c.shape}")
+        if c.shape != (self.q, self.q) or not np.isfinite(c).all():
+            raise DomainError(f"c_star must be a finite {self.q}x{self.q} matrix, got {c.tolist()}")
         levels = tuple(float(v) for v in self.levels)
         if not levels or any(not 0.0 < v < 1.0 for v in levels):
             raise DomainError("levels must lie strictly inside (0, 1)")
@@ -411,10 +411,7 @@ def build_table(
     """
     if len(c_grid) == 0:
         raise DomainError("the localisation grid must be nonempty")
-    grid = [np.atleast_2d(np.asarray(c, dtype=float)) for c in c_grid]
-    for c in grid:
-        if c.shape != (template.q, template.q):
-            raise DomainError(f"grid point shape {c.shape} does not match q={template.q}")
+    grid = [replace(template, c_star=c).c_star for c in c_grid]  # each node checked as a config
 
     meta = {name: getattr(template, name) for name in _TABLE_META}
     done: dict[tuple, TableEntry] = {}

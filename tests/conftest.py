@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qcvar.dgp import build_var
+from qcvar.dgp import DgpSpec, build_var, simulate
+from qcvar.likelihood import LambdaGrid
 from qcvar.spectral import VarCoefficients
 
 
@@ -25,6 +26,20 @@ def make_instance(seed: int, p: int = 3, k: int = 2, q: int = 1,
         lam = qmat @ np.diag(eigs) @ qmat.T
     a = rng.normal(scale=1.0, size=(r, q))
     return build_var(a, lam, k, rng=rng)
+
+
+def symmetric_data(seed: int) -> np.ndarray:
+    """n=500 draws of a fixed p=3, k=1, q=2 system whose near-unit block is symmetric, with
+    eigenvalues 0.995 and 0.96 (perfbench's ``symmetric_spec``, rebuilt here)."""
+    rng = np.random.default_rng(11)
+    qmat, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    lam = qmat @ np.diag([0.995, 0.96]) @ qmat.T
+    coeffs = build_var(rng.normal(size=(1, 2)), lam, 1, rng=rng)
+    return simulate(DgpSpec.simple(coeffs, 500), seed)[0]
+
+
+#: the symmetric q=2 grid at step 0.1: 10 blocks, 8 of them non-scalar
+SYMMETRIC_POINTS = LambdaGrid(family="symmetric", q=2, rho=0.9, eig_step=0.1).points()
 
 
 def make_split_instance(seed: int, p: int = 3, k: int = 2, q: int = 1, **kw):

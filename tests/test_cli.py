@@ -21,7 +21,7 @@ from test_likelihood import fail_block_lr_above
 from qcvar.cli import Dataset, _round15, build_parser, ingest_csv, main
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
 from qcvar.exceptions import DomainError
-from qcvar.inference import bonferroni_ci, localisation, lr_lambda
+from qcvar.inference import bonferroni_ci, localisation
 from qcvar.likelihood import LambdaGrid, make_design
 from qcvar.limitdist import (
     LimitDistConfig,
@@ -470,6 +470,37 @@ class TestCommands:
         assert "only 3 usable observations for 8 regressors" in err
         assert not table.exists()
 
+    @pytest.mark.parametrize("q, lambda0, code", [
+        ("1", "inf", 2), ("1", "nan", 2), ("2", "nan", 2), ("2", "0.99,0.01,0.01,inf", 2),
+        ("1", "1e300", 3), ("2", "1e300", 3),
+    ])
+    def test_non_finite_block_or_moments_exit_with_their_codes(self, tmp_path, capsys, q, lambda0,
+                                                               code):
+        """A non-finite dynamics block is an input error; one whose moments overflow, numerical."""
+        data = tmp_path / "p3.csv"
+        walks = np.cumsum(np.random.default_rng(2).normal(size=(100, 3)), axis=0)
+        write_csv(data, ["a", "b", "c"], walks)
+        rc = main(["lr", "--data", str(data), "--k", "1", "--q", q, f"--lambda0={lambda0}",
+                   "--coef", "0,0", "--a0", "0.5"])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert {2: "error (input): the dynamics block must be a finite square matrix",
+                3: "error (numerical): the partialled moments at lambda0 = 1e+300 are not finite",
+                }[code] in err
+
+    @pytest.mark.parametrize("grid", ["nan", "inf", "-5,nan"])
+    def test_non_finite_critvals_node_is_an_input_error(self, tmp_path, capsys, monkeypatch, grid):
+        """Rejected before any replication is drawn, at the default reps and steps."""
+        def forbidden(configs):
+            pytest.fail("a node was simulated")
+
+        monkeypatch.setattr("qcvar.limitdist._simulate_nodes", forbidden)
+        table = tmp_path / "cv.tbl"
+        rc = main(["critvals", f"--c-grid={grid}", "--table", str(table)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "c_star must be a finite 1x1 matrix" in err and not table.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["ci", "--q", "1", "--coef", "5,0"], "--coef 5,0 needs 0 <= i < 1"),
         (["ci", "--q", "2", "--coef", "0,0"], "--coef 0,0 needs 0 <= i < 0"),
@@ -669,8 +700,7 @@ class TestSharedInference:
         write_csv(data_path, ["s1", "s2", "s3"], y)
         lam0 = np.array([[0.99, 0.01], [0.01, 0.97]])
         design = make_design(y, 1, "trend")
-        fit = lr_lambda(lam0, y, 1, "trend", design=design).fit_restricted
-        c_plugin = localisation(n, lam0, fit, design)
+        c_plugin = localisation(lam0, design)
         c_raw = n * (lam0 - np.eye(2))
         assert np.linalg.norm(c_plugin - c_raw) > 1.0
         # one node at each candidate argument, so the two lookups must differ

@@ -15,7 +15,7 @@ from scipy.optimize import brentq, minimize
 
 import qcvar.inference as inference
 import qcvar.likelihood as likelihood
-from conftest import make_instance
+from conftest import SYMMETRIC_POINTS, make_instance, symmetric_data
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
 from qcvar.exceptions import (
     DomainError,
@@ -193,8 +193,7 @@ class TestLrCoefficient:
         offsets = np.linspace(0.0, 0.2, 11)
         for sign in (-1.0, 1.0):
             values = [
-                lr_coefficient(center + sign * off, 0, 0, lam_true, y, 1, "trend",
-                               design=dz, fit_at_lambda0=fit).value
+                lr_coefficient(center + sign * off, 0, 0, lam_true, y, 1, "trend", design=dz).value
                 for off in offsets
             ]
             diffs = np.diff(values)
@@ -337,8 +336,7 @@ class TestCiLambda:
         assert cset.accepted and not cset.diagnostics
         dz = make_design(y, 1, "trend")
         for lam in grid.points():
-            fit = profile_a(lam, y, 1, "trend", design=dz)
-            np.testing.assert_array_equal(localisation(n, lam, fit, dz), n * (lam - np.eye(2)))
+            np.testing.assert_array_equal(localisation(lam, dz), n * (lam - np.eye(2)))
 
 
 def _lr_r1(A, S11, a0):
@@ -412,8 +410,7 @@ def _bisection_oracle(alpha2, i, lam0, y, k, j=0):
     threshold = chi2_quantile(1.0 - alpha2)
 
     def g(a0):
-        return lr_coefficient(a0, i, j, lam0, y, k, "trend", design=dz,
-                              fit_at_lambda0=fit_u).value - threshold
+        return lr_coefficient(a0, i, j, lam0, y, k, "trend", design=dz).value - threshold
 
     h = 1e-4 * (1.0 + abs(center))
     curv = (g(center + h) + g(center - h) + 2.0 * threshold) / (2.0 * h * h)
@@ -800,6 +797,53 @@ class TestCiCoefficient:
         assert calls["restricted_fit"] <= 1
         if system.endswith("q2"):
             assert calls["minimize"] == calls["lr_coefficient"] == 0
+
+
+class TestOneSearchPerBlock:
+    """A non-scalar block's free profile is searched once per design, whichever statistic asks."""
+
+    NON_SCALAR = [lam for lam in SYMMETRIC_POINTS if not likelihood._is_scalar(lam)]
+
+    @staticmethod
+    def _free_searches(monkeypatch):
+        """The blocks of the free non-scalar profile_a searches run from now on, as bytes."""
+        calls, original = [], likelihood.profile_a
+
+        def counted(lam0, *args, fixed_entry=None, **kwargs):
+            if fixed_entry is None and not likelihood._is_scalar(np.atleast_2d(lam0)):
+                calls.append(np.asarray(lam0, dtype=float).tobytes())
+            return original(lam0, *args, fixed_entry=fixed_entry, **kwargs)
+
+        for module in (likelihood, inference):
+            monkeypatch.setattr(module, "profile_a", counted)
+        return calls
+
+    def test_bonferroni_searches_each_block_once(self, tmp_path, monkeypatch):
+        y = symmetric_data(300_006)
+        dz = make_design(y, 1, "trend")
+        # a node at each block's localisation, so that every block finds its critical value
+        template = LimitDistConfig(q=2, c_star=np.zeros((2, 2)), det="trend", steps=100,
+                                   reps=1000, seed=3, levels=(0.975,))
+        table = build_table([localisation(lam, dz) for lam in SYMMETRIC_POINTS], template,
+                            str(tmp_path / "q2.tbl"))
+        calls = self._free_searches(monkeypatch)
+        grid = LambdaGrid(family="symmetric", q=2, candidates=tuple(SYMMETRIC_POINTS))
+        cset = bonferroni_ci(0.025, 0.025, 0, 0, y, 1, "trend", grid, table)
+        # the conditional scan runs at accepted non-scalar blocks, yet searches none of them again
+        assert sum(not likelihood._is_scalar(lam) for lam, _, _ in cset.accepted) >= 2
+        assert sorted(calls) == sorted(lam.tobytes() for lam in self.NON_SCALAR)
+
+    def test_statistics_after_lr_lambda_search_no_free_profile(self, monkeypatch):
+        y = symmetric_data(300_003)
+        dz = make_design(y, 1, "trend")
+        lam0 = self.NON_SCALAR[2]
+        calls = self._free_searches(monkeypatch)
+        fit = lr_lambda(lam0, y, 1, "trend", design=dz).fit_restricted
+        assert calls == [lam0.tobytes()] and not fit.a_hat.flags.writeable
+        localisation(lam0, dz)
+        lr_coefficient(0.3, 0, 0, lam0, y, 1, "trend", design=dz)
+        ci_coefficient_given_lambda(0.05, 0, 1, lam0, y, 1, "trend", design=dz)
+        assert calls == [lam0.tobytes()]
 
 
 class TestBonferroni:

@@ -7,7 +7,7 @@ from scipy.linalg import eigh
 from scipy.optimize import minimize
 
 import qcvar.likelihood as likelihood
-from conftest import make_instance
+from conftest import SYMMETRIC_POINTS, make_instance, symmetric_data
 from qcvar.dgp import DgpSpec, build_var, simulate
 from qcvar.exceptions import ConditionWarning, DomainError, NormalizationError, NumericalError
 from qcvar.inference import lr_coefficient
@@ -789,6 +789,21 @@ class TestProfileLambda:
         grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.05)
         with pytest.raises(NormalizationError, match="injected failure of the fit"):
             profile_lambda(grid, TestRrrFit()._sim(7, n=300), 2, "trend", refine=True)
+
+    @pytest.mark.parametrize("seed, det", [(300_012, "const"), (300_003, "trend")])
+    def test_non_scalar_profiles_do_not_depend_on_the_grid_order(self, seed, det):
+        # at seed 300_012, det const, a search started from another node's a ends far below the
+        # block's profile at 7 of these 8 non-scalar nodes
+        y = symmetric_data(seed)
+        runs = [profile_lambda(LambdaGrid(family="symmetric", q=2, candidates=tuple(points)),
+                               y, 1, det) for points in (SYMMETRIC_POINTS, SYMMETRIC_POINTS[::-1])]
+        forward, backward = ({lam.tobytes(): node for lam, *node in run.trace} for run in runs)
+        assert forward == backward and len(forward) == len(SYMMETRIC_POINTS)
+        for lam in SYMMETRIC_POINTS:
+            loglik, status = forward[lam.tobytes()]
+            assert status == "converged"
+            if not likelihood._is_scalar(lam):
+                assert loglik == pytest.approx(profile_a(lam, y, 1, det).loglik, rel=1e-12, abs=0)
 
     def test_symmetric_grid_q2(self):
         coeffs = make_instance(8, p=3, k=1, q=2, lam_lo=0.95)

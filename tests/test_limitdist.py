@@ -72,6 +72,11 @@ class TestSimulateStatistic:
         with pytest.raises(DomainError):
             LimitDistConfig(q=1, c_star=np.zeros((2, 2)), det="none")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_localisation_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError, match="c_star must be a finite 2x2 matrix"):
+            LimitDistConfig(q=2, c_star=[[-5.0, 0.0], [bad, -5.0]], det="trend")
+
     def test_discretisation_stability(self):
         # doubling the grid moves the 0.95 quantile by less than 3x the MC SE
         qs = {}
@@ -216,6 +221,17 @@ class TestQuantileTable:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             build_table([], self.TEMPLATE)
+
+    def test_malformed_node_rejected_before_any_simulation(self, tmp_path, monkeypatch):
+        def forbidden(configs):
+            pytest.fail("a node was simulated")
+
+        monkeypatch.setattr(limitdist, "_simulate_nodes", forbidden)
+        path = tmp_path / "never.tbl"
+        for grid in ([np.nan], [-5.0, np.inf], [[[0.0]], np.zeros((2, 2))]):
+            with pytest.raises(DomainError, match="c_star must be a finite 1x1 matrix"):
+                build_table(grid, self.TEMPLATE, str(path))
+        assert not path.exists()
 
 
 class TestSharedDraws:
