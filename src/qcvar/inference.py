@@ -34,6 +34,7 @@ from .likelihood import (
     _is_scalar,
     _known_vector_moments,
     _normalise,
+    _search_blocks,
     profile_a,
     profile_lambda,
 )
@@ -204,8 +205,8 @@ def ci_lambda(
 ) -> ConfidenceSet:
     """Level 1 - alpha1 confidence set for the near-unit dynamics block.
 
-    Scans the grid and accepts the nodes whose :func:`lr_lambda` is at
-    most the tabulated quantile at :func:`localisation` of the node.
+    Searches the grid's non-scalar blocks in one batch (:func:`_search_blocks`), then accepts the
+    nodes whose :func:`lr_lambda` is at most the tabulated quantile at their :func:`localisation`.
 
     Raises
     ------
@@ -217,7 +218,10 @@ def ci_lambda(
     accepted = []
     diagnostics = []
     missing = []
-    for lam in lambda_space.points():
+    points = lambda_space.points()
+    if lambda_space.q > 1:  # a 1 x 1 block is scalar
+        _search_blocks(points, dz)
+    for lam in points:
         try:
             stat = lr_lambda(lam, data, k, det, design=dz)
         except QcvarError as exc:

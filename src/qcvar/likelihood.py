@@ -10,9 +10,9 @@ the subspace coefficients ``a`` and every LR are eigenproblems in the
 partialled moments, at every ``lam0``: the argmax is the top r eigenvectors
 of :func:`_known_vector_moments`, or with an entry of ``a`` fixed Johansen's
 restricted basis, by the switching algorithm (exact in one sweep when q or
-r = p - q is 1).  For non-scalar blocks a damped Newton loop over ``a``
-minimises the Wald form of the restricted loglik, with its analytic gradient
-and Hessian, and :func:`restricted_fit` reports its result.
+r = p - q is 1).  For non-scalar blocks one damped Newton loop over a stack
+of blocks minimises the Wald form of the restricted loglik in ``a``, with its
+analytic gradient and Hessian, and :func:`restricted_fit` reports each result.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class FitResult:
     size; ``loglik`` is the concentrated value, always weighted by the unrestricted OLS variance
     estimator of the same design.  ``det_coeffs`` holds the intercept/trend coefficients in the
     original (unscaled) time parametrisation, one column per deterministic term.
-    ``evaluations`` counts the Wald-form evaluations of a :func:`profile_a` search; it is None
-    on every closed-form path.
+    ``evaluations`` counts the Wald-form evaluations that included this block in a :func:`_search`
+    batch; it is None on every closed-form path.
     """
 
     coeffs: VarCoefficients
@@ -95,9 +95,9 @@ class FitResult:
 class Design:
     """Cached regression arrays for one (data, k, det) triple.
 
-    The deterministic trend column is centred and scaled to keep the
-    moment matrix well conditioned; :meth:`unscale_det` maps fitted
-    coefficients back to the raw ``m + d t`` parametrisation.
+    The deterministic trend column is centred and scaled to keep the moment matrix well conditioned
+    (``cond``, its condition number; from 1e12 a pseudo-inverse fits); :meth:`unscale_det` maps
+    fitted coefficients back to the raw ``m + d t`` parametrisation.
     """
 
     def __init__(self, data: np.ndarray, k: int, det: str):
@@ -139,7 +139,7 @@ class Design:
         self.WtY = W.T @ Y
         self.YtY = Y.T @ Y
         self._moments = {}  # memo by float(lambda0), block bytes or ("split", q): see _block_lr
-        cond = np.linalg.cond(self.WtW)
+        self.cond = cond = float(np.linalg.cond(self.WtW))
         if np.isfinite(cond) and cond < 1e12:
             self.Q = np.linalg.inv(self.WtW)
             coef = self.Q @ self.WtY  # d x p
@@ -182,9 +182,9 @@ class Design:
                                       "loglikelihood is undefined")
         return cho_solve(self._sigma_ols_cho, x)
 
-    def loglik_fixed_weight(self, theta: np.ndarray) -> float:
-        """Concentrated loglik of theta under the OLS variance weight."""
-        quad = np.trace(self.solve_weight(self.ssr(theta)))
+    def loglik_fixed_weight(self, ssr: np.ndarray) -> float:
+        """Concentrated loglik of the residual moment matrix ssr under the OLS variance weight."""
+        quad = np.trace(self.solve_weight(ssr))
         return -0.5 * self.n_eff * self.logdet_sigma_ols - 0.5 * quad
 
     def unscale_det(self, det_block: np.ndarray) -> Optional[np.ndarray]:
@@ -317,14 +317,15 @@ def restricted_fit(
     theta_r = dz.theta_ols - gap @ correction
 
     det_block, phi_block = dz.split_theta(theta_r)
+    ssr = dz.ssr(theta_r)
     resid_norm = float(np.linalg.norm(phi_block @ M - N))
     scale = 1.0 + float(np.linalg.norm(phi_block))
     status = "converged" if resid_norm <= 1e-8 * scale else "constraint-infeasible"
     return FitResult(
         coeffs=VarCoefficients.from_stacked(phi_block, k),
-        sigma=dz.ssr(theta_r) / dz.n_eff,
+        sigma=ssr / dz.n_eff,
         det_coeffs=dz.unscale_det(det_block) if det_block is not None else None,
-        loglik=dz.loglik_fixed_weight(theta_r),
+        loglik=dz.loglik_fixed_weight(ssr),
         status=status,
         det=det,
         n_eff=dz.n_eff,
@@ -333,49 +334,68 @@ def restricted_fit(
     )
 
 
-def _wald_form(lam0: np.ndarray, dz: Design):
-    """The search objective ``f(a) = 2 (loglik_ols - restricted_fit(a).loglik)``, with its analytic
-    gradient and Hessian.
+def _wald_form(lams: np.ndarray, dz: Design):
+    """The search objective ``f(a) = 2 (loglik_ols - restricted_fit(a).loglik)`` at each block of
+    the (G, q, q) stack ``lams``, with its analytic gradient and Hessian.
 
     The constraint ``Phi M = N`` is linear in Phi, so under the fixed OLS weight Sigma ``f`` is the
     Wald form ``tr(Sigma^-1 g K g')`` exactly, with ``g = Phi_hat M - N`` and ``K = G^-1``,
     ``G = M'HM`` (H the lag block of ``dz.Q``).  M and N are affine in a; with their constant
-    derivatives ``M_e, N_e`` in an entry a_e, ``g_e = Phi_hat M_e - N_e``,
+    derivatives ``M_e, N_e`` in an entry a_e, built once per block, ``g_e = Phi_hat M_e - N_e``,
     ``G_e = M_e'HM + M'HM_e``, ``G_ef = M_e'HM_f + M_f'HM_e`` and ``X = K g'Sigma^-1 g K``, the
     gradient is ``2 tr(Sigma^-1 g_e K g') - tr(G_e X)`` and the Hessian ``2 tr(Sigma^-1 g_e K g_f')
     - 2 tr(Sigma^-1 g_e K G_f K g') - 2 tr(Sigma^-1 g_f K G_e K g') + 2 tr(G_f K G_e X)
-    - tr(G_ef X)``, one einsum a term over all entries.  Returns ``evaluate(a) -> (f, gradient,
-    Hessian)``, shaped as a, a and a x a: one call a step of :func:`profile_a`'s Newton loop.
+    - tr(G_ef X)``.  ``evaluate(a, idx)`` returns them at the (m, r, q) stack a of the blocks idx,
+    shaped (m,), as a and (m, r, q, r, q); NaN where G does not invert.  Each product runs within
+    a block, so no block's bits depend on the blocks that share its call.
     """
-    k, p, q = dz.k, dz.p, lam0.shape[0]
+    G, q = lams.shape[:2]
+    r = dz.p - q
     phi = dz.theta_ols[:, dz.n_det:]
     H = dz.Q[dz.n_det:, dz.n_det:]
-    _, M0, N0 = constraint_matrices(np.zeros((p - q, q)), lam0, k)
-    units = [constraint_matrices(u, lam0, k) for u in np.eye((p - q) * q)]
-    Ms = np.array([M for _, M, _ in units]) - M0  # M_e, e over the entries of a, row-major
-    gs = phi @ Ms - (np.array([N for *_, N in units]) - N0)
-    gSg = np.einsum("epa,pr,frb->efab", gs, dz.solve_weight(np.eye(p)), gs)  # g_e'Sigma^-1 g_f
-    MHM = np.einsum("eka,fkb->efab", Ms, H @ Ms)  # M_e'HM_f; G_ef is it plus its transpose
+    S = dz.solve_weight(np.eye(dz.p))
+    units = np.broadcast_to(np.eye(r * q).reshape(r * q, r, q), (G, r * q, r, q))
+    _, M0, N0 = constraint_matrices(np.zeros((G, 1, r, q)), lams[:, None], dz.k)
+    _, M1, N1 = constraint_matrices(units, lams[:, None], dz.k)
+    Ms = M1 - M0  # M_e, e over the entries of a, row-major
+    gs = phi @ Ms - (N1 - N0)
+    gsT = gs.swapaxes(2, 3)
+    Sgs = S @ gs
+    MsT = Ms.swapaxes(2, 3)
+    HMs = H @ Ms
 
-    def evaluate(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        _, M, N = constraint_matrices(a, lam0, k)
+    def tr(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """tr(A_e B_f) per block: stacks (m, E, x, y) and (m, F, y, x) give (m, E, F)."""
+        m, E, x, y = A.shape
+        return A.reshape(m, E, x * y) @ B.swapaxes(2, 3).reshape(m, -1, x * y).swapaxes(1, 2)
+
+    def evaluate(a: np.ndarray, idx) -> tuple:
+        _, M, N = constraint_matrices(a, lams[idx], dz.k)
         g = phi @ M - N
         HM = H @ M
-        try:
-            K = np.linalg.inv(M.T @ HM)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError("restricted design is singular at this (a, lam0)") from exc
-        P = dz.solve_weight(g) @ K
-        X = K @ g.T @ P
-        Gs = HM.T @ Ms + Ms.transpose(0, 2, 1) @ HM  # G_e
-        grad = 2.0 * np.einsum("pa,epa->e", P, gs) - np.einsum("eab,ba->e", Gs, X)
-        cross = np.einsum("eab,fba->ef", P.T @ gs @ K, Gs)  # tr(Sigma^-1 g_e K G_f K g')
-        # the Hessian is this plus its transpose
-        half = (np.einsum("efab,ba->ef", gSg, K) + np.einsum("fab,eba->ef", Gs @ K, Gs @ X)
-                - np.einsum("efab,ba->ef", MHM, X) - 2.0 * cross)
-        return float(np.sum(P * g)), grad.reshape(a.shape), (half + half.T).reshape(a.shape * 2)
+        K = _per_block(np.linalg.inv, M.swapaxes(1, 2) @ HM)[:, None]
+        P = S @ g @ K[:, 0]
+        Pt = P.swapaxes(1, 2)[:, None]
+        X = K @ g.swapaxes(1, 2)[:, None] @ P[:, None]
+        Gs = HM.swapaxes(1, 2)[:, None] @ Ms[idx] + MsT[idx] @ HM[:, None]  # G_e
+        half = (tr(gsT[idx], Sgs[idx] @ K) + tr(Gs @ X, Gs @ K)  # the Hessian is half + half'
+                - tr(MsT[idx], HMs[idx] @ X) - 2.0 * tr(Pt @ gs[idx] @ K, Gs))
+        f = tr(Pt, g[:, None])[:, 0, 0]
+        grad = 2.0 * tr(Pt, gs[idx])[:, 0] - tr(Gs, X)[..., 0]
+        hess = half + half.swapaxes(1, 2)
+        return f, grad.reshape(a.shape), hess.reshape(len(a), r, q, r, q)
 
     return evaluate
+
+
+def _per_block(solve, stack: np.ndarray) -> np.ndarray:
+    """``solve`` (np.linalg.inv or cholesky) of each matrix of the stack, NaN where it fails."""
+    try:
+        return solve(stack)
+    except np.linalg.LinAlgError:
+        if len(stack) == 1:
+            return np.full_like(stack, np.nan)
+        return np.concatenate([_per_block(solve, s[None]) for s in stack])  # one block at a time
 
 
 def profile_a(
@@ -395,15 +415,9 @@ def profile_a(
     :func:`restricted_fit` at the ``a`` of an eigenproblem that shares its argmax: the top r
     eigenvectors of :func:`_known_vector_moments`, and with a fixed entry at p >= 3 the switching
     algorithm of :func:`_restricted_basis` (one sweep at min(q, r) = 1); at p = 2 the fixed entry
-    is all of a.  ``init`` is then unused.  For a non-scalar block a damped Newton loop (Nocedal &
-    Wright 2006, ch. 3) from ``init`` (default: the OLS split's a) minimises the Wald form of
-    :func:`_wald_form` over the free entries of a, one evaluation a point: the step of
-    :func:`_newton_step`, halved until ``f(x + t s) <= f(x) - 1e-4 t decrement`` (Armijo).  Its
-    status is ``converged`` once the unshifted decrement is at most ``64 eps max(1, |f|)``, the
-    objective's rounding, and ``max-iter`` after 100 steps or when no backtracked step lowers f,
-    unless :func:`restricted_fit` at the result reports the constraint infeasible.  A non-finite
-    f, gradient or Hessian, or a non-:class:`QcvarError` failure in the loop, is a
-    :class:`NumericalError`, and an ``init`` of another size than r x q a :class:`DomainError`.
+    is all of a.  ``init`` is then unused.  For a non-scalar block it is the damped Newton loop of
+    :func:`_search` as a batch of one, from ``init`` (default: the OLS split's a), and the block's
+    error is raised; an ``init`` of another size than r x q is a :class:`DomainError`.
     """
     dz = _as_design(data, k, det, design)
     lam0 = _as_block(lam0, dz)
@@ -426,71 +440,130 @@ def profile_a(
                      else _fixed_entry_a(A, S11, i, j, a0, r)[0])
         return restricted_fit(a_hat, lam0, data, k, det, design=dz)
 
-    if init is None:  # the OLS split's a, built once per (design, q)
-        init = dz._moments.get(("split", q))
-    if init is None:
-        try:
-            init = split(ols_fit(data, k, det, design=dz).coeffs, q, warn_ill_conditioned=False).a
-        except QcvarError:
-            init = np.zeros((r, q))
-        dz._moments["split", q] = init
-    elif np.size(init) != r * q:
+    if init is not None and np.size(init) != r * q:
         raise DomainError(f"init must be the ({r}, {q}) matrix a, got shape {np.shape(init)}")
-    base, mask = np.array(init, dtype=float).reshape(r, q), np.ones((r, q), dtype=bool)
-    if fixed_entry is not None:
-        mask[i, j], base[i, j] = False, a0
-
-    evaluate = _wald_form(lam0, dz)
-    where = f"search at lam0 = {lam0.tolist()}, fixed entry {fixed_entry}"
-
-    def at(x: np.ndarray) -> tuple:
-        a = base.copy()
-        a[mask] = x
-        f, grad, hess = evaluate(a)
-        out = f, grad[mask], hess[mask][:, mask]
-        if not all(np.isfinite(v).all() for v in out):
-            raise NumericalError(f"{where}: the Wald form is not finite at a = {a.tolist()}")
-        return out
-
-    x, status, evaluations = base[mask], "max-iter", 1
-    try:
-        f, grad, hess = at(x)
-        for _ in range(100):
-            step, decrement, mu = _newton_step(grad, hess)
-            # the Newton step's predicted gain, decrement / 2, is below the objective's rounding
-            if mu == 0.0 and decrement <= 64 * np.finfo(float).eps * max(1.0, abs(f)):
-                status = "converged"
-                break
-            t = 1.0
-            while not np.array_equal(x + t * step, x):  # Armijo backtracking
-                evaluations += 1
-                f_t, grad_t, hess_t = at(x + t * step)
-                if f_t <= f - 1e-4 * t * decrement:
-                    break
-                t /= 2.0
-            else:
-                break  # no backtracked step lowers f
-            x, f, grad, hess = x + t * step, f_t, grad_t, hess_t
-    except QcvarError:
-        raise
-    except Exception as exc:
-        raise NumericalError(f"{where} failed: {exc!r}") from exc
-    base[mask] = x
-    fit = restricted_fit(base, lam0, data, k, det, design=dz)
-    return replace(fit, evaluations=evaluations,
-                   status=status if fit.status == "converged" else fit.status)
+    fit = _search(lam0[None], dz, init, fixed_entry)[0]
+    if isinstance(fit, QcvarError):
+        raise fit
+    return fit
 
 
-def _newton_step(grad: np.ndarray, hess: np.ndarray) -> tuple:
-    """``s = -H^-1 g``, the decrement ``g'H^-1 g`` and the Levenberg shift mu: 0 where H factors,
-    else the first of ``1e-8 max|H| 10^m`` at which ``H + mu I`` is positive definite."""
-    mu, eye = 0.0, np.eye(len(hess))
-    while True:
+def _search(lams: np.ndarray, dz: Design, start=None, fixed_entry=None) -> list:
+    """Per block of the (G, q, q) stack ``lams``, the :func:`restricted_fit` at the a minimising its
+    :func:`_wald_form` with ``fixed_entry=(i, j, a0)`` frozen, from ``start`` (default: the OLS
+    split's a, kept per design and q), by one damped Newton loop (Nocedal & Wright 2006, ch. 3)
+    that evaluates each block in it once a round.  A step is ``-H^-1 g``, H shifted by the first
+    ``mu = 1e-8 max|H| 10^m`` at which it factors, halved until ``f(x + t s) <= f(x) - 1e-4 t
+    g'H^-1 g`` (Armijo).  A block leaves ``converged`` once the unshifted ``g'H^-1 g`` is at most
+    ``64 eps max(1, |f|)``, the objective's rounding, and ``max-iter`` after 100 steps or when no
+    backtracked step lowers f, unless the fit is infeasible.  A non-finite f, gradient or Hessian
+    (a singular G too), or any other failure in the loop, is the block's NumericalError instead.
+    At q = p a is empty, and the fit is the profile.
+    """
+    G, q = lams.shape[:2]
+    r = dz.p - q
+    if r == 0:
+        return [_fit_or_error(np.zeros((0, q)), lam, dz) for lam in lams]
+    if start is None:  # the OLS split's a, built once per (design, q)
+        start = dz._moments.get(("split", q))
+    if start is None:
         try:
-            solved = cho_solve(cho_factor(hess + mu * eye, check_finite=False), grad)
-            return -solved, float(grad @ solved), mu
-        except np.linalg.LinAlgError:
-            mu = 10.0 * mu or max(1e-8 * float(np.abs(hess).max()), np.finfo(float).tiny)
+            start = split(ols_fit(None, dz.k, dz.det, design=dz).coeffs, q,
+                          warn_ill_conditioned=False).a
+        except QcvarError:
+            start = np.zeros((r, q))
+        dz._moments["split", q] = start
+    base = np.empty((G, r * q))  # a, flattened row-major
+    base[:] = np.ravel(start)
+    free = slice(None)  # the free entries of a
+    if fixed_entry is not None:
+        i, j, a0 = fixed_entry
+        base[:, i * q + j] = a0
+        free = np.delete(np.arange(r * q), i * q + j)
+    eye = np.eye(base[0, free].size)
+    rounding = 64 * np.finfo(float).eps  # of the objective, relative to max(1, |f|)
+    where = f"search at lam0 = {{}}, fixed entry {fixed_entry}"
+    out = [None] * G
+    status = np.full(G, "max-iter", dtype=object)
+    evaluations = np.zeros(G, int)
+    rounds = 0
+    # per block in the loop: its index, its trial a, its accepted point x (the free entries of a)
+    # and f there, and the step from x, with its decrement g'H^-1 g, its length t and the count of
+    # steps
+    idx = np.arange(G)
+    a = base.copy()
+    x = base[:, free].copy()
+    f = np.full(G, np.inf)
+    step = np.zeros_like(x)
+    decrement = np.zeros(G)
+    t = np.ones(G)
+    steps = np.zeros(G, int)
+    trial = x
+    try:
+        evaluate = _wald_form(lams, dz)
+        while idx.size:
+            a[:, free] = trial
+            rounds += 1
+            f_t, grad, hess = evaluate(a.reshape(-1, r, q), idx)
+            grad = grad.reshape(len(a), -1)[:, free]
+            hess = hess.reshape(len(a), r * q, -1)[:, free][:, :, free]
+            ok = np.isfinite(f_t) & np.isfinite(grad).all(1) & np.isfinite(hess).all((1, 2))
+            for m in np.flatnonzero(~ok):  # the block leaves with its error
+                g = idx[m]
+                out[g] = NumericalError(where.format(lams[g].tolist()) + ": the Wald form is not "
+                                        f"finite at a = {a[m].reshape(r, q).tolist()}")
+            better = ok & (f_t <= f - 1e-4 * t * decrement)  # at the start, any finite f
+            new = better & (steps < 100)
+            # the same selections as basic slices in the common round, where every block steps
+            accept = slice(None) if better.all() else better
+            sel = slice(None) if new.all() else new
+            t[~better] /= 2.0  # Armijo backtracking
+            x[accept] = trial[accept]
+            f[accept] = f_t[accept]
+            hess = hess[sel]
+            mu = np.zeros((len(hess), 1, 1))
+            while not np.isfinite(L := _per_block(np.linalg.cholesky, hess + mu * eye)).all():
+                shift = ~np.isfinite(L).all((1, 2))  # the Levenberg shift
+                first = 1e-8 * np.abs(hess[shift]).max((1, 2), keepdims=True)
+                first = np.maximum(first, np.finfo(float).tiny)
+                mu[shift] = np.where(mu[shift] > 0.0, 10.0 * mu[shift], first)
+            half = np.linalg.solve(L, grad[sel][..., None])  # L^-1 g
+            step[sel] = -np.linalg.solve(L.swapaxes(1, 2), half)[..., 0]
+            decrement[sel] = (half.swapaxes(1, 2) @ half).ravel()
+            t[sel] = 1.0
+            steps[sel] += 1
+            # the Newton step's predicted gain, decrement / 2, is below the objective's rounding
+            converged = new & (decrement <= rounding * np.maximum(1.0, np.abs(f)))
+            converged[sel] &= mu.ravel() == 0.0
+            trial = x + t[:, None] * step
+            # a block also leaves after its 100th step, or when no backtracked step moves x
+            stay = ok & ~converged & (new | ~better) & (trial != x).any(axis=1)
+            if not stay.all():
+                status[idx[converged]] = "converged"
+                evaluations[idx[~stay]] = rounds
+                a[:, free] = x
+                base[idx[~stay]] = a[~stay]
+                idx, a, x, f, step, decrement, t, steps, trial = (
+                    v[stay] for v in (idx, a, x, f, step, decrement, t, steps, trial))
+    except Exception as exc:
+        for g in (g for g in idx if out[g] is None):
+            out[g] = exc if isinstance(exc, QcvarError) else NumericalError(
+                where.format(lams[g].tolist()) + f" failed: {exc!r}")
+    for g in (g for g in range(G) if out[g] is None):
+        fit = _fit_or_error(base[g].reshape(r, q), lams[g], dz)
+        if isinstance(fit, FitResult):
+            fit = replace(fit, evaluations=int(evaluations[g]),
+                          status=status[g] if fit.status == "converged" else fit.status)
+        out[g] = fit
+    return out
+
+
+def _fit_or_error(a: np.ndarray, lam: np.ndarray, dz: Design):
+    """:func:`restricted_fit` at (a, lam), or the :class:`QcvarError` it raises."""
+    try:
+        return restricted_fit(a, lam, None, dz.k, dz.det, design=dz)
+    except QcvarError as exc:
+        return exc
 
 
 def _partialled_moments(lambda0: float, dz: Design):
@@ -628,17 +701,40 @@ def _fixed_entry_a(A: np.ndarray, S11: np.ndarray, i: int, j: int, a0: float, r:
 def _block_lr(lam0, dz: Design):
     """``2 (loglik_ols - profile loglik)`` at lam0, unclamped, and the fit behind it; at a scalar
     block n_eff times the sum of the q smallest eigenvalues of :func:`_known_vector_moments`
-    (Johansen 1995, ch. 6), and no fit.  A non-scalar block is searched once per design, from the
-    OLS split's a, and every statistic at lam0 shares the fit, kept in ``dz._moments``."""
+    (Johansen 1995, ch. 6), and no fit.  A non-scalar block is searched once per design, by
+    :func:`_search_blocks`, and every statistic at lam0 shares the fit, or raises its error."""
     lam0 = _as_block(lam0, dz)
     if _is_scalar(lam0):
         A, S11 = _known_vector_moments(float(lam0[0, 0]), dz)
         return dz.n_eff * _eigh_pair(A, S11, eigvals_only=True)[: len(lam0)].sum(), None
-    fit = dz._moments.get(lam0.tobytes())
-    if fit is None:
-        fit = dz._moments[lam0.tobytes()] = profile_a(lam0, None, dz.k, dz.det, design=dz)
-        fit.a_hat.flags.writeable = False
+    key = lam0.tobytes()
+    if key not in dz._moments:
+        _search_blocks([lam0], dz)
+    fit = dz._moments[key]
+    if isinstance(fit, QcvarError):
+        raise fit
     return 2.0 * (dz.loglik_ols - fit.loglik), fit
+
+
+def _search_blocks(lams: list, dz: Design) -> None:
+    """Search, in one :func:`_search` per q, each non-scalar block of ``lams`` that ``dz._moments``
+    lacks, and keep there its fit (read-only) or its error; a block that :func:`_as_block`
+    rejects is left to the statistic that reads it."""
+    todo = {}
+    for lam in lams:
+        try:
+            lam = _as_block(lam, dz)
+        except DomainError:
+            continue
+        key = lam.tobytes()
+        if key not in dz._moments and not _is_scalar(lam):
+            todo.setdefault(len(lam), {})[key] = lam
+    for blocks in todo.values():
+        fits = _search(np.array(list(blocks.values())), dz)
+        for key, fit in zip(blocks, fits):
+            if isinstance(fit, FitResult):
+                fit.a_hat.flags.writeable = False
+            dz._moments[key] = fit
 
 
 def rrr_fit(
@@ -687,6 +783,7 @@ def rrr_fit(
     # Y = W t0 + Z1 Pi' + Z2 (C0 - C1 Pi') in the coefficients of W
     theta = (t0 + t1 @ pi_hat.T + T2 @ (C0 - C1 @ pi_hat.T)).T
     det_block, phi_block = dz.split_theta(theta)
+    ssr = dz.ssr(theta)
     coeffs = VarCoefficients.from_stacked(phi_block, k)
 
     lam0 = lambda0 * np.eye(q)
@@ -698,9 +795,9 @@ def rrr_fit(
         resid_norm = float(np.linalg.norm(coeffs.stacked @ M - N))
     return FitResult(
         coeffs=coeffs,
-        sigma=dz.ssr(theta) / n_eff,
+        sigma=ssr / n_eff,
         det_coeffs=dz.unscale_det(det_block) if det_block is not None else None,
-        loglik=dz.loglik_fixed_weight(theta),
+        loglik=dz.loglik_fixed_weight(ssr),
         status="converged",
         det=det,
         n_eff=n_eff,
@@ -723,8 +820,8 @@ class LambdaGrid:
     block on it has an off-diagonal ``(e1 - e2) sin(theta) cos(theta) >= 0``,
     so a block with a negative one enters only as an explicit candidate.
     Explicit candidate matrices may be supplied instead via ``candidates``.
-    A q below 1, a rho above 1 or a step that is not positive raises
-    :class:`DomainError`.
+    A q below 1, a rho above 1 or not finite, or a step that is not positive
+    (or an angle step that is not finite) raises :class:`DomainError`.
     """
 
     family: str = "scalar"
@@ -735,11 +832,12 @@ class LambdaGrid:
     candidates: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.q < 1 or not self.rho <= 1.0:
-            raise DomainError(f"a dynamics grid needs q >= 1 and rho <= 1, got q = {self.q}, "
-                              f"rho = {self.rho}")
-        if self.eig_step is not None and not self.eig_step > 0:
-            raise DomainError(f"the eigenvalue grid step must be positive, got {self.eig_step}")
+        if self.q < 1 or not -math.inf < self.rho <= 1.0:
+            raise DomainError(f"a dynamics grid needs q >= 1 and a finite rho <= 1, got q = "
+                              f"{self.q}, rho = {self.rho}")
+        if not (self.eig_step is None or self.eig_step > 0) or not 0 < self.angle_step < math.inf:
+            raise DomainError(f"each grid step must be positive and the angle step finite, got "
+                              f"{self.eig_step} and {self.angle_step}")
 
     @property
     def resolved_eig_step(self) -> float:
@@ -819,6 +917,8 @@ def profile_lambda(
     pts = lambda_space.points()
     if not pts:
         raise DomainError("lambda grid is empty")
+    if lambda_space.q > 1:  # a 1 x 1 block is scalar
+        _search_blocks(pts, dz)
     failures, nodes = [], []
 
     def block_lr(lam: np.ndarray):

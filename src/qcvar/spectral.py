@@ -442,17 +442,23 @@ def constraint_matrices(a: np.ndarray, lam: np.ndarray, k: int) -> tuple[np.ndar
     ``r_near = [a; I_q]``, ``M = col{r_near @ lam^(k-i)}`` for i = 1..k
     (kp-by-q) and ``N = r_near @ lam^k``: the stacked lag coefficients
     satisfy it exactly when [a; I_q] spans a right invariant subspace of
-    the companion matrix with dynamics ``lam``.
+    the companion matrix with dynamics ``lam``.  A stack of a, shaped
+    (..., r, q), takes a stack of lam, shaped (..., q, q), that broadcasts
+    against it, and gives the stacks of the three.
     """
-    q = lam.shape[0]
-    a = np.asarray(a, dtype=float).reshape(-1, q)
-    r_near = np.vstack([a, np.eye(q)])
+    q = lam.shape[-1]
+    a = np.asarray(a, dtype=float)
+    a = a.reshape(a.shape[:-2] + (-1, q))
+    r = a.shape[-2]
+    r_near = np.empty(a.shape[:-2] + (r + q, q))
+    r_near[..., :r, :] = a
+    r_near[..., r:, :] = np.eye(q)
     blocks = []
     power = np.eye(q)
     for _ in range(k):
         blocks.append(r_near @ power)
         power = power @ lam
-    M = np.vstack(blocks[::-1])
+    M = np.concatenate(blocks[::-1], axis=-2)
     N = r_near @ power  # power == lam^k after the loop
     return r_near, M, N
 

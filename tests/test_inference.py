@@ -806,32 +806,58 @@ class TestOneSearchPerBlock:
 
     @staticmethod
     def _free_searches(monkeypatch):
-        """The blocks of the free non-scalar profile_a searches run from now on, as bytes."""
-        calls, original = [], likelihood.profile_a
+        """The blocks of the free non-scalar searches run from now on, as bytes: every block of
+        every batch of ``likelihood._search`` without a fixed entry."""
+        calls, original = [], likelihood._search
 
-        def counted(lam0, *args, fixed_entry=None, **kwargs):
-            if fixed_entry is None and not likelihood._is_scalar(np.atleast_2d(lam0)):
-                calls.append(np.asarray(lam0, dtype=float).tobytes())
-            return original(lam0, *args, fixed_entry=fixed_entry, **kwargs)
+        def counted(lams, dz, start=None, fixed_entry=None):
+            if fixed_entry is None:
+                calls.extend(lam.tobytes() for lam in lams)
+            return original(lams, dz, start, fixed_entry)
 
-        for module in (likelihood, inference):
-            monkeypatch.setattr(module, "profile_a", counted)
+        monkeypatch.setattr(likelihood, "_search", counted)
         return calls
+
+    @staticmethod
+    def _table(y, path):
+        """A q=2 table with a node at each block's localisation, so that every block finds its
+        critical value."""
+        dz = make_design(y, 1, "trend")
+        template = LimitDistConfig(q=2, c_star=np.zeros((2, 2)), det="trend", steps=100,
+                                   reps=1000, seed=3, levels=(0.975,))
+        return build_table([localisation(lam, dz) for lam in SYMMETRIC_POINTS], template, path)
 
     def test_bonferroni_searches_each_block_once(self, tmp_path, monkeypatch):
         y = symmetric_data(300_006)
-        dz = make_design(y, 1, "trend")
-        # a node at each block's localisation, so that every block finds its critical value
-        template = LimitDistConfig(q=2, c_star=np.zeros((2, 2)), det="trend", steps=100,
-                                   reps=1000, seed=3, levels=(0.975,))
-        table = build_table([localisation(lam, dz) for lam in SYMMETRIC_POINTS], template,
-                            str(tmp_path / "q2.tbl"))
+        table = self._table(y, str(tmp_path / "q2.tbl"))
         calls = self._free_searches(monkeypatch)
         grid = LambdaGrid(family="symmetric", q=2, candidates=tuple(SYMMETRIC_POINTS))
         cset = bonferroni_ci(0.025, 0.025, 0, 0, y, 1, "trend", grid, table)
         # the conditional scan runs at accepted non-scalar blocks, yet searches none of them again
         assert sum(not likelihood._is_scalar(lam) for lam, _, _ in cset.accepted) >= 2
         assert sorted(calls) == sorted(lam.tobytes() for lam in self.NON_SCALAR)
+
+    def test_ci_lambda_searches_its_grid_in_one_batch(self, tmp_path, monkeypatch):
+        # the accepted nodes and the interval match those recorded from one search per block
+        y = symmetric_data(300_006)
+        table = self._table(y, str(tmp_path / "q2.tbl"))
+        batches, original = [], likelihood._search
+        monkeypatch.setattr(likelihood, "_search", lambda lams, *args: batches.append(
+            sorted(lam.tobytes() for lam in lams)) or original(lams, *args))
+        grid = LambdaGrid(family="symmetric", q=2, candidates=tuple(SYMMETRIC_POINTS))
+        cset = bonferroni_ci(0.025, 0.025, 0, 0, y, 1, "trend", grid, table)
+        assert batches[0] == sorted(lam.tobytes() for lam in self.NON_SCALAR)
+        assert all(len(batch) == 1 for batch in batches[1:])  # fixed-entry searches
+        for (lam, stat, crit), (m, want_stat, want_crit) in zip(cset.accepted, [
+                (7, 15.987649463296293, 18.89133072164873),
+                (8, 9.509226917081833, 18.518541025128197),
+                (9, 24.918477165399317, 25.042190112678284)], strict=True):
+            np.testing.assert_array_equal(lam, SYMMETRIC_POINTS[m])
+            assert stat == pytest.approx(want_stat, rel=1e-12, abs=0) and crit == want_crit
+        ((lo, hi),) = cset.intervals
+        # brentq stops within 1e-6 of a root of the search's LR
+        assert lo == pytest.approx(-0.4010275635942385, abs=1e-6)
+        assert hi == pytest.approx(-0.24606268553814242, abs=1e-6)
 
     def test_statistics_after_lr_lambda_search_no_free_profile(self, monkeypatch):
         y = symmetric_data(300_003)

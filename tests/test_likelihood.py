@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +12,7 @@ import qcvar.likelihood as likelihood
 from conftest import SYMMETRIC_POINTS, make_instance, symmetric_data
 from qcvar.dgp import DgpSpec, build_var, simulate
 from qcvar.exceptions import ConditionWarning, DomainError, NormalizationError, NumericalError
-from qcvar.inference import lr_coefficient
+from qcvar.inference import lr_coefficient, lr_lambda
 from qcvar.likelihood import (
     DET_CASES,
     LambdaGrid,
@@ -59,6 +61,16 @@ class TestOlsFit:
             errs[n] = np.linalg.norm(fit.coeffs.stacked - coeffs.stacked)
         assert errs[2000] <= 0.1
         assert errs[2000] < errs[200]
+
+    def test_design_keeps_its_condition_number(self):
+        # the number that decides the pseudo-inverse fallback, from 1e12
+        y, _ = simulate(DgpSpec.simple(make_instance(0, p=2, k=1, q=1), 200), 7)
+        dz = make_design(y, 1, "trend")
+        assert dz.cond == np.linalg.cond(dz.WtW) < 1e12
+        t = np.arange(1.0, 41.0)
+        with pytest.warns(ConditionWarning, match="ill conditioned"):
+            dz = make_design(np.column_stack([2.0 + 3.0 * t, 1.0 - 0.5 * t]), 1, "trend")
+        assert not dz.cond < 1e12
 
     def test_too_few_observations(self):
         from qcvar.exceptions import SingularDesignError
@@ -237,9 +249,22 @@ def _count_calls(monkeypatch, name):
 
 
 def _wrap_evaluator(monkeypatch, wrap):
-    """Make ``likelihood._wald_form`` return ``wrap(evaluate)`` in place of its evaluator."""
+    """Make ``likelihood._wald_form`` return ``wrap(evaluate)`` in place of its evaluator, which
+    takes a stack of a and the indices of its blocks."""
     original = likelihood._wald_form
-    monkeypatch.setattr(likelihood, "_wald_form", lambda lam0, dz: wrap(original(lam0, dz)))
+    monkeypatch.setattr(likelihood, "_wald_form", lambda lams, dz: wrap(original(lams, dz)))
+
+
+def _single(lam0, dz):
+    """The evaluator of :func:`likelihood._wald_form` at the one block lam0, unstacked:
+    ``a -> (f, gradient, Hessian)``."""
+    evaluate = likelihood._wald_form(lam0[None], dz)
+
+    def at(a):
+        f, grad, hess = evaluate(a[None], [0])
+        return f[0], grad[0], hess[0]
+
+    return at
 
 
 def fail_block_lr_above(monkeypatch, lam_max):
@@ -363,7 +388,7 @@ class TestProfileADispatch:
     def test_search_failure_is_a_numerical_error(self, monkeypatch):
         # a failure inside the search that is not a QcvarError, e.g. at an extreme fixed entry
         def broken(evaluate):
-            def at(a):
+            def at(a, idx):
                 raise UnboundLocalError("cannot access local variable 'p'")
             return at
 
@@ -381,9 +406,9 @@ class TestProfileADispatch:
     def test_infinite_objective_is_a_numerical_error(self, monkeypatch):
         # not a silent max-iter: the search stops at the first non-finite value
         def infinite(evaluate):
-            def at(a):
-                f, grad, hess = evaluate(a)
-                return np.inf, grad, hess
+            def at(a, idx):
+                f, grad, hess = evaluate(a, idx)
+                return np.full_like(f, np.inf), grad, hess
             return at
 
         _wrap_evaluator(monkeypatch, infinite)
@@ -526,7 +551,7 @@ class TestWaldForm:
         for det in DET_CASES:
             dz = make_design(y, k, det)
             for lam0 in _NON_SCALAR_BLOCKS + (0.97 * np.eye(2),):
-                evaluate = likelihood._wald_form(lam0, dz)
+                evaluate = _single(lam0, dz)
                 for a in rng.normal(size=(3, 2, 2)):
                     f, grad, hess = evaluate(a)
                     fit = restricted_fit(a, lam0, y, k, det, design=dz)
@@ -554,9 +579,9 @@ class TestWaldForm:
         points = []
 
         def recorded(evaluate):
-            def at(a):
+            def at(a, idx):
                 points.append(a.tobytes())
-                return evaluate(a)
+                return evaluate(a, idx)
             return at
 
         _wrap_evaluator(monkeypatch, recorded)
@@ -578,7 +603,7 @@ def _fd_search(lam0, y, k, det, dz, init, fixed_entry=None):
     if fixed_entry is not None:
         i, j, a0 = fixed_entry
         mask[i, j], base[i, j] = False, a0
-    evaluate = likelihood._wald_form(lam0, dz)
+    evaluate = _single(lam0, dz)
 
     def objective(x):
         a = base.copy()
@@ -805,6 +830,86 @@ class TestProfileLambda:
             if not likelihood._is_scalar(lam):
                 assert loglik == pytest.approx(profile_a(lam, y, 1, det).loglik, rel=1e-12, abs=0)
 
+    def test_a_block_does_not_depend_on_its_batch(self):
+        # searched alone on a fresh design, inside the default grid (451 blocks, 440 of them
+        # non-scalar) and inside a shuffled subset, each block gives the same bits
+        y = symmetric_data(300_003)
+        default = LambdaGrid(family="symmetric", q=2)
+        points = default.points()
+        non_scalar = [lam for lam in points if not likelihood._is_scalar(lam)]
+        assert len(points) == 451 and len(non_scalar) == 440
+        subset = [non_scalar[m] for m in np.random.default_rng(1).permutation(440)[:60]]
+        runs = []
+        for grid in (default, LambdaGrid(family="symmetric", q=2, candidates=tuple(subset))):
+            dz = make_design(y, 1, "const")
+            trace = profile_lambda(grid, y, 1, "const", design=dz).trace
+            runs.append({lam.tobytes(): (dz._moments[lam.tobytes()], loglik)
+                         for lam, loglik, _ in trace if not likelihood._is_scalar(lam)})
+        for lam in subset[:12]:
+            dz = make_design(y, 1, "const")
+            alone = profile_lambda(LambdaGrid(family="symmetric", q=2, candidates=(lam,)), y, 1,
+                                   "const", design=dz)
+            fit, loglik = dz._moments[lam.tobytes()], alone.trace[0][1]
+            single = profile_a(lam, y, 1, "const")
+            np.testing.assert_array_equal(single.a_hat, fit.a_hat)
+            assert single.evaluations == fit.evaluations
+            for run in runs:  # evaluations counts those that included the block
+                np.testing.assert_array_equal(run[lam.tobytes()][0].a_hat, fit.a_hat)
+                assert run[lam.tobytes()][0].evaluations == fit.evaluations
+                assert run[lam.tobytes()][1] == loglik
+
+    @pytest.mark.parametrize("kind", ["singular", "overflowing"])
+    def test_a_failing_block_fails_alone(self, monkeypatch, kind):
+        # the other blocks of its batch keep their trace entries, bit for bit
+        y = symmetric_data(300_006)
+        grid = LambdaGrid(family="symmetric", q=2, candidates=tuple(SYMMETRIC_POINTS))
+        clean = profile_lambda(grid, y, 1, "trend")
+        if kind == "singular":  # G = M'HM does not invert at one block: its values are NaN
+            bad, points, original = SYMMETRIC_POINTS[4], SYMMETRIC_POINTS, likelihood._wald_form
+
+            def wald_form(lams, dz):
+                evaluate, hit = original(lams, dz), [np.array_equal(lam, bad) for lam in lams]
+
+                def at(a, idx):
+                    f, grad, hess = evaluate(a, idx)
+                    f[np.array(hit)[idx]] = np.nan
+                    return f, grad, hess
+                return at
+
+            monkeypatch.setattr(likelihood, "_wald_form", wald_form)
+        else:  # the Wald form overflows
+            bad = np.array([[1e200, 0.0], [0.0, 0.95]])
+            points = SYMMETRIC_POINTS[:4] + [bad] + SYMMETRIC_POINTS[4:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            prof = profile_lambda(LambdaGrid(family="symmetric", q=2, candidates=tuple(points)),
+                                  y, 1, "trend")
+            with pytest.raises(NumericalError, match="the Wald form is not finite"):
+                profile_a(bad, y, 1, "trend")  # a batch of one raises it
+        ((lam, message),) = prof.failures
+        np.testing.assert_array_equal(lam, bad)
+        assert re.match(r"NumericalError: search at lam0 = .*, fixed entry None: the Wald form is "
+                        "not finite", message)
+        others = {lam.tobytes(): node for lam, *node in clean.trace if not np.array_equal(lam, bad)}
+        assert {lam.tobytes(): node for lam, *node in prof.trace} == others
+
+    def test_non_scalar_blocks_at_q_equal_to_p_are_their_restricted_fits(self):
+        # at q = p the matrix a is empty, so each block's profile is restricted_fit, unsearched
+        y = np.cumsum(np.random.default_rng(0).standard_normal((200, 2)), axis=0)
+        dz = make_design(y, 1, "trend")
+        prof = profile_lambda(LambdaGrid(family="symmetric", q=2, rho=0.9, eig_step=0.1), y, 1,
+                              "trend", design=dz)
+        assert prof.failures == () and len(prof.trace) == len(SYMMETRIC_POINTS)
+        for lam, loglik, status in prof.trace:
+            fit = restricted_fit(np.zeros((0, 2)), lam, y, 1, "trend")
+            assert loglik == pytest.approx(fit.loglik, rel=1e-12, abs=0) and status == fit.status
+            if not likelihood._is_scalar(lam):
+                assert dz._moments[lam.tobytes()].loglik == fit.loglik
+        lam0 = SYMMETRIC_POINTS[4]
+        fit = restricted_fit(np.zeros((0, 2)), lam0, y, 1, "trend")
+        stat = lr_lambda(lam0, y, 1, "trend")
+        assert stat.value == 2.0 * (dz.loglik_ols - fit.loglik)
+        assert stat.fit_restricted.loglik == fit.loglik and stat.fit_restricted.evaluations is None
+
     def test_symmetric_grid_q2(self):
         coeffs = make_instance(8, p=3, k=1, q=2, lam_lo=0.95)
         y, _ = simulate(DgpSpec.simple(coeffs, 400), 31)
@@ -867,6 +972,19 @@ class TestLambdaGrid:
         for step in (0.0, -0.01):
             with pytest.raises(DomainError):
                 LambdaGrid(family="symmetric", q=2, rho=0.9, eig_step=step)
+
+    @pytest.mark.parametrize("angle_step", [0.0, float("nan"), -0.1, float("inf")])
+    def test_angle_step_domain_error(self, angle_step):
+        # unchecked, these divide by zero, fail in round(), keep only the diagonal blocks, or
+        # make NaN blocks
+        with pytest.raises(DomainError, match="step must be positive and the angle step finite"):
+            LambdaGrid(family="symmetric", q=2, rho=0.9, angle_step=angle_step)
+
+    @pytest.mark.parametrize("rho", [-np.inf, np.nan])
+    def test_rho_domain_error(self, rho):
+        # unchecked, rho = -inf overflows in the grid's node count
+        with pytest.raises(DomainError, match="finite rho <= 1"):
+            LambdaGrid(family="symmetric", q=2, rho=rho)
 
     def test_normal_family_complex_pair(self):
         # a normal block with a complex pair enters as an explicit candidate; no automatic grid

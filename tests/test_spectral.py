@@ -20,6 +20,7 @@ from qcvar.spectral import (
     VarCoefficients,
     classify,
     companion,
+    constraint_matrices,
     half_life_to_radius,
     radius_to_half_life,
     reconstruct,
@@ -198,6 +199,20 @@ class TestReconstruct:
         s = split(coeffs, 1)
         F = companion(coeffs)
         assert np.linalg.norm(F - reconstruct(s)) <= 1e-8 * np.linalg.norm(F)
+
+
+class TestConstraintMatrices:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_stack_gives_the_stack_of_its_blocks(self, k):
+        # a (4, 3, r, q) stack of a against a (4, 1, q, q) stack of lam, as the search builds them
+        rng = np.random.default_rng(k)
+        a, lam = rng.normal(size=(4, 3, 2, 2)), rng.normal(size=(4, 1, 2, 2))
+        stacked = constraint_matrices(a, lam, k)
+        assert [m.shape for m in stacked] == [(4, 3, 4, 2), (4, 3, 4 * k, 2), (4, 3, 4, 2)]
+        for g in range(4):
+            for e in range(3):
+                for got, want in zip(stacked, constraint_matrices(a[g, e], lam[g, 0], k)):
+                    np.testing.assert_array_equal(got[g, e], want)
 
 
 class TestHalfLife:

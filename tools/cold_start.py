@@ -9,8 +9,9 @@ Each checkout is the root of a full copy of the repository.  A command is
 spawned with ``PYTHONPATH=<checkout>/src`` and BLAS pinned to one thread, as
 ``perfbench/run.py`` pins it, and timed from spawn to exit: interpreter start,
 imports and the work.  The commands are ``lr`` and ``ci`` at q=1 with a cached
-table, ``roots --data``, ``fit`` at q=1 and ``fit --family symmetric`` at q=2
-(the non-scalar search), on one p=3, n=500 dataset that this script writes
+table, ``roots --data``, ``fit`` at q=1, and ``fit --family symmetric`` at q=2
+(the non-scalar search) at ``--grid-step 0.1`` (10 blocks) and at the default
+grid (451 blocks), on one p=3, n=500 dataset that this script writes
 (seed 2101).  The table is built once, untimed, by the change's ``ci
 --build-table``.  In every pair each command runs once from each checkout, the
 parent first in even pairs and the change first in odd ones.  The output holds
@@ -53,6 +54,7 @@ def commands(data: str, table: str) -> dict:
         "roots": ["roots", *base],
         "fit": ["fit", *base, "--q", "1", "--grid-step", "0.02"],
         "fit-symmetric": ["fit", *base, "--q", "2", "--family", "symmetric", "--grid-step", "0.1"],
+        "fit-symmetric-default": ["fit", *base, "--q", "2", "--family", "symmetric"],
     }
 
 
