@@ -12,7 +12,8 @@ of :func:`_known_vector_moments`, or with an entry of ``a`` fixed Johansen's
 restricted basis, by the switching algorithm (exact in one sweep when q or
 r = p - q is 1).  For non-scalar blocks one damped Newton loop over a stack
 of blocks minimises the Wald form of the restricted loglik in ``a``, with its
-analytic gradient and Hessian, and :func:`restricted_fit` reports each result.
+analytic gradient and Hessian, and one stacked closed-form fit reports every
+block (:func:`_restricted_fits`; :func:`restricted_fit` is a batch of one).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg.lapack import dpotrs
 
 from .exceptions import (
     ConditionWarning,
@@ -77,7 +79,7 @@ class FitResult:
     estimator of the same design.  ``det_coeffs`` holds the intercept/trend coefficients in the
     original (unscaled) time parametrisation, one column per deterministic term.
     ``evaluations`` counts the Wald-form evaluations that included this block in a :func:`_search`
-    batch; it is None on every closed-form path.
+    batch, which passes the count to :func:`_restricted_fits`; it is None on every closed-form path.
     """
 
     coeffs: VarCoefficients
@@ -167,39 +169,45 @@ class Design:
         else:
             self.logdet_sigma_ols = logdet
             self.loglik_ols = -0.5 * n_eff * logdet - 0.5 * n_eff * p
-            self._sigma_ols_cho = cho_factor(self.sigma_ols)
+            self._sigma_ols_cho = cho_factor(self.sigma_ols)[0]  # upper
 
     def ssr(self, theta: np.ndarray) -> np.ndarray:
-        """Residual second-moment matrix of the coefficient matrix theta."""
+        """Residual second-moment matrix of the coefficient matrix theta, or of each of a stack."""
         cross = theta @ self.WtY
-        out = self.YtY - cross - cross.T + theta @ self.WtW @ theta.T
-        return 0.5 * (out + out.T)
+        out = self.YtY - cross - cross.swapaxes(-1, -2) + theta @ self.WtW @ theta.swapaxes(-1, -2)
+        return 0.5 * (out + out.swapaxes(-1, -2))
 
     def solve_weight(self, x: np.ndarray) -> np.ndarray:
-        """``Sigma_ols^-1 x``, the OLS variance weight applied to x."""
+        """``Sigma_ols^-1 x`` for the p-row matrix x or each of a stack, side by side in one
+        LAPACK ``dpotrs`` (as in scipy's ``cho_solve``); a non-finite x is a NumericalError."""
         if self._sigma_ols_cho is None:
             raise SingularDesignError("the OLS residual covariance is singular; the fixed-weight "
                                       "loglikelihood is undefined")
-        return cho_solve(self._sigma_ols_cho, x)
+        if not np.isfinite(x).all():
+            raise NumericalError("the OLS variance weight met a non-finite matrix")
+        wide = x.swapaxes(0, -2)
+        out, info = dpotrs(self._sigma_ols_cho, wide.reshape(self.p, -1))
+        if info:
+            raise NumericalError(f"LAPACK dpotrs failed with info = {info}")
+        return out.reshape(wide.shape).swapaxes(0, -2)
 
-    def loglik_fixed_weight(self, ssr: np.ndarray) -> float:
-        """Concentrated loglik of the residual moment matrix ssr under the OLS variance weight."""
-        quad = np.trace(self.solve_weight(ssr))
+    def loglik_fixed_weight(self, ssr: np.ndarray):
+        """Concentrated loglik of each residual moment matrix of ssr under the OLS weight."""
+        quad = np.trace(self.solve_weight(ssr), axis1=-2, axis2=-1)
         return -0.5 * self.n_eff * self.logdet_sigma_ols - 0.5 * quad
 
     def unscale_det(self, det_block: np.ndarray) -> Optional[np.ndarray]:
-        """Map fitted deterministic coefficients to the raw m + d t form."""
+        """Map fitted deterministic coefficients (or a stack of them) to the raw m + d t form."""
         if self.n_det == 0:
             return None
         out = det_block.copy()
         if self.det == "trend":
-            d_raw = det_block[:, 1] / self.t_scale
-            m_raw = det_block[:, 0] - d_raw * self.t_center
-            out = np.column_stack([m_raw, d_raw])
+            out[..., 1] /= self.t_scale
+            out[..., 0] -= out[..., 1] * self.t_center
         return out
 
     def split_theta(self, theta: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
-        return (theta[:, : self.n_det] if self.n_det else None), theta[:, self.n_det:]
+        return (theta[..., : self.n_det] if self.n_det else None), theta[..., self.n_det:]
 
 
 def make_design(data: np.ndarray, k: int, det: str) -> Design:
@@ -294,7 +302,8 @@ def restricted_fit(
     linear restriction handled by restricted generalised least squares.
     Because the restriction acts on the regressor side and the weight on
     the equation side, the weight cancels from the estimator (it still
-    scales the reported loglikelihood).
+    scales the reported loglikelihood).  It is :func:`_restricted_fits`
+    as a batch of one, whose error is raised.
     """
     dz = _as_design(data, k, det, design)
     lam0 = _as_block(lam0, dz)
@@ -304,34 +313,57 @@ def restricted_fit(
     if q == 0:
         res = ols_fit(data, k, det, design=dz)
         return replace(res, constraint_residual=0.0, a_hat=a)
+    fit = _restricted_fits(a[None], lam0[None], dz, ["converged"], [None])[0]
+    if isinstance(fit, QcvarError):
+        raise fit
+    return fit
 
-    _, M, N = constraint_matrices(a, lam0, k)
-    K = np.vstack([np.zeros((dz.n_det, q)), M])
+
+def _restricted_fits(a: np.ndarray, lams: np.ndarray, dz: Design, status: list,
+                     evaluations: list) -> list:
+    """:func:`restricted_fit` at each block of the (G, r, q) and (G, q, q) stacks a and lams, or the
+    block's QcvarError (a singular K'QK fails its block alone; a singular OLS weight is raised),
+    reported with ``evaluations[g]`` and, where the constraint holds, ``status[g]``.  Each product
+    runs within a block, so no block's bits depend on the blocks that share its call."""
+    G, q = lams.shape[:2]
+    _, M, N = constraint_matrices(a, lams, dz.k)
+    K = np.concatenate([np.zeros((G, dz.n_det, q)), M], axis=1)
     QK = dz.Q @ K
-    KQK = K.T @ QK
     try:
-        correction = np.linalg.solve(KQK, QK.T)  # (K' Q K)^{-1} K' Q
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("restricted design is singular at this (a, lam0)") from exc
-    gap = dz.theta_ols @ K - N
-    theta_r = dz.theta_ols - gap @ correction
-
-    det_block, phi_block = dz.split_theta(theta_r)
-    ssr = dz.ssr(theta_r)
-    resid_norm = float(np.linalg.norm(phi_block @ M - N))
-    scale = 1.0 + float(np.linalg.norm(phi_block))
-    status = "converged" if resid_norm <= 1e-8 * scale else "constraint-infeasible"
-    return FitResult(
-        coeffs=VarCoefficients.from_stacked(phi_block, k),
-        sigma=ssr / dz.n_eff,
-        det_coeffs=dz.unscale_det(det_block) if det_block is not None else None,
-        loglik=dz.loglik_fixed_weight(ssr),
-        status=status,
-        det=det,
-        n_eff=dz.n_eff,
-        constraint_residual=resid_norm,
-        a_hat=a,
-    )
+        correction = np.linalg.solve(K.swapaxes(1, 2) @ QK, QK.swapaxes(1, 2))  # (K'QK)^-1 K'Q
+    except np.linalg.LinAlgError:  # one block at a time, so that a singular block fails alone
+        if G == 1:
+            return [SingularDesignError("restricted design is singular at this (a, lam0)")]
+        return [fit for g in range(G) for fit in _restricted_fits(
+            a[g:g + 1], lams[g:g + 1], dz, status[g:g + 1], evaluations[g:g + 1])]
+    theta = dz.theta_ols - (dz.theta_ols @ K - N) @ correction  # Johansen (1995, ch. 7)
+    det_block, phi_block = dz.split_theta(theta)
+    ssr = dz.ssr(theta)
+    resid, phis = (phi_block @ M - N).reshape(G, 1, -1), phi_block.reshape(G, 1, -1)
+    resid_norm = np.sqrt(resid @ resid.swapaxes(1, 2)).ravel()  # Frobenius norms, as np.linalg.norm
+    feasible = resid_norm <= 1e-8 * (1.0 + np.sqrt(phis @ phis.swapaxes(1, 2)).ravel())
+    try:
+        loglik = dz.loglik_fixed_weight(ssr)
+    except NumericalError:  # a block with non-finite residual moments: the others go on
+        loglik = np.full(G, np.nan)
+        finite = np.isfinite(ssr).all((1, 2))
+        loglik[finite] = dz.loglik_fixed_weight(ssr[finite])
+    sigma = ssr / dz.n_eff
+    det_coeffs = [None] * G if det_block is None else dz.unscale_det(det_block)
+    out = []
+    for g in range(G):
+        try:
+            coeffs = VarCoefficients.from_stacked(phi_block[g], dz.k)
+            if math.isnan(loglik[g]):
+                raise NumericalError(f"non-finite residual moments at lam0 = {lams[g].tolist()}")
+            out.append(FitResult(coeffs=coeffs, sigma=sigma[g], det_coeffs=det_coeffs[g],
+                                 loglik=loglik[g], det=dz.det, n_eff=dz.n_eff,
+                                 status=status[g] if feasible[g] else "constraint-infeasible",
+                                 constraint_residual=float(resid_norm[g]), a_hat=a[g],
+                                 evaluations=evaluations[g]))
+        except QcvarError as exc:
+            out.append(exc)
+    return out
 
 
 def _wald_form(lams: np.ndarray, dz: Design):
@@ -449,7 +481,7 @@ def profile_a(
 
 
 def _search(lams: np.ndarray, dz: Design, start=None, fixed_entry=None) -> list:
-    """Per block of the (G, q, q) stack ``lams``, the :func:`restricted_fit` at the a minimising its
+    """Per block of the (G, q, q) stack ``lams``, the closed-form fit at the a minimising its
     :func:`_wald_form` with ``fixed_entry=(i, j, a0)`` frozen, from ``start`` (default: the OLS
     split's a, kept per design and q), by one damped Newton loop (Nocedal & Wright 2006, ch. 3)
     that evaluates each block in it once a round.  A step is ``-H^-1 g``, H shifted by the first
@@ -458,12 +490,12 @@ def _search(lams: np.ndarray, dz: Design, start=None, fixed_entry=None) -> list:
     ``64 eps max(1, |f|)``, the objective's rounding, and ``max-iter`` after 100 steps or when no
     backtracked step lowers f, unless the fit is infeasible.  A non-finite f, gradient or Hessian
     (a singular G too), or any other failure in the loop, is the block's NumericalError instead.
-    At q = p a is empty, and the fit is the profile.
+    At q = p a is empty, and the fit is the profile.  One :func:`_restricted_fits` reports them.
     """
     G, q = lams.shape[:2]
     r = dz.p - q
     if r == 0:
-        return [_fit_or_error(np.zeros((0, q)), lam, dz) for lam in lams]
+        return _restricted_fits(np.zeros((G, 0, q)), lams, dz, ["converged"] * G, [None] * G)
     if start is None:  # the OLS split's a, built once per (design, q)
         start = dz._moments.get(("split", q))
     if start is None:
@@ -522,11 +554,12 @@ def _search(lams: np.ndarray, dz: Design, start=None, fixed_entry=None) -> list:
             f[accept] = f_t[accept]
             hess = hess[sel]
             mu = np.zeros((len(hess), 1, 1))
-            while not np.isfinite(L := _per_block(np.linalg.cholesky, hess + mu * eye)).all():
-                shift = ~np.isfinite(L).all((1, 2))  # the Levenberg shift
+            L = _per_block(np.linalg.cholesky, hess + mu * eye)
+            while (shift := ~np.isfinite(L).all((1, 2))).any():  # the Levenberg shift
                 first = 1e-8 * np.abs(hess[shift]).max((1, 2), keepdims=True)
                 first = np.maximum(first, np.finfo(float).tiny)
                 mu[shift] = np.where(mu[shift] > 0.0, 10.0 * mu[shift], first)
+                L[shift] = _per_block(np.linalg.cholesky, hess[shift] + mu[shift] * eye)
             half = np.linalg.solve(L, grad[sel][..., None])  # L^-1 g
             step[sel] = -np.linalg.solve(L.swapaxes(1, 2), half)[..., 0]
             decrement[sel] = (half.swapaxes(1, 2) @ half).ravel()
@@ -549,21 +582,13 @@ def _search(lams: np.ndarray, dz: Design, start=None, fixed_entry=None) -> list:
         for g in (g for g in idx if out[g] is None):
             out[g] = exc if isinstance(exc, QcvarError) else NumericalError(
                 where.format(lams[g].tolist()) + f" failed: {exc!r}")
-    for g in (g for g in range(G) if out[g] is None):
-        fit = _fit_or_error(base[g].reshape(r, q), lams[g], dz)
-        if isinstance(fit, FitResult):
-            fit = replace(fit, evaluations=int(evaluations[g]),
-                          status=status[g] if fit.status == "converged" else fit.status)
-        out[g] = fit
+    todo = [g for g in range(G) if out[g] is None]
+    if todo:
+        fits = _restricted_fits(base[todo].reshape(-1, r, q), lams[todo], dz,
+                                status[todo].tolist(), evaluations[todo].tolist())
+        for g, fit in zip(todo, fits):
+            out[g] = fit
     return out
-
-
-def _fit_or_error(a: np.ndarray, lam: np.ndarray, dz: Design):
-    """:func:`restricted_fit` at (a, lam), or the :class:`QcvarError` it raises."""
-    try:
-        return restricted_fit(a, lam, None, dz.k, dz.det, design=dz)
-    except QcvarError as exc:
-        return exc
 
 
 def _partialled_moments(lambda0: float, dz: Design):

@@ -11,7 +11,13 @@ from scipy.optimize import minimize
 import qcvar.likelihood as likelihood
 from conftest import SYMMETRIC_POINTS, make_instance, symmetric_data
 from qcvar.dgp import DgpSpec, build_var, simulate
-from qcvar.exceptions import ConditionWarning, DomainError, NormalizationError, NumericalError
+from qcvar.exceptions import (
+    ConditionWarning,
+    DomainError,
+    NormalizationError,
+    NumericalError,
+    SingularDesignError,
+)
 from qcvar.inference import lr_coefficient, lr_lambda
 from qcvar.likelihood import (
     DET_CASES,
@@ -185,6 +191,101 @@ class TestRestrictedFit:
         assert np.abs(rfit.sigma).max() <= 1e-12
 
 
+def _fit_bits(fit):
+    """What a block's fit reports, as exact bytes and values."""
+    if not isinstance(fit, likelihood.FitResult):
+        return type(fit), str(fit)
+    return (fit.loglik, fit.constraint_residual, fit.status, fit.a_hat.tobytes(),
+            fit.evaluations, fit.coeffs.stacked.tobytes(), fit.sigma.tobytes(),
+            fit.det_coeffs.tobytes())
+
+
+class TestRestrictedFits:
+    """The closed-form fit over a stack of blocks, which restricted_fit and the search share."""
+
+    @pytest.mark.parametrize("det", ["trend", "const"])
+    def test_a_stack_gives_the_batches_of_one_of_its_blocks(self, det):
+        # every non-scalar block of the default grid at its searched a; at det const this input
+        # has one constraint-infeasible block
+        y = symmetric_data(300_012)
+        dz = make_design(y, 1, det)
+        grid = LambdaGrid(family="symmetric", q=2)
+        points = grid.points()
+        profile_lambda(grid, y, 1, det, design=dz)
+        searched = [dz._moments[lam.tobytes()] for lam in points if not likelihood._is_scalar(lam)]
+        lams = np.array([lam for lam in points if not likelihood._is_scalar(lam)])
+        a = np.array([fit.a_hat for fit in searched])
+        status = [fit.status for fit in searched]
+        evaluations = [fit.evaluations for fit in searched]
+        stacked = likelihood._restricted_fits(a, lams, dz, status, evaluations)
+        assert [_fit_bits(fit) for fit in stacked] == [_fit_bits(fit) for fit in searched]
+        assert status.count("constraint-infeasible") == (det == "const")
+        for g in range(len(lams)):
+            alone = likelihood._restricted_fits(a[g:g + 1], lams[g:g + 1], dz, status[g:g + 1],
+                                                evaluations[g:g + 1])
+            assert _fit_bits(alone[0]) == _fit_bits(stacked[g])
+        for g in range(0, len(lams), 40):  # the public batch of one
+            fit = restricted_fit(a[g], lams[g], y, 1, det, design=dz)
+            assert (fit.loglik, fit.constraint_residual) == (stacked[g].loglik,
+                                                             stacked[g].constraint_residual)
+            assert fit.evaluations is None
+
+    def test_a_singular_block_fails_alone(self):
+        # with the inverse moment matrix zero at the level of the second series, K'QK = a^2 at
+        # q = 1, k = 1: singular at a = 0 only
+        y = np.cumsum(np.random.default_rng(3).standard_normal((150, 2)), axis=0)
+        dz = make_design(y, 1, "const")
+        dz.Q = np.diag([1.0, 1.0, 0.0])
+        a = np.array([0.3, 0.0, -0.5]).reshape(3, 1, 1)
+        lams = np.full((3, 1, 1), 0.97)
+        fits = likelihood._restricted_fits(a, lams, dz, ["converged"] * 3, [None] * 3)
+        assert isinstance(fits[1], SingularDesignError)
+        for g in (0, 2):
+            alone = likelihood._restricted_fits(a[g:g + 1], lams[g:g + 1], dz, ["converged"], [None])
+            assert _fit_bits(fits[g]) == _fit_bits(alone[0])
+        with pytest.raises(SingularDesignError, match="restricted design is singular"):
+            restricted_fit(a[1], lams[1], y, 1, "const", design=dz)
+
+    def test_a_block_with_non_finite_moments_fails_alone(self, monkeypatch):
+        y = np.cumsum(np.random.default_rng(3).standard_normal((150, 2)), axis=0)
+        dz = make_design(y, 1, "trend")
+        a = np.array([0.3, 0.1, -0.5]).reshape(3, 1, 1)
+        lams = np.full((3, 1, 1), 0.97)
+        alone = [likelihood._restricted_fits(a[g:g + 1], lams[g:g + 1], dz, ["converged"],
+                                             [None])[0] for g in range(3)]
+        ssr = dz.ssr
+
+        def poisoned(theta):  # the middle block's residual moments overflow
+            out = ssr(theta)
+            out[1] = np.inf
+            return out
+
+        monkeypatch.setattr(dz, "ssr", poisoned)
+        fits = likelihood._restricted_fits(a, lams, dz, ["converged"] * 3, [None] * 3)
+        assert isinstance(fits[1], NumericalError) and "non-finite" in str(fits[1])
+        assert [_fit_bits(fits[g]) for g in (0, 2)] == [_fit_bits(alone[g]) for g in (0, 2)]
+
+
+class TestSolveWeight:
+    def test_non_finite_input_is_a_numerical_error(self):
+        dz = make_design(np.cumsum(np.random.default_rng(4).standard_normal((100, 3)), axis=0),
+                         1, "trend")
+        for bad in (np.nan, np.inf):
+            x = np.eye(3)
+            x[1, 2] = bad
+            with pytest.raises(NumericalError, match="non-finite"):
+                dz.solve_weight(x)
+
+    def test_matches_cho_solve_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for p in (2, 3, 4, 5):
+            dz = make_design(np.cumsum(rng.standard_normal((120, p)), axis=0), 2, "const")
+            cho = scipy.linalg.cho_factor(dz.sigma_ols)
+            for cols in (1, p, 7 * p):
+                x = rng.standard_normal((p, cols)) * 10.0 ** rng.uniform(-6, 6, size=(p, cols))
+                np.testing.assert_array_equal(dz.solve_weight(x), scipy.linalg.cho_solve(cho, x))
+
+
 class TestProfileA:
     def test_degenerate_dimensions_shortcut(self):
         coeffs = make_instance(4, p=2, k=1, q=1)
@@ -317,10 +418,10 @@ class TestProfileADispatch:
         # the search runs on the Wald form; restricted_fit reports its result
         y = TestRrrFit()._sim(3)
         lam0 = np.array([[0.98, 0.01], [0.01, 0.95]])
-        fits = _count_calls(monkeypatch, "restricted_fit")
+        fits = _count_calls(monkeypatch, "_restricted_fits")
         fit = profile_a(lam0, y, 2, "trend")
         assert len(fits) == 1 and fit.status == "converged"
-        np.testing.assert_array_equal(fits[0][0], fit.a_hat)
+        np.testing.assert_array_equal(fits[0][0], fit.a_hat[None])
 
     def test_fixed_entry_at_q1_takes_closed_form(self, monkeypatch):
         y = TestRrrFit()._sim(3)
