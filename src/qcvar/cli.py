@@ -3,8 +3,10 @@
 Subcommands: ``roots``, ``fit``, ``irf``, ``lr``, ``ci``, ``critvals``,
 ``simulate``.  Every run echoes its resolved configuration (including a
 hash and any seed) into the output header, so artifacts can be rerun
-bit-identically.  Exit codes: 0 success, 2 input error, 3 numerical or
-root-separation error, 4 critical-value table coverage error.
+bit-identically.  Exit codes: 0 success, 2 input error (``fit --family
+symmetric`` without ``--q 2`` included), 3 numerical or root-separation
+error, 4 critical-value table coverage error (a table simulated at another
+q or det than the command's included).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .inference import (
     bonferroni_ci, bonferroni_level, chi2_quantile, localisation, lr_coefficient, lr_lambda,
 )
 from .likelihood import DET_CASES, LambdaGrid, make_design, ols_fit, profile_lambda
-from .limitdist import LimitDistConfig, _read_text, build_table, load_table, lookup
+from .limitdist import LimitDistConfig, _check_table, _read_text, build_table, load_table, lookup
 from .representation import irf
 from .spectral import (
     RegionSpec,
@@ -174,94 +176,65 @@ def _config_hash(config: dict) -> str:
 
 
 class _Emitter:
-    """Formats a command's result as text, csv or json with a config header."""
+    """Formats a command's result as text, csv or json with a config header.
 
-    def __init__(self, command: str, config: dict, fmt: str, output: Optional[str]):
-        self.command = command
+    Every section is ``(title, columns, rows)``; a section of scalars has ``columns = None`` and
+    one ``[name, value]`` row per item.  Each ingest notice opens the output as its own section.
+    """
+
+    def __init__(self, args, config: dict, notices: Sequence[str] = ()):
+        self.command, self.fmt, self.output = args.command, args.format, args.output
         self.config = {k: v for k, v in config.items() if v is not None}
-        self.fmt = fmt
-        self.output = output
         self.sections: list = []
+        for note in notices:
+            self.add_scalars("notice", {"message": note})
 
     def add_table(self, title: str, columns: Sequence[str], rows: Sequence[Sequence]):
-        self.sections.append(("table", title, list(columns), [list(r) for r in rows]))
+        self.sections.append((title, list(columns), [list(r) for r in rows]))
 
     def add_scalars(self, title: str, items: dict):
-        self.sections.append(("scalars", title, items))
-
-    def _header_lines(self) -> list:
-        cfg = " ".join(f"{k}={v}" for k, v in sorted(self.config.items()))
-        return [
-            f"# qcvar {__version__} | command={self.command} | config-hash={_config_hash(self.config)}",
-            f"# config: {cfg}",
-        ]
+        self.sections.append((title, None, [[k, v] for k, v in items.items()]))
 
     def render(self) -> str:
+        config_hash = _config_hash(self.config)
         if self.fmt == "json":
+            sections = [
+                {"title": title, "values": _round15(dict(rows))} if cols is None
+                else {"title": title, "columns": cols, "rows": _round15(rows)}
+                for title, cols, rows in self.sections
+            ]
             payload = {
                 "version": __version__,
                 "command": self.command,
-                "config_hash": _config_hash(self.config),
+                "config_hash": config_hash,
                 "config": _round15(self.config),
-                "sections": [],
+                "sections": sections,
             }
-            for sec in self.sections:
-                if sec[0] == "table":
-                    _, title, cols, rows = sec
-                    payload["sections"].append(
-                        {"title": title, "columns": cols, "rows": _round15(rows)}
-                    )
-                else:
-                    _, title, items = sec
-                    payload["sections"].append({"title": title, "values": _round15(items)})
             return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
+        cfg = " ".join(f"{k}={v}" for k, v in sorted(self.config.items()))
         buf = io.StringIO()
+        buf.write(f"# qcvar {__version__} | command={self.command} | config-hash={config_hash}\n")
+        buf.write(f"# config: {cfg}\n")
         if self.fmt == "csv":
-            for line in self._header_lines():
-                buf.write(line + "\n")
             writer = csv.writer(buf, lineterminator="\n")
-            for sec in self.sections:
-                if sec[0] == "table":
-                    _, title, cols, rows = sec
-                    writer.writerow([f"[{title}]"])
+            for title, cols, rows in self.sections:
+                writer.writerow([f"[{title}]"])
+                if cols is not None:
                     writer.writerow(cols)
-                    for row in rows:
-                        writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-                else:
-                    _, title, items = sec
-                    writer.writerow([f"[{title}]"])
-                    for k, v in items.items():
-                        writer.writerow([k, _fmt(v) if isinstance(v, float) else v])
+                writer.writerows([_fmt(v) if isinstance(v, float) else v for v in r] for r in rows)
             return buf.getvalue()
 
-        for line in self._header_lines():
-            buf.write(line + "\n")
-        for sec in self.sections:
-            if sec[0] == "table":
-                _, title, cols, rows = sec
-                buf.write(f"\n== {title}\n")
-                widths = [
-                    max(len(str(c)), *(len(self._cell(r[i])) for r in rows)) if rows else len(str(c))
-                    for i, c in enumerate(cols)
-                ]
-                buf.write("  ".join(str(c).ljust(w) for c, w in zip(cols, widths)) + "\n")
-                for row in rows:
-                    buf.write(
-                        "  ".join(self._cell(v).ljust(w) for v, w in zip(row, widths)) + "\n"
-                    )
-            else:
-                _, title, items = sec
-                buf.write(f"\n== {title}\n")
-                for k, v in items.items():
-                    buf.write(f"{k}: {self._cell(v)}\n")
+        for title, cols, rows in self.sections:
+            buf.write(f"\n== {title}\n")
+            cells = [[f"{v:.6g}" if isinstance(v, float) else str(v) for v in r] for r in rows]
+            if cols is None:
+                buf.writelines(f"{name}: {value}\n" for name, value in cells)
+                continue
+            widths = [max([len(str(c))] + [len(r[i]) for r in cells]) for i, c in enumerate(cols)]
+            for r in [[str(c) for c in cols]] + cells:
+                buf.write("  ".join(v.ljust(w) for v, w in zip(r, widths)) + "\n")
         return buf.getvalue()
-
-    @staticmethod
-    def _cell(v) -> str:
-        if isinstance(v, float):
-            return f"{v:.6g}"
-        return str(v)
 
     def emit(self) -> None:
         text = self.render()
@@ -307,13 +280,21 @@ def _common_output_args(sub):
     sub.add_argument("--output", help="write to this file instead of standard output")
 
 
-def _root_rows(coeffs: VarCoefficients, region: RegionSpec):
+def _add_roots(em: _Emitter, title: str, coeffs: VarCoefficients, rho: float):
+    """Add the table of characteristic roots and their regions; return the classification."""
     rs = roots(coeffs)
-    cls = classify(rs, region)
-    rows = []
-    for idx, (z, lab) in enumerate(zip(rs.roots, cls.labels), start=1):
-        rows.append([idx, float(z.real), float(z.imag), float(abs(z)), float(abs(1 - z)), lab])
-    return rows, cls
+    cls = classify(rs, RegionSpec(rho))
+    rows = [
+        [idx, float(z.real), float(z.imag), float(abs(z)), float(abs(1 - z)), lab]
+        for idx, (z, lab) in enumerate(zip(rs.roots, cls.labels), start=1)
+    ]
+    em.add_table(title, ["index", "re", "im", "modulus", "dist_to_unity", "region"], rows)
+    return cls
+
+
+def _matrix_rows(m: np.ndarray) -> list:
+    """One row per matrix row, led by its 0-based index."""
+    return [[i] + [float(v) for v in row] for i, row in enumerate(m)]
 
 
 def cmd_roots(args) -> int:
@@ -327,16 +308,10 @@ def cmd_roots(args) -> int:
         coeffs = ols_fit(ds.values, args.k, args.det).coeffs
         source = args.data
     config = dict(command="roots", source=source, k=coeffs.k, p=coeffs.p, rho=rho, det=args.det)
-    em = _Emitter("roots", config, args.format, args.output)
-    for note in notices:
-        em.add_scalars("notice", {"message": note})
-    rows, cls = _root_rows(coeffs, RegionSpec(rho))
-    em.add_table(
-        "characteristic roots",
-        ["index", "re", "im", "modulus", "dist_to_unity", "region"],
-        rows,
-    )
-    em.add_scalars("classification", {"q": cls.q, "rho": rho, "half_life": radius_to_half_life(rho)})
+    em = _Emitter(args, config, notices)
+    cls = _add_roots(em, "characteristic roots", coeffs, rho)
+    half_life = radius_to_half_life(rho)
+    em.add_scalars("classification", {"q": cls.q, "rho": rho, "half_life": half_life})
     em.emit()
     return 0
 
@@ -346,40 +321,30 @@ def cmd_fit(args) -> int:
     notices: list = []
     ds = ingest_csv(args.data, notices)
     _check_block(ds.p, args.q)
+    if args.family == "symmetric" and args.q != 2:
+        raise DomainError(f"--family symmetric has a grid only at --q 2, got --q {args.q}")
     grid = LambdaGrid(family=args.family, q=args.q, rho=rho, eig_step=args.grid_step)
     config = dict(
         command="fit", source=args.data, k=args.k, q=args.q, rho=rho, det=args.det,
         family=args.family, grid_step=grid.resolved_eig_step,
     )
-    em = _Emitter("fit", config, args.format, args.output)
-    for note in notices:
-        em.add_scalars("notice", {"message": note})
+    em = _Emitter(args, config, notices)
 
     design = make_design(ds.values, args.k, args.det)
     fit = ols_fit(ds.values, args.k, args.det, design=design)
-    rows, cls = _root_rows(fit.coeffs, RegionSpec(rho))
-    em.add_table("unrestricted roots", ["index", "re", "im", "modulus", "dist_to_unity", "region"], rows)
+    _add_roots(em, "unrestricted roots", fit.coeffs, rho)
     em.add_scalars("unrestricted fit", {"loglik": fit.loglik, "n_eff": fit.n_eff})
 
     prof = profile_lambda(grid, ds.values, args.k, args.det, design=design, refine=True)
     best = prof.best_fit
-    em.add_table(
-        "profile estimate: near-unit dynamics",
-        ["row"] + [f"col{j}" for j in range(args.q)],
-        [[i] + [float(v) for v in prof.best_lam[i]] for i in range(args.q)],
-    )
+    block_columns = ["row"] + [f"col{j}" for j in range(args.q)]
+    em.add_table("profile estimate: near-unit dynamics", block_columns, _matrix_rows(prof.best_lam))
     if best.a_hat is not None and best.a_hat.size:
-        em.add_table(
-            "profile estimate: subspace coefficients a",
-            ["row"] + [f"col{j}" for j in range(args.q)],
-            [[i] + [float(v) for v in best.a_hat[i]] for i in range(best.a_hat.shape[0])],
-        )
+        em.add_table("profile estimate: subspace coefficients a", block_columns,
+                     _matrix_rows(best.a_hat))
         beta = np.hstack([np.eye(ds.p - args.q), -best.a_hat])
-        em.add_table(
-            "quasi-cointegrating rows [I, -a]",
-            ["relation"] + list(ds.names),
-            [[i] + [float(v) for v in beta[i]] for i in range(beta.shape[0])],
-        )
+        em.add_table("quasi-cointegrating rows [I, -a]", ["relation"] + list(ds.names),
+                     _matrix_rows(beta))
     lam_eigs = np.linalg.eigvals(prof.best_lam)
     top = float(np.abs(lam_eigs).max())
     em.add_scalars(
@@ -400,7 +365,7 @@ def cmd_irf(args) -> int:
     coeffs, _ = _load_coeffs_json(args.coeffs)
     sp = split(coeffs, args.q)
     config = dict(command="irf", source=args.coeffs, q=args.q, horizon=args.horizon)
-    em = _Emitter("irf", config, args.format, args.output)
+    em = _Emitter(args, config)
     cols = ["s"]
     p = coeffs.p
     for tag in ("value", "near", "stable"):
@@ -438,13 +403,13 @@ def cmd_lr(args) -> int:
         lambda0=args.lambda0, coef=None if args.coef is None else f"{args.coef[0]},{args.coef[1]}",
         a0=args.a0, table=args.table,
     )
-    em = _Emitter("lr", config, args.format, args.output)
-    for note in notices:
-        em.add_scalars("notice", {"message": note})
+    em = _Emitter(args, config, notices)
+    if args.table:
+        table = load_table(args.table)
+        _check_table(table, args.q, args.det)
     design = make_design(ds.values, args.k, args.det)
     items = {"lr_lambda": lr_lambda(lam0, ds.values, args.k, args.det, design=design).value}
     if args.table:
-        table = load_table(args.table)
         c_query = localisation(lam0, design)
         for level in table.levels:
             items[f"critical[{level:g}]"] = lookup(table, c_query, level)
@@ -454,12 +419,8 @@ def cmd_lr(args) -> int:
         cstat = lr_coefficient(args.a0, i, j, lam0, ds.values, args.k, args.det, design=design)
         em.add_scalars(
             "coefficient LR",
-            {
-                "lr_coefficient": cstat.value,
-                "chi2_0.90": chi2_quantile(0.90),
-                "chi2_0.95": chi2_quantile(0.95),
-                "chi2_0.99": chi2_quantile(0.99),
-            },
+            {"lr_coefficient": cstat.value}
+            | {f"chi2_{level:.2f}": chi2_quantile(level) for level in (0.90, 0.95, 0.99)},
         )
     em.emit()
     return 0
@@ -475,9 +436,7 @@ def cmd_ci(args) -> int:
         alpha1=args.alpha1, alpha2=args.alpha2, coef=f"{i},{j}",
         grid_step=args.grid_step, table=args.table, seed=args.seed,
     )
-    em = _Emitter("ci", config, args.format, args.output)
-    for note in notices:
-        em.add_scalars("notice", {"message": note})
+    em = _Emitter(args, config, notices)
 
     # reject bad input and too few observations before any simulation or fit
     _check_block(ds.p, args.q, args.coef)
@@ -490,7 +449,7 @@ def cmd_ci(args) -> int:
         template = LimitDistConfig(
             q=args.q, c_star=np.zeros((args.q, args.q)), det=args.det,
             steps=args.steps, reps=args.reps, seed=args.seed,
-            levels=(1.0 - args.alpha1, 0.90, 0.95, 0.99),
+            levels=tuple(dict.fromkeys((1.0 - args.alpha1, 0.90, 0.95, 0.99))),
         )
         c_lo = ds.n * (rho - 1.0)
         c_step = max(0.5, ds.n * args.grid_step / 2.0)
@@ -519,7 +478,8 @@ def cmd_ci(args) -> int:
         ["lambda", "lo", "hi"],
         [[float(lam[0, 0]), lo, hi] for lam, lo, hi in result.conditional],
     )
-    em.add_table("bonferroni confidence set", ["lo", "hi"], [[lo, hi] for lo, hi in result.intervals])
+    intervals = [[lo, hi] for lo, hi in result.intervals]
+    em.add_table("bonferroni confidence set", ["lo", "hi"], intervals)
     em.add_scalars(
         "levels",
         {
@@ -550,7 +510,7 @@ def cmd_critvals(args) -> int:
         command="critvals", q=args.q, det=args.det, steps=args.steps, reps=args.reps,
         seed=args.seed, levels=args.levels, c_grid=args.c_grid, table=args.table,
     )
-    em = _Emitter("critvals", config, args.format, args.output)
+    em = _Emitter(args, config)
     table = build_table(grid, template, args.table)
     rows = []
     for entry in table.entries:
@@ -580,7 +540,7 @@ def cmd_simulate(args) -> int:
         command="simulate", source=args.coeffs, n=args.n, seed=args.seed,
         zero_noise=args.zero_noise,
     )
-    em = _Emitter("simulate", config, args.format, args.output)
+    em = _Emitter(args, config)
     cols = [f"y{i + 1}" for i in range(p)]
     rows = [[float(v) for v in y[t]] for t in range(args.n)]
     if args.with_innovations:

@@ -38,7 +38,7 @@ from .likelihood import (
     profile_a,
     profile_lambda,
 )
-from .limitdist import QuantileTable, c_star, lookup
+from .limitdist import QuantileTable, _check_table, c_star, lookup
 from .spectral import split
 
 __all__ = [
@@ -211,8 +211,10 @@ def ci_lambda(
     Raises
     ------
     TableCoverageError
-        Listing the localisation values missing from the table.
+        If the table was simulated at another q or det, or listing the localisation values
+        missing from the table.
     """
+    _check_table(table, lambda_space.q, det)
     dz = _as_design(data, k, det, design)
     level = 1.0 - alpha1
     accepted = []

@@ -446,9 +446,20 @@ def _level_index(table: QuantileTable, level: float) -> int:
     raise TableCoverageError(f"level {level} not among tabulated levels {table.levels}")
 
 
+def _check_table(table: QuantileTable, q: int, det: str) -> None:
+    """Raise :class:`TableCoverageError` unless ``table`` was simulated at this q and det."""
+    if (table.q, table.det) != (q, det):
+        raise TableCoverageError(
+            f"the table was simulated at q = {table.q}, det = {table.det}; "
+            f"this statistic needs q = {q}, det = {det}"
+        )
+
+
 def lookup(table: QuantileTable, c_query: Union[float, np.ndarray], level: float) -> float:
     """Critical value at the queried localisation point.
 
+    The query is a q-by-q matrix, q the table's; at q = 1 a float is
+    accepted too.  Any other shape raises :class:`TableCoverageError`.
     Exact at grid nodes.  Between nodes the q = 1 case interpolates
     linearly; queries outside the grid hull raise
     :class:`TableCoverageError`.  For q >= 2 the nearest node is used,
@@ -460,8 +471,13 @@ def lookup(table: QuantileTable, c_query: Union[float, np.ndarray], level: float
     idx = _level_index(table, level)
     if not table.entries:
         raise TableCoverageError("table has no entries")
+    cq = np.asarray(c_query, dtype=float)
+    if cq.shape != (table.q, table.q) and not (cq.shape == () and table.q == 1):
+        raise TableCoverageError(
+            f"query C of shape {cq.shape} does not match the table's {table.q}x{table.q} nodes"
+        )
     if table.q == 1:
-        cq = float(np.atleast_2d(np.asarray(c_query, dtype=float))[0, 0])
+        cq = float(cq.reshape(()))
         nodes = np.array([float(e.c[0, 0]) for e in table.entries])
         values = np.array([e.quantiles[idx] for e in table.entries])
         exact = np.flatnonzero(np.abs(nodes - cq) <= 1e-9)
@@ -479,7 +495,6 @@ def lookup(table: QuantileTable, c_query: Union[float, np.ndarray], level: float
         )
         return float((1.0 - w) * values[lo] + w * values[hi])
 
-    cq = np.atleast_2d(np.asarray(c_query, dtype=float))
     nodes = np.array([e.c.ravel() for e in table.entries])
     dists = np.linalg.norm(nodes - cq.ravel(), axis=1)
     j = int(np.argmin(dists))

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -18,10 +19,11 @@ import qcvar.limitdist as limitdist
 from conftest import make_instance
 from test_inference import _rayleigh_curve
 from test_likelihood import fail_block_lr_above
-from qcvar.cli import Dataset, _round15, build_parser, ingest_csv, main
+from qcvar import __version__
+from qcvar.cli import Dataset, _Emitter, _round15, build_parser, ingest_csv, main
 from qcvar.dgp import DgpSpec, NearUnitBase, local_sequence, simulate
-from qcvar.exceptions import DomainError
-from qcvar.inference import bonferroni_ci, localisation
+from qcvar.exceptions import DomainError, TableCoverageError
+from qcvar.inference import bonferroni_ci, ci_lambda, localisation
 from qcvar.likelihood import LambdaGrid, make_design
 from qcvar.limitdist import (
     LimitDistConfig,
@@ -250,6 +252,111 @@ class TestByteOrderMark:
 
         body = text if comment else text.split("\n", 1)[1]
         assert self._read_both_ways(tmp_path / "cv.tbl", body, resave) == [text, text]
+
+
+_HEADER = ("# qcvar VERSION | command=demo | config-hash=dbda98f7400a\n"
+           "# config: command=demo rho=0.9 source=y.csv\n")
+_RENDERED = {
+    # text pads every table cell, the last column's too, to its column's width
+    "text": _HEADER + (
+        "\n== notice\nmessage: dropped non-numeric leading column 'date'\n"
+        "\n== estimates\n"
+        "row  value     label      \n"
+        "0    0.123457  near-unit  \n"
+        "1    -2        stable, far\n"
+        "\n== empty\nlo  hi\n"
+        "\n== summary\nloglik: -91.5592\nn_eff: 119\nfamily: scalar\nhalf_life: inf\n"
+    ),
+    "csv": _HEADER + """[notice]
+message,dropped non-numeric leading column 'date'
+[estimates]
+row,value,label
+0,0.123456789,near-unit
+1,-2,"stable, far"
+[empty]
+lo,hi
+[summary]
+loglik,-91.55923456789
+n_eff,119
+family,scalar
+half_life,inf
+""",
+    "json": """{
+ "command": "demo",
+ "config": {
+  "command": "demo",
+  "rho": 0.9,
+  "source": "y.csv"
+ },
+ "config_hash": "dbda98f7400a",
+ "sections": [
+  {
+   "title": "notice",
+   "values": {
+    "message": "dropped non-numeric leading column 'date'"
+   }
+  },
+  {
+   "columns": [
+    "row",
+    "value",
+    "label"
+   ],
+   "rows": [
+    [
+     0,
+     0.123456789,
+     "near-unit"
+    ],
+    [
+     1,
+     -2.0,
+     "stable, far"
+    ]
+   ],
+   "title": "estimates"
+  },
+  {
+   "columns": [
+    "lo",
+    "hi"
+   ],
+   "rows": [],
+   "title": "empty"
+  },
+  {
+   "title": "summary",
+   "values": {
+    "family": "scalar",
+    "half_life": "inf",
+    "loglik": -91.55923456789,
+    "n_eff": 119
+   }
+  }
+ ],
+ "version": "VERSION"
+}
+""",
+}
+
+
+class TestEmitter:
+    """Each format renders a notice, a table, an empty table and scalars to fixed bytes."""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_renders_the_recorded_bytes(self, tmp_path, capsys, fmt):
+        want = _RENDERED[fmt].replace("VERSION", __version__)
+        for output in (None, str(tmp_path / f"out.{fmt}")):
+            args = argparse.Namespace(command="demo", format=fmt, output=output)
+            config = {"command": "demo", "rho": 0.9, "seed": None, "source": "y.csv"}
+            em = _Emitter(args, config, ["dropped non-numeric leading column 'date'"])
+            em.add_table("estimates", ["row", "value", "label"],
+                         [[0, 0.123456789, "near-unit"], [1, -2.0, "stable, far"]])
+            em.add_table("empty", ["lo", "hi"], [])
+            em.add_scalars("summary", {"loglik": -91.55923456789, "n_eff": 119,
+                                       "family": "scalar", "half_life": float("inf")})
+            em.emit()
+            assert (capsys.readouterr().out if output is None else open(output).read()) == want
 
 
 class TestCommands:
@@ -516,6 +623,7 @@ class TestCommands:
         (["critvals", "--q", "0", "--c-grid=0"], "positive q"),
         (["lr", "--q", "1", "--lambda0", "0.98", "--coef", "0,0"], "--coef requires --a0"),
         (["lr", "--q", "1", "--lambda0", "0.98", "--a0", "0.3"], "--a0 requires --coef"),
+        (["fit", "--q", "1", "--family", "symmetric"], "--family symmetric has a grid only at --q 2"),
     ])
     def test_bad_argument_is_an_input_error(self, tmp_path, capsys, monkeypatch, argv, message):
         """Each exits 2 before any fit, table build or simulation, naming what is wrong."""
@@ -679,6 +787,29 @@ class TestSharedInference:
         assert "alpha1 + alpha2" in capsys.readouterr().err
         assert not new_table.exists()
 
+    @pytest.mark.parametrize("argv, needs", [
+        (["ci", "--q", "1", "--det", "const", "--coef", "0,0", "--grid-step", "0.02"],
+         "q = 1, det = const"),
+        (["lr", "--q", "2", "--det", "none", "--lambda0", "0.98"], "q = 2, det = none"),
+    ])
+    def test_table_for_another_statistic_exits_4(self, q1_inputs, capsys, monkeypatch, argv,
+                                                 needs):
+        """Each exits 4 before any statistic is computed, naming the table's q and det."""
+        def forbidden(*args, **kwargs):
+            pytest.fail("a statistic was computed with a table for another one")
+
+        for module in ("cli", "inference"):
+            monkeypatch.setattr(f"qcvar.{module}.lr_lambda", forbidden)
+        data_path, y, table_path = q1_inputs
+        rc = main(argv + ["--data", data_path, "--k", "1", "--table", table_path])
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.out == ""
+        assert captured.err == ("error (table coverage): the table was simulated at q = 1, "
+                                f"det = trend; this statistic needs {needs}\n")
+        grid = LambdaGrid(q=2, rho=0.9, eig_step=0.02)
+        with pytest.raises(TableCoverageError, match="this statistic needs q = 2, det = trend"):
+            ci_lambda(0.025, y, 1, "trend", grid, load_table(table_path))
+
     def test_lr_coef_builds_the_moments_once(self, sample_csv, monkeypatch):
         # the block LR and the coefficient LR at one scalar block share the design's moments
         calls = []
@@ -748,13 +879,14 @@ class TestSharedInference:
         table_path = tmp_path / "cv2.tbl"
         rc = main([
             "ci", "--data", str(data_path), "--k", "1", "--q", "2", "--rho", "0.9",
-            "--coef", "0,0", "--table", str(table_path), "--build-table",
+            "--coef", "0,0", "--table", str(table_path), "--build-table", "--alpha1", "0.05",
             "--reps", "1000", "--steps", "100", "--grid-step", "0.05",
         ])
         out = capsys.readouterr().out
         assert rc == 0
         table = load_table(str(table_path))
         assert table.q == 2
+        assert table.levels == (0.95, 0.9, 0.99)  # 1 - alpha1 is not tabulated twice
         assert all(np.array_equal(e.c, e.c[0, 0] * np.eye(2)) for e in table.entries)
         # each node once: no float-drift twin of the node at 0
         c_values = np.sort([e.c[0, 0] for e in table.entries])

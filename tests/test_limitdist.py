@@ -218,6 +218,20 @@ class TestQuantileTable:
         with pytest.raises(TableCoverageError, match="distance 0.001 "):
             lookup(table, [[-5.0, 0.001], [0.0, -5.0]], 0.9)
 
+    @pytest.mark.parametrize("q, query", [
+        (1, -5.0 * np.eye(2)),
+        (1, [-5.0]),
+        (2, -5.0),
+        (2, [[-5.0, 0.0, 0.0, -5.0]]),
+    ])
+    def test_query_of_another_shape_raises(self, q, query):
+        table = self._q2_table(-5.0 * np.eye(2))
+        if q == 1:
+            table = replace(table, q=1, entries=(replace(table.entries[0], c=np.array([[-5.0]])),))
+        assert lookup(table, -5.0 * np.eye(q), 0.9) == 12.0
+        with pytest.raises(TableCoverageError, match=f"does not match the table's {q}x{q} nodes"):
+            lookup(table, query, 0.9)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             build_table([], self.TEMPLATE)
