@@ -184,6 +184,7 @@ def localisation(lam0: np.ndarray, design: Design) -> np.ndarray:
     delta) = c I``.  Otherwise the plug-in scale ``l_near' sigma l_near`` comes from the
     design's shared free fit at ``lam0`` (:func:`_block_lr`), searched at most once per design.
     """
+    lam0 = _as_block(lam0, design)
     q = lam0.shape[0]
     c_raw = design.n * (lam0 - np.eye(q))
     if _is_scalar(lam0):

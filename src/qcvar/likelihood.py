@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -80,6 +80,13 @@ class FitResult:
     original (unscaled) time parametrisation, one column per deterministic term.
     ``evaluations`` counts the Wald-form evaluations that included this block in a :func:`_search`
     batch, which passes the count to :func:`_restricted_fits`; it is None on every closed-form path.
+
+    ``status`` is ``converged``, ``max-iter`` (a search that stopped first) or
+    ``constraint-infeasible``: the fit missed the constraint by over 1e-8 relative
+    (``constraint_residual``), so in effect dropped it, and ``loglik`` is no profile value; on a
+    random walk, :func:`restricted_fit` at ``a = [[1e200], [0.1]]`` gives an infinite residual and
+    OLS's loglik to rounding.  It is a status, not an error, because the non-scalar coefficient
+    scan probes fixed entries out to 1e12 se, where raising would need a design of its own.
     """
 
     coeffs: VarCoefficients
@@ -107,6 +114,9 @@ class Design:
         if data.ndim != 2:
             raise DomainError("data must be an n-by-p array")
         n, p = data.shape
+        if not np.isfinite(data).all():
+            i, j = np.argwhere(~np.isfinite(data))[0]
+            raise DomainError(f"data must be finite; row {i}, column {j} is {data[i, j]}")
         if k < 1:
             raise DomainError("lag order k must be positive")
         _check_det(det)
@@ -178,13 +188,11 @@ class Design:
         return 0.5 * (out + out.swapaxes(-1, -2))
 
     def solve_weight(self, x: np.ndarray) -> np.ndarray:
-        """``Sigma_ols^-1 x`` for the p-row matrix x or each of a stack, side by side in one
-        LAPACK ``dpotrs`` (as in scipy's ``cho_solve``); a non-finite x is a NumericalError."""
+        """``Sigma_ols^-1 x`` for the p-row matrix x or each of a stack, side by side in one LAPACK
+        ``dpotrs`` (as ``cho_solve``): a non-finite column stays so; the others keep their bits."""
         if self._sigma_ols_cho is None:
             raise SingularDesignError("the OLS residual covariance is singular; the fixed-weight "
                                       "loglikelihood is undefined")
-        if not np.isfinite(x).all():
-            raise NumericalError("the OLS variance weight met a non-finite matrix")
         wide = x.swapaxes(0, -2)
         out, info = dpotrs(self._sigma_ols_cho, wide.reshape(self.p, -1))
         if info:
@@ -216,9 +224,9 @@ def make_design(data: np.ndarray, k: int, det: str) -> Design:
 
 
 def _as_block(lam0, dz: Design) -> np.ndarray:
-    """``lam0`` as a float q x q array, q <= p; a non-finite block is a :class:`DomainError`."""
+    """``lam0`` as a float q x q array, 1 <= q <= p; an empty or non-finite one is a DomainError."""
     lam0 = np.atleast_2d(np.asarray(lam0, dtype=float))
-    if lam0.shape != (len(lam0),) * 2 or not np.isfinite(lam0).all():
+    if lam0.shape != (len(lam0),) * 2 or not lam0.size or not np.isfinite(lam0).all():
         raise DomainError(f"the dynamics block must be a finite square matrix, got {lam0.tolist()}")
     if len(lam0) > dz.p:
         raise DomainError(f"q = {len(lam0)} exceeds series dimension {dz.p}")
@@ -309,10 +317,6 @@ def restricted_fit(
     lam0 = _as_block(lam0, dz)
     q = lam0.shape[0]
     a = np.asarray(a, dtype=float).reshape(dz.p - q, q)
-
-    if q == 0:
-        res = ols_fit(data, k, det, design=dz)
-        return replace(res, constraint_residual=0.0, a_hat=a)
     fit = _restricted_fits(a[None], lam0[None], dz, ["converged"], [None])[0]
     if isinstance(fit, QcvarError):
         raise fit
@@ -322,47 +326,39 @@ def restricted_fit(
 def _restricted_fits(a: np.ndarray, lams: np.ndarray, dz: Design, status: list,
                      evaluations: list) -> list:
     """:func:`restricted_fit` at each block of the (G, r, q) and (G, q, q) stacks a and lams, or the
-    block's QcvarError (a singular K'QK fails its block alone; a singular OLS weight is raised),
-    reported with ``evaluations[g]`` and, where the constraint holds, ``status[g]``.  Each product
-    runs within a block, so no block's bits depend on the blocks that share its call."""
+    block's QcvarError, reported with ``evaluations[g]`` and, where the constraint holds,
+    ``status[g]``.  A singular K'QK (NaN by :func:`_per_block`) or non-finite moments flow through
+    as NaN to the report, and are the block's SingularDesignError or NumericalError; a singular OLS
+    weight is raised.  Each product runs within a block, so no block's bits depend on the others."""
     G, q = lams.shape[:2]
     _, M, N = constraint_matrices(a, lams, dz.k)
     K = np.concatenate([np.zeros((G, dz.n_det, q)), M], axis=1)
     QK = dz.Q @ K
-    try:
-        correction = np.linalg.solve(K.swapaxes(1, 2) @ QK, QK.swapaxes(1, 2))  # (K'QK)^-1 K'Q
-    except np.linalg.LinAlgError:  # one block at a time, so that a singular block fails alone
-        if G == 1:
-            return [SingularDesignError("restricted design is singular at this (a, lam0)")]
-        return [fit for g in range(G) for fit in _restricted_fits(
-            a[g:g + 1], lams[g:g + 1], dz, status[g:g + 1], evaluations[g:g + 1])]
+    correction = _per_block(np.linalg.solve, K.swapaxes(1, 2) @ QK,
+                            QK.swapaxes(1, 2))  # (K'QK)^-1 K'Q
     theta = dz.theta_ols - (dz.theta_ols @ K - N) @ correction  # Johansen (1995, ch. 7)
     det_block, phi_block = dz.split_theta(theta)
     ssr = dz.ssr(theta)
     resid, phis = (phi_block @ M - N).reshape(G, 1, -1), phi_block.reshape(G, 1, -1)
     resid_norm = np.sqrt(resid @ resid.swapaxes(1, 2)).ravel()  # Frobenius norms, as np.linalg.norm
     feasible = resid_norm <= 1e-8 * (1.0 + np.sqrt(phis @ phis.swapaxes(1, 2)).ravel())
-    try:
-        loglik = dz.loglik_fixed_weight(ssr)
-    except NumericalError:  # a block with non-finite residual moments: the others go on
-        loglik = np.full(G, np.nan)
-        finite = np.isfinite(ssr).all((1, 2))
-        loglik[finite] = dz.loglik_fixed_weight(ssr[finite])
+    loglik = dz.loglik_fixed_weight(ssr)
+    singular, broken = ~np.isfinite(correction).all((1, 2)), ~np.isfinite(loglik)
     sigma = ssr / dz.n_eff
     det_coeffs = [None] * G if det_block is None else dz.unscale_det(det_block)
     out = []
     for g in range(G):
-        try:
-            coeffs = VarCoefficients.from_stacked(phi_block[g], dz.k)
-            if math.isnan(loglik[g]):
-                raise NumericalError(f"non-finite residual moments at lam0 = {lams[g].tolist()}")
-            out.append(FitResult(coeffs=coeffs, sigma=sigma[g], det_coeffs=det_coeffs[g],
-                                 loglik=loglik[g], det=dz.det, n_eff=dz.n_eff,
+        if singular[g]:
+            out.append(SingularDesignError("restricted design is singular at this (a, lam0)"))
+        elif broken[g]:
+            out.append(NumericalError(f"non-finite residual moments at lam0 = {lams[g].tolist()}"))
+        else:
+            out.append(FitResult(coeffs=VarCoefficients.from_stacked(phi_block[g], dz.k),
+                                 sigma=sigma[g], det_coeffs=det_coeffs[g], loglik=loglik[g],
+                                 det=dz.det, n_eff=dz.n_eff,
                                  status=status[g] if feasible[g] else "constraint-infeasible",
                                  constraint_residual=float(resid_norm[g]), a_hat=a[g],
                                  evaluations=evaluations[g]))
-        except QcvarError as exc:
-            out.append(exc)
     return out
 
 
@@ -420,14 +416,14 @@ def _wald_form(lams: np.ndarray, dz: Design):
     return evaluate
 
 
-def _per_block(solve, stack: np.ndarray) -> np.ndarray:
-    """``solve`` (np.linalg.inv or cholesky) of each matrix of the stack, NaN where it fails."""
+def _per_block(solve, *stacks: np.ndarray) -> np.ndarray:
+    """``solve`` (np.linalg's inv, cholesky or solve) per block of the stacks; NaN if it fails."""
     try:
-        return solve(stack)
+        return solve(*stacks)
     except np.linalg.LinAlgError:
-        if len(stack) == 1:
-            return np.full_like(stack, np.nan)
-        return np.concatenate([_per_block(solve, s[None]) for s in stack])  # one block at a time
+        if len(stacks[0]) == 1:
+            return np.full_like(stacks[-1], np.nan)
+        return np.concatenate([_per_block(solve, *(s[None] for s in b)) for b in zip(*stacks)])
 
 
 def profile_a(
@@ -460,7 +456,7 @@ def profile_a(
         i, j, a0 = fixed_entry
         _check_entry(i, j, a0, r, q)
 
-    if r * q == 0:
+    if r == 0:
         return restricted_fit(np.zeros((r, q)), lam0, data, k, det, design=dz)
 
     if _is_scalar(lam0):
@@ -657,7 +653,7 @@ def _known_vector_moments(lambda0: float, dz: Design) -> tuple[np.ndarray, np.nd
     lambda0 = float(lambda0)
     if lambda0 not in dz._moments:
         *_, S01, S11 = _partialled_moments(lambda0, dz)
-        A = S01.T @ dz.solve_weight(S01) if np.isfinite(S01).all() else S01
+        A = S01.T @ dz.solve_weight(S01)
         if not (np.isfinite(A).all() and np.isfinite(S11).all()):
             raise NumericalError(f"the partialled moments at lambda0 = {lambda0} are not finite")
         A, S11 = dz._moments[lambda0] = 0.5 * (A + A.T), S11
@@ -810,6 +806,8 @@ def rrr_fit(
     det_block, phi_block = dz.split_theta(theta)
     ssr = dz.ssr(theta)
     coeffs = VarCoefficients.from_stacked(phi_block, k)
+    if not np.isfinite(loglik := dz.loglik_fixed_weight(ssr)):
+        raise NumericalError(f"non-finite residual moments at lambda0 = {lambda0}")
 
     lam0 = lambda0 * np.eye(q)
     a_hat = _normalise(beta_hat) if q > 0 else None
@@ -822,7 +820,7 @@ def rrr_fit(
         coeffs=coeffs,
         sigma=ssr / n_eff,
         det_coeffs=dz.unscale_det(det_block) if det_block is not None else None,
-        loglik=dz.loglik_fixed_weight(ssr),
+        loglik=loglik,
         status="converged",
         det=det,
         n_eff=n_eff,
@@ -874,16 +872,11 @@ class LambdaGrid:
         step = self.resolved_eig_step
         if self.candidates is not None:
             return [np.atleast_2d(np.asarray(c, dtype=float)) for c in self.candidates]
+        n_eig = int(round((1.0 - self.rho) / step)) + 1  # the eigenvalue ladder on [rho, 1]
+        eigs = np.array([1.0]) if self.rho >= 1.0 else np.linspace(self.rho, 1.0, max(n_eig, 2))
         if self.family == "scalar":
-            if self.rho >= 1.0:
-                lams = np.array([1.0])
-            else:
-                n_pts = int(round((1.0 - self.rho) / step)) + 1
-                lams = np.linspace(self.rho, 1.0, max(n_pts, 2))
-            return [float(lam) * np.eye(self.q) for lam in lams]
+            return [float(lam) * np.eye(self.q) for lam in eigs]
         if self.family == "symmetric" and self.q == 2:
-            n_eig = int(round((1.0 - self.rho) / step)) + 1
-            eigs = np.linspace(self.rho, 1.0, max(n_eig, 2))
             n_ang = max(int(round((np.pi / 2) / self.angle_step)), 1)
             angles = np.arange(n_ang) * self.angle_step
             out = []

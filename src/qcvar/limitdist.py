@@ -114,6 +114,8 @@ class LimitDistConfig:
         levels = tuple(float(v) for v in self.levels)
         if not levels or any(not 0.0 < v < 1.0 for v in levels):
             raise DomainError("levels must lie strictly inside (0, 1)")
+        if len(set(levels)) < len(levels):
+            raise DomainError(f"each level must be listed once, got {levels}")
         object.__setattr__(self, "c_star", c)
         object.__setattr__(self, "levels", levels)
 
@@ -498,11 +500,10 @@ def lookup(table: QuantileTable, c_query: Union[float, np.ndarray], level: float
     nodes = np.array([e.c.ravel() for e in table.entries])
     dists = np.linalg.norm(nodes - cq.ravel(), axis=1)
     j = int(np.argmin(dists))
-    # the largest distance from a node to its nearest neighbour (the second-nearest of
-    # its distances to all nodes, itself included); 0 for one node
-    spacing = 0.0
-    if len(nodes) > 1:
-        spacing = max(np.partition(np.linalg.norm(nodes - c, axis=1), 1)[1] for c in nodes)
+    # the largest distance from a node to its nearest neighbour; 0 for one node
+    pairwise = np.linalg.norm(nodes[:, None] - nodes[None], axis=2)
+    np.fill_diagonal(pairwise, np.inf)
+    spacing = float(pairwise.min(axis=1).max()) if len(nodes) > 1 else 0.0
     if dists[j] > max(spacing, 1e-9):
         raise TableCoverageError(
             f"query C={(cq.ravel() + 0.0).tolist()} is at Frobenius distance {dists[j]:.6g} "

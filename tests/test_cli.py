@@ -595,6 +595,19 @@ class TestCommands:
                 3: "error (numerical): the partialled moments at lambda0 = 1e+300 are not finite",
                 }[code] in err
 
+    def test_repeated_critvals_level_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        """Each level is one quantile column: a repeat is rejected before any replication."""
+        def forbidden(configs):
+            pytest.fail("a node was simulated")
+
+        monkeypatch.setattr("qcvar.limitdist._simulate_nodes", forbidden)
+        table = tmp_path / "cv.tbl"
+        rc = main(["critvals", "--c-grid=-5", "--levels", "0.9,0.95,0.9", "--table", str(table)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error (input): each level must be listed once, got (0.9, 0.95, 0.9)" in err
+        assert not table.exists()
+
     @pytest.mark.parametrize("grid", ["nan", "inf", "-5,nan"])
     def test_non_finite_critvals_node_is_an_input_error(self, tmp_path, capsys, monkeypatch, grid):
         """Rejected before any replication is drawn, at the default reps and steps."""

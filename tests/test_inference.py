@@ -126,6 +126,18 @@ class TestLrLambda:
         with pytest.raises(DomainError, match="q = 3 exceeds series dimension 2"):
             lr_lambda(0.97 * np.eye(3), y, 1, "trend")
 
+    def test_empty_block_is_a_domain_error(self):
+        # q = 0 is rejected before any caller indexes the block
+        y, _ = sim_local(3)
+        empty = np.zeros((0, 0))
+        for call in (lambda: lr_lambda(empty, y, 1, "trend"),
+                     lambda: lr_coefficient(0.5, 0, 0, empty, y, 1, "trend"),
+                     lambda: localisation(empty, make_design(y, 1, "trend")),
+                     lambda: profile_a(empty, y, 1, "trend"),
+                     lambda: likelihood.restricted_fit(np.zeros((2, 0)), empty, y, 1, "trend")):
+            with pytest.raises(DomainError, match="must be a finite square matrix, got \\[\\]"):
+                call()
+
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 1000),
@@ -318,6 +330,16 @@ class TestCiLambda:
         assert abs(c_set.hull[1] - f_set.hull[1]) <= 0.01 + 1e-12
 
 
+    def test_a_failed_grid_point_is_a_diagnostic(self, small_table):
+        # lambda0 = 1e300 overflows the partialled moments; the other node is decided as alone
+        y, _ = sim_local(6)
+        alone = ci_lambda(0.05, y, 1, "trend", LambdaGrid(candidates=(0.96,)), small_table)
+        both = ci_lambda(0.05, y, 1, "trend", LambdaGrid(candidates=(0.96, 1e300)), small_table)
+        assert both.diagnostics == ("grid point [[1e+300]] failed: the partialled moments at "
+                                    "lambda0 = 1e+300 are not finite",)
+        assert len(alone.accepted) == 1 and not alone.diagnostics
+        assert both.accepted == alone.accepted
+
     def test_scalar_q2_block_skips_the_split(self, tmp_path, monkeypatch):
         # c_star(c I, delta) = c I, so a scalar block needs no separation of the fitted roots
         n = 100
@@ -400,6 +422,23 @@ class TestQuadraticSet:
         intervals = _quadratic_set(self.A, self.S11, self.S11, 1.01 * spread)
         assert intervals == ((-np.inf, np.inf),)
         _check_against_grid(partial(_lr_r1, self.A, self.S11), 1.01 * spread, intervals)
+
+
+    def test_whole_line_at_p3(self):
+        # q = 1, r = 2: a slack past the gap between the two smallest eigenvalues accepts every a0,
+        # as the LR by the restricted basis confirms
+        rng = np.random.default_rng(11)
+        X, Z = rng.normal(size=(2, 3, 3))
+        A, S11 = X @ X.T, Z @ Z.T + np.eye(3)
+        mu = eigh(A, S11, eigvals_only=True)
+        slack = 1.01 * (mu[1] - mu[0])
+        assert _quadratic_set(A, S11, S11[[0, -1]], slack) == ((-np.inf, np.inf),)
+
+        def lr(a0s):
+            return np.array([likelihood._fixed_entry_a(A, S11, 0, 0, a0, 2)[1] for a0 in a0s])
+
+        grid = np.concatenate([np.linspace(-30.0, 30.0, 601), [-1e6, -1e3, 1e3, 1e6]])
+        _check_against_grid(lr, slack, ((-np.inf, np.inf),), grid)
 
 
 def _bisection_oracle(alpha2, i, lam0, y, k, j=0):

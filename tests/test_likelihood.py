@@ -78,6 +78,16 @@ class TestOlsFit:
             dz = make_design(np.column_stack([2.0 + 3.0 * t, 1.0 - 0.5 * t]), 1, "trend")
         assert not dz.cond < 1e12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_is_a_domain_error_naming_its_cell(self, bad):
+        # the first non-finite cell in row-major order is the one named
+        y = np.cumsum(np.random.default_rng(8).standard_normal((60, 3)), axis=0)
+        y[17, 2], y[40, 0] = bad, bad
+        for build in (lambda: make_design(y, 1, "const"),
+                      lambda: lr_lambda(0.97, y, 1, "const")):
+            with pytest.raises(DomainError, match=f"data must be finite; row 17, column 2 is {bad}"):
+                build()
+
     def test_too_few_observations(self):
         from qcvar.exceptions import SingularDesignError
 
@@ -267,14 +277,19 @@ class TestRestrictedFits:
 
 
 class TestSolveWeight:
-    def test_non_finite_input_is_a_numerical_error(self):
-        dz = make_design(np.cumsum(np.random.default_rng(4).standard_normal((100, 3)), axis=0),
-                         1, "trend")
-        for bad in (np.nan, np.inf):
-            x = np.eye(3)
-            x[1, 2] = bad
-            with pytest.raises(NumericalError, match="non-finite"):
-                dz.solve_weight(x)
+    def test_a_non_finite_column_stays_non_finite_and_apart(self):
+        rng = np.random.default_rng(4)
+        dz = make_design(np.cumsum(rng.standard_normal((100, 3)), axis=0), 1, "trend")
+        x = rng.standard_normal((5, 3, 3))  # a stack, as the stacked fit passes it
+        clean = dz.solve_weight(x)
+        for bad in (np.nan, np.inf, -np.inf):
+            poisoned = x.copy()
+            poisoned[2, 1, 0] = bad
+            out = dz.solve_weight(poisoned)
+            assert not np.isfinite(out[2, :, 0]).all()
+            keep = np.ones(out.shape, bool)
+            keep[2, :, 0] = False
+            np.testing.assert_array_equal(out[keep], clean[keep])
 
     def test_matches_cho_solve_bit_for_bit(self):
         rng = np.random.default_rng(5)
@@ -485,6 +500,15 @@ class TestProfileADispatch:
         pinned = profile_a(lam0, y, 2, "trend", fixed_entry=(0, 1, 1e12))
         assert restricted_fit(pinned.a_hat, lam0, y, 2, "trend").status == "constraint-infeasible"
         assert pinned.status == "constraint-infeasible"
+
+    def test_an_extreme_a_is_infeasible_at_the_ols_loglik(self):
+        # the example of FitResult's status: the constraint is dropped, not imposed
+        y = np.cumsum(np.random.default_rng(0).standard_normal((200, 3)), axis=0)
+        dz = make_design(y, 1, "const")
+        with np.errstate(over="ignore"):
+            fit = restricted_fit(np.array([[1e200], [0.1]]), 0.97, y, 1, "const", design=dz)
+        assert fit.status == "constraint-infeasible" and fit.constraint_residual == np.inf
+        assert fit.loglik == pytest.approx(dz.loglik_ols, rel=1e-13)
 
     def test_search_failure_is_a_numerical_error(self, monkeypatch):
         # a failure inside the search that is not a QcvarError, e.g. at an extreme fixed entry
@@ -813,6 +837,13 @@ class TestRrrFit:
         y, _ = simulate(DgpSpec.simple(coeffs, n), seed + 100)
         return y
 
+    def test_non_finite_residual_moments_are_a_numerical_error(self, monkeypatch):
+        y = self._sim(1)
+        dz = make_design(y, 2, "trend")
+        monkeypatch.setattr(dz, "ssr", lambda theta: np.full((3, 3), np.inf))
+        with pytest.raises(NumericalError, match="non-finite residual moments at lambda0 = 0.98"):
+            rrr_fit(0.98, 1, y, 2, "trend", design=dz)
+
     def test_unit_quasi_difference_is_first_difference(self):
         y = self._sim(1)
         fit = rrr_fit(1.0, 1, y, 2, "trend")
@@ -868,6 +899,11 @@ class TestRrrFit:
 
 
 class TestProfileLambda:
+    def test_empty_candidate_grid_is_a_domain_error(self):
+        y = TestRrrFit()._sim(5)
+        with pytest.raises(DomainError, match="lambda grid is empty"):
+            profile_lambda(LambdaGrid(candidates=()), y, 2, "trend")
+
     def test_single_point_grid_equals_profile_a(self):
         y = TestRrrFit()._sim(5)
         grid = LambdaGrid(family="scalar", q=1, rho=0.9, candidates=(np.array([[0.97]]),))
@@ -1106,6 +1142,12 @@ class TestLambdaGrid:
             assert np.abs(lam - lam.T).max() <= 1e-14
             eigs = np.linalg.eigvalsh(lam)
             assert rho - 1e-12 <= eigs.min() and eigs.max() <= 1.0 + 1e-12
+
+    def test_rho_one_gives_the_identity_once(self):
+        for family in ("scalar", "symmetric"):
+            points = LambdaGrid(family=family, q=2, rho=1.0).points()
+            assert len(points) == 1
+            np.testing.assert_array_equal(points[0], np.eye(2))
 
     def test_parameter_count_validation(self):
         with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ import pytest
 
 import qcvar.limitdist as limitdist
 from conftest import df_tstat_squared
-from qcvar.exceptions import DomainError, TableCoverageError
+from qcvar.exceptions import DomainError, NumericalError, TableCoverageError
 from qcvar.limitdist import (
     LimitDistConfig,
     QuantileTable,
@@ -71,6 +71,46 @@ class TestSimulateStatistic:
             LimitDistConfig(q=1, c_star=np.zeros((1, 1)), det="none", reps=10)
         with pytest.raises(DomainError):
             LimitDistConfig(q=1, c_star=np.zeros((2, 2)), det="none")
+
+    def test_repeated_level_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"each level must be listed once, got \(0.9, 0.9\)"):
+            LimitDistConfig(q=1, c_star=np.zeros((1, 1)), det="none", levels=(0.9, 0.9))
+
+    def test_a_non_finite_replication_is_redrawn(self, monkeypatch):
+        # the first pass loses replications 3 and 1500; each is redrawn once from a fresh seed
+        statistics = limitdist._statistics
+        clean, _ = simulate_statistics(self.CFG)
+
+        def lose_two(config, dw, dw_t):
+            out = statistics(config, dw, dw_t)
+            if len(dw) == self.CFG.reps:
+                out[[3, 1500]] = np.nan
+            return out
+
+        monkeypatch.setattr(limitdist, "_statistics", lose_two)
+        stats_, redrawn = simulate_statistics(self.CFG)
+        assert redrawn == 2
+        monkeypatch.setattr(limitdist, "_statistics", statistics)
+        np.testing.assert_array_equal(stats_[[3, 1500]],
+                                      _simulate_chunk(self.CFG, [1_000_000_010, 1_000_001_507]))
+        keep = np.ones(self.CFG.reps, bool)
+        keep[[3, 1500]] = False
+        np.testing.assert_array_equal(stats_[keep], clean[keep])
+
+    def test_a_replication_singular_after_every_redraw_is_a_numerical_error(self, monkeypatch):
+        statistics = limitdist._statistics
+        rounds = []
+
+        def always_lose_first(config, dw, dw_t):
+            rounds.append(len(dw))
+            out = statistics(config, dw, dw_t)
+            out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(limitdist, "_statistics", always_lose_first)
+        with pytest.raises(NumericalError, match="1 replications remained singular after redraws"):
+            simulate_statistics(self.CFG)
+        assert rounds == [self.CFG.reps] + [1] * limitdist.MAX_REDRAWS
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_localisation_is_a_domain_error(self, bad):
@@ -211,6 +251,26 @@ class TestQuantileTable:
                 r"nearest node \[-10.0, 0.0, 0.0, -10.0\], beyond the table's largest node "
                 r"spacing 7\.07107")):
             lookup(table, [[-20.0, 6.0], [0.0, -20.0]], 0.95)
+
+    def test_q2_spacing_is_the_largest_nearest_neighbour_distance(self):
+        # irregular nodes: a query just inside the spacing, measured node by node, is answered
+        # and one just beyond it raises
+        nodes = np.random.default_rng(6).normal(scale=4.0, size=(30, 2, 2))
+        table = self._q2_table(*nodes)
+        flat = nodes.reshape(30, 4)
+        gaps = [np.sort(np.linalg.norm(flat - c, axis=1))[1] for c in flat]
+        far, spacing = int(np.argmax(gaps)), max(gaps)
+        outward = flat[far] - flat.mean(axis=0)
+        outward /= np.linalg.norm(outward)
+        for scale, inside in ((0.999, True), (1.5, False)):
+            query = (flat[far] + scale * spacing * outward).reshape(2, 2)
+            assert (np.linalg.norm(flat - query.ravel(), axis=1).min() <= spacing) == inside
+            if inside:
+                with pytest.warns(UserWarning, match="nearest"):
+                    lookup(table, query, 0.9)
+            else:
+                with pytest.raises(TableCoverageError, match=f"spacing {spacing:.6g}"):
+                    lookup(table, query, 0.9)
 
     def test_one_node_q2_table_covers_only_its_node(self):
         table = self._q2_table(-5.0 * np.eye(2))
