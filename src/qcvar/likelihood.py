@@ -35,7 +35,7 @@ from .exceptions import (
     QcvarError,
     SingularDesignError,
 )
-from .spectral import VarCoefficients, constraint_matrices, split
+from .spectral import VarCoefficients, constraint_matrices, roots, split
 
 __all__ = [
     "DET_CASES",
@@ -58,10 +58,9 @@ DET_CASES = ("trend", "const", "none")
 _MAX_SWEEPS = 10_000
 
 
-def _check_det(det: str) -> str:
+def _check_det(det: str) -> None:
     if det not in DET_CASES:
         raise DomainError(f"det must be one of {DET_CASES}, got {det!r}")
-    return det
 
 
 def _check_entry(i: int, j: int, a0: float, r: int, q: int) -> None:
@@ -131,14 +130,11 @@ class Design:
         t = np.arange(k + 1, n + 1, dtype=float)
         t_center = t.mean()
         t_scale = float(n)
-        det_cols = []
-        if det in ("trend", "const"):
-            det_cols.append(np.ones(n_eff))
-        if det == "trend":
-            det_cols.append((t - t_center) / t_scale)
         W = np.empty((n_eff, d))
-        for j, col in enumerate(det_cols):
-            W[:, j] = col
+        if n_det:
+            W[:, 0] = 1.0
+        if det == "trend":
+            W[:, 1] = (t - t_center) / t_scale
         for i in range(1, k + 1):
             W[:, n_det + (i - 1) * p: n_det + i * p] = data[k - i: n - i]
         Y = data[k:]
@@ -323,13 +319,15 @@ def restricted_fit(
     return fit
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _restricted_fits(a: np.ndarray, lams: np.ndarray, dz: Design, status: list,
                      evaluations: list) -> list:
     """:func:`restricted_fit` at each block of the (G, r, q) and (G, q, q) stacks a and lams, or the
     block's QcvarError, reported with ``evaluations[g]`` and, where the constraint holds,
-    ``status[g]``.  A singular K'QK (NaN by :func:`_per_block`) or non-finite moments flow through
-    as NaN to the report, and are the block's SingularDesignError or NumericalError; a singular OLS
-    weight is raised.  Each product runs within a block, so no block's bits depend on the others."""
+    ``status[g]``.  A singular K'QK (NaN by :func:`_per_block`) or non-finite products flow,
+    unwarned, to the report: the block's SingularDesignError, NumericalError or an infinite
+    constraint residual; a singular OLS weight is raised.  Each product runs within a block, so no
+    block's bits depend on the others."""
     G, q = lams.shape[:2]
     _, M, N = constraint_matrices(a, lams, dz.k)
     K = np.concatenate([np.zeros((G, dz.n_det, q)), M], axis=1)
@@ -652,8 +650,9 @@ def _known_vector_moments(lambda0: float, dz: Design) -> tuple[np.ndarray, np.nd
     pair is kept in ``dz._moments``, read-only, so the statistics of one design build it once."""
     lambda0 = float(lambda0)
     if lambda0 not in dz._moments:
-        *_, S01, S11 = _partialled_moments(lambda0, dz)
-        A = S01.T @ dz.solve_weight(S01)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite pair is raised below
+            *_, S01, S11 = _partialled_moments(lambda0, dz)
+            A = S01.T @ dz.solve_weight(S01)
         if not (np.isfinite(A).all() and np.isfinite(S11).all()):
             raise NumericalError(f"the partialled moments at lambda0 = {lambda0} are not finite")
         A, S11 = dz._moments[lambda0] = 0.5 * (A + A.T), S11
@@ -926,10 +925,12 @@ def profile_lambda(
 
     Ranks the grid blocks by the LR of :func:`_block_lr`, which does not depend on the grid's
     order; ``trace`` holds ``(lam, loglik_ols - lr / 2, status)`` for each block that evaluates
-    and ``failures`` each that raises.  ``refine=True`` (scalar family) polishes the best node by
-    a bounded search of the LR between its neighbours, which a failing block ends at the grid's
-    best node.  The best block is reported with its :func:`profile_a` fit, whose error (e.g.
-    NormalizationError) is raised.
+    and ``failures`` each that raises.  ``refine=True`` (scalar family) polishes the best node
+    between its neighbours: at q = 1 to the real root (imaginary part exactly 0) of the OLS VAR
+    there nearest it, the larger at equal distance, where the LR is 0 (S01, so by Frisch-Waugh the
+    OLS ``sum_i Phi_i lam^(k-i) - lam^k I``, is singular; Johansen 1995, ch. 6), else (q >= 2 or
+    no such root) by a bounded search.  A failing block ends either at the grid's best node.  The
+    best block is reported with its :func:`profile_a` fit, whose error is raised.
     """
     dz = _as_design(data, k, det, design)
     pts = lambda_space.points()
@@ -958,17 +959,21 @@ def profile_lambda(
     best_lr, best_lam, best_fit = min(nodes, key=lambda node: node[0])
 
     if refine and lambda_space.candidates is None and lambda_space.family == "scalar":
-        step, eye = lambda_space.resolved_eig_step, np.eye(lambda_space.q)
-        lo = max(lambda_space.rho, float(best_lam[0, 0]) - step)
-        hi = min(1.0, float(best_lam[0, 0]) + step)
-        from scipy.optimize import minimize_scalar
+        step, eye, node = lambda_space.resolved_eig_step, np.eye(lambda_space.q), best_lam[0, 0]
+        lo, hi = max(lambda_space.rho, node - step), min(1.0, node + step)
+        real = [] if lambda_space.q > 1 else [z.real for z in roots(ols_fit(
+            None, k, det, design=dz).coeffs).roots if z.imag == 0 and lo <= z.real <= hi]
         try:
-            res = minimize_scalar(lambda lam: block_lr(lam * eye)[0], bounds=(lo, hi),
-                                  method="bounded", options={"xatol": 1e-8})
+            if real:  # the LR is 0 there: the nearest root, the larger on a tie
+                lam = min(real, key=lambda z: (abs(z - node), -z))
+            else:
+                from scipy.optimize import minimize_scalar
+                lam = minimize_scalar(lambda lam: block_lr(lam * eye)[0], bounds=(lo, hi),
+                                      method="bounded", options={"xatol": 1e-8}).x
+            if block_lr(lam * eye)[0] < best_lr:
+                best_lam = float(lam) * eye
         except QcvarError:
-            res = None  # recorded above; the grid's best node stands
-        if res is not None and res.fun < best_lr:
-            best_lam = float(res.x) * eye
+            pass  # recorded above; the grid's best node stands
 
     return ProfileLambdaResult(
         best_lam=best_lam,

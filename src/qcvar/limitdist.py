@@ -30,6 +30,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -279,6 +280,14 @@ class QuantileTable:
     levels: tuple
     entries: tuple
 
+    @cached_property
+    def _nodes(self) -> tuple:
+        """:func:`lookup`'s nodes as rows and the largest distance from one to its nearest one."""
+        nodes = np.array([e.c.ravel() for e in self.entries])
+        pairwise = np.linalg.norm(nodes[:, None] - nodes[None], axis=2)
+        np.fill_diagonal(pairwise, np.inf)
+        return nodes, float(pairwise.min(axis=1).max()) if len(nodes) > 1 else 0.0
+
 
 def _format_float(v: float) -> str:
     return repr(float(v))
@@ -497,13 +506,9 @@ def lookup(table: QuantileTable, c_query: Union[float, np.ndarray], level: float
         )
         return float((1.0 - w) * values[lo] + w * values[hi])
 
-    nodes = np.array([e.c.ravel() for e in table.entries])
+    nodes, spacing = table._nodes
     dists = np.linalg.norm(nodes - cq.ravel(), axis=1)
     j = int(np.argmin(dists))
-    # the largest distance from a node to its nearest neighbour; 0 for one node
-    pairwise = np.linalg.norm(nodes[:, None] - nodes[None], axis=2)
-    np.fill_diagonal(pairwise, np.inf)
-    spacing = float(pairwise.min(axis=1).max()) if len(nodes) > 1 else 0.0
     if dists[j] > max(spacing, 1e-9):
         raise TableCoverageError(
             f"query C={(cq.ravel() + 0.0).tolist()} is at Frobenius distance {dists[j]:.6g} "

@@ -595,6 +595,21 @@ class TestCommands:
                 3: "error (numerical): the partialled moments at lambda0 = 1e+300 are not finite",
                 }[code] in err
 
+    @pytest.mark.parametrize("q", ["1", "2"])
+    def test_overflowing_moments_print_only_the_error(self, tmp_path, q):
+        """numpy's overflow warnings stay inside the moment build, whose error says it all."""
+        data = tmp_path / "p3.csv"
+        walks = np.cumsum(np.random.default_rng(2).normal(size=(100, 3)), axis=0)
+        write_csv(data, ["a", "b", "c"], walks)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "qcvar.cli", "lr", "--data", str(data), "--k",
+                               "1", "--q", q, "--lambda0=1e300"], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 3
+        assert proc.stderr == ("error (numerical): the partialled moments at lambda0 = 1e+300 are "
+                               "not finite\n")
+
     def test_repeated_critvals_level_is_an_input_error(self, tmp_path, capsys, monkeypatch):
         """Each level is one quantile column: a repeat is rejected before any replication."""
         def forbidden(configs):
@@ -1010,8 +1025,15 @@ class TestStartUpImports:
                 "0.98,0.01,0.01,0.95", "--coef", "0,1", "--a0", "0.3"]
         assert self._loaded(argv) == {"scipy.special"}
 
-    def test_fit_polish_loads_both(self, sample_csv):
-        # fit's lambda polish calls minimize_scalar: the guard above is live
+    def test_q1_fit_loads_neither(self, sample_csv):
+        # at q = 1 the lambda polish takes a real root of the OLS VAR, with no search
         argv = ["fit", "--data", sample_csv, "--k", "1", "--q", "1", "--rho", "0.9",
+                "--grid-step", "0.02"]
+        assert self._loaded(argv) == set()
+
+    def test_fit_polish_loads_both(self, sample_csv):
+        # at q = 2 on the scalar family the lambda polish calls minimize_scalar: the guard above
+        # is live
+        argv = ["fit", "--data", sample_csv, "--k", "1", "--q", "2", "--rho", "0.9",
                 "--grid-step", "0.02"]
         assert self._loaded(argv) == set(self.LAZY)

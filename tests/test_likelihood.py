@@ -1,14 +1,17 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 import qcvar.likelihood as likelihood
+import qcvar.spectral as spectral
 from conftest import SYMMETRIC_POINTS, make_instance, symmetric_data
 from qcvar.dgp import DgpSpec, build_var, simulate
 from qcvar.exceptions import (
@@ -30,7 +33,7 @@ from qcvar.likelihood import (
     restricted_fit,
     rrr_fit,
 )
-from qcvar.spectral import VarCoefficients, split
+from qcvar.spectral import VarCoefficients, roots, split
 
 
 def transient_path(coeffs, x0, n):
@@ -510,6 +513,17 @@ class TestProfileADispatch:
         assert fit.status == "constraint-infeasible" and fit.constraint_residual == np.inf
         assert fit.loglik == pytest.approx(dz.loglik_ols, rel=1e-13)
 
+    def test_overflow_is_a_status_or_an_error_not_a_warning(self):
+        # numpy's overflow warnings stay inside the fit and the moment build
+        y = np.cumsum(np.random.default_rng(0).standard_normal((200, 3)), axis=0)
+        dz = make_design(y, 1, "const")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = restricted_fit(np.array([[1e200], [0.1]]), 0.97, y, 1, "const", design=dz)
+            with pytest.raises(NumericalError, match=r"lambda0 = 1e\+300 are not finite"):
+                lr_lambda(1e300, y, 1, "const", design=dz)
+        assert fit.status == "constraint-infeasible"
+
     def test_search_failure_is_a_numerical_error(self, monkeypatch):
         # a failure inside the search that is not a QcvarError, e.g. at an extreme fixed entry
         def broken(evaluate):
@@ -898,6 +912,31 @@ class TestRrrFit:
         assert zero.loglik <= full.loglik + 1e-8
 
 
+def _one_real_root_data(p: int):
+    """A p = 2 (k = 1) or p = 3 (k = 2) series whose OLS VAR, at det const or trend, has one real
+    root in [0.9, 1], and its k."""
+    k = p - 1
+    a = np.array([[0.5]]) if p == 2 else np.array([[0.5], [1.2]])
+    y, _ = simulate(DgpSpec.simple(build_var(a, np.array([[0.98]]), k, seed=1), 300), 101)
+    return y, k
+
+
+def _rotating_data(seed: int, n: int = 300) -> np.ndarray:
+    """A p = 2 VAR(1) rotating by 0.05 rad a step at rate 0.97, whose OLS roots form a complex
+    pair near 0.965 +- 0.065i: a q = 1 polish bracket holds no real root."""
+    c, s = np.cos(0.05), np.sin(0.05)
+    phi = 0.97 * np.array([[c, -s], [s, c]])
+    e = np.random.default_rng(seed).normal(size=(n, 2))
+    y = np.zeros((n, 2))
+    for t in range(1, n):
+        y[t] = phi @ y[t - 1] + e[t]
+    return y
+
+
+def _real_ols_roots(y, k, det):
+    return [z.real for z in roots(ols_fit(y, k, det).coeffs).roots if z.imag == 0]
+
+
 class TestProfileLambda:
     def test_empty_candidate_grid_is_a_domain_error(self):
         y = TestRrrFit()._sim(5)
@@ -951,6 +990,92 @@ class TestProfileLambda:
         grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.05)
         with pytest.raises(NormalizationError, match="injected failure of the fit"):
             profile_lambda(grid, TestRrrFit()._sim(7, n=300), 2, "trend", refine=True)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("det", ["const", "trend"])
+    def test_q1_polish_is_the_real_ols_root(self, p, det):
+        # the LR is 0 at a real root of the OLS VAR; a bounded search to 1e-12 finds the same point
+        y, k = _one_real_root_data(p)
+        dz = make_design(y, k, det)
+        grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.02)
+        lam = profile_lambda(grid, y, k, det, design=dz, refine=True).best_lam[0, 0]
+        assert lam in _real_ols_roots(y, k, det)
+        assert lr_lambda(lam, y, k, det, design=dz).value <= 1e-9
+
+        def lr(x):
+            return lr_lambda(x, y, k, det, design=dz).value
+
+        node = float(min(grid.points(), key=lr)[0, 0])
+        searched = minimize_scalar(lr, bounds=(max(0.9, node - 0.02), min(1.0, node + 0.02)),
+                                   method="bounded", options={"xatol": 1e-12})
+        assert abs(searched.x - lam) <= 1e-7
+
+    def test_q1_polish_builds_one_set_of_moments_and_does_not_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            pytest.fail("the q = 1 polish searched")
+
+        y, k = _one_real_root_data(3)
+        builds = _count_calls(monkeypatch, "_partialled_moments")
+        monkeypatch.setattr("scipy.optimize.minimize_scalar", forbidden)
+        grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.02)
+        prof = profile_lambda(grid, y, k, "trend", refine=True)
+        polished = prof.best_lam[0, 0]
+        assert [lam for lam, _ in builds] == [lam[0, 0] for lam in grid.points()] + [polished]
+
+    def test_two_real_roots_in_the_bracket_polish_to_the_nearest(self):
+        # both roots have LR 0, so the profile does not tell them apart; the one nearest the
+        # grid's best node (0.96) is reported
+        y = np.cumsum(np.random.default_rng(20).normal(size=(200, 2)), axis=0)
+        dz = make_design(y, 1, "trend")
+        grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.02)
+        inside = [z for z in _real_ols_roots(y, 1, "trend") if 0.94 <= z <= 0.98]
+        assert len(inside) == 2
+        for z in inside:
+            assert lr_lambda(z, y, 1, "trend", design=dz).value <= 1e-9
+        prof = profile_lambda(grid, y, 1, "trend", design=dz, refine=True)
+        assert prof.best_lam[0, 0] == min(inside, key=lambda z: abs(z - 0.96))
+
+    def test_equidistant_real_roots_polish_the_larger(self, monkeypatch):
+        # with the roots replaced, the polish evaluates the larger of 0.95 and 0.97 around the
+        # node 0.96, and ignores the complex pair nearer to it
+        y = np.cumsum(np.random.default_rng(20).normal(size=(200, 2)), axis=0)
+        fake = spectral.RootSet(np.array([0.97, 0.961 + 0.001j, 0.961 - 0.001j, 0.95]))
+        monkeypatch.setattr(likelihood, "roots", lambda coeffs: fake)
+        calls = _count_calls(monkeypatch, "_block_lr")
+        grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.02)
+        profile_lambda(grid, y, 1, "trend", refine=True)
+        assert len(calls) == len(grid.points()) + 1 and calls[-1][0][0, 0] == 0.97
+
+    @pytest.mark.parametrize("det, parent_lam", [
+        ("const", 0.9620983753737011), ("trend", 0.9615414765164629),
+    ])
+    def test_no_real_root_in_the_bracket_keeps_the_search(self, det, parent_lam, monkeypatch):
+        # the OLS roots are a complex pair; the bounded search runs as before this polish had a
+        # closed form, and parent_lam is what it returned then
+        searches = []
+        original = scipy.optimize.minimize_scalar
+
+        def counted(*args, **kwargs):
+            searches.append(kwargs["bounds"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr("scipy.optimize.minimize_scalar", counted)
+        y = _rotating_data(0)
+        assert _real_ols_roots(y, 1, det) == []
+        grid = LambdaGrid(family="scalar", q=1, rho=0.9, eig_step=0.02)
+        prof = profile_lambda(grid, y, 1, det, refine=True)
+        assert len(searches) == 1
+        assert prof.best_lam[0, 0] == pytest.approx(parent_lam, rel=0, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.sampled_from([2, 3]), k=st.sampled_from([1, 2]),
+           det=st.sampled_from(DET_CASES))
+    def test_the_lr_is_zero_at_every_real_ols_root(self, seed, p, k, det):
+        y = np.cumsum(np.random.default_rng(seed).normal(size=(150, p)), axis=0)
+        dz = make_design(y, k, det)
+        for z in _real_ols_roots(y, k, det):
+            if 0.9 <= z <= 1.0:
+                assert abs(likelihood._block_lr(z * np.eye(1), dz)[0]) <= 1e-8
 
     @pytest.mark.parametrize("seed, det", [(300_012, "const"), (300_003, "trend")])
     def test_non_scalar_profiles_do_not_depend_on_the_grid_order(self, seed, det):

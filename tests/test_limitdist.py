@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -271,6 +272,25 @@ class TestQuantileTable:
             else:
                 with pytest.raises(TableCoverageError, match=f"spacing {spacing:.6g}"):
                     lookup(table, query, 0.9)
+
+    def test_q2_node_spacing_is_built_once_per_table(self, monkeypatch):
+        builds, original = [], QuantileTable._nodes.func
+
+        def counted(table):
+            builds.append(table)
+            return original(table)
+
+        spy = cached_property(counted)
+        spy.__set_name__(QuantileTable, "_nodes")
+        monkeypatch.setattr(QuantileTable, "_nodes", spy)
+        table = self._q2_table(*(c * np.eye(2) for c in (0.0, -5.0, -10.0)))
+        for _ in range(3):
+            assert lookup(table, -5.0 * np.eye(2), 0.9) == 12.0
+            with pytest.raises(TableCoverageError, match="node spacing 7.07107"):
+                lookup(table, -20.0 * np.eye(2), 0.95)
+        other = replace(table, entries=table.entries[:2])
+        assert lookup(other, np.zeros((2, 2)), 0.95) == 14.0
+        assert len(builds) == 2 and builds[0] is table and builds[1] is other
 
     def test_one_node_q2_table_covers_only_its_node(self):
         table = self._q2_table(-5.0 * np.eye(2))

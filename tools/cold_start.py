@@ -9,15 +9,17 @@ Each checkout is the root of a full copy of the repository.  A command is
 spawned with ``PYTHONPATH=<checkout>/src`` and BLAS pinned to one thread, as
 ``perfbench/run.py`` pins it, and timed from spawn to exit: interpreter start,
 imports and the work.  The commands are ``lr`` and ``ci`` at q=1 with a cached
-table, ``roots --data``, ``fit`` at q=1, and ``fit --family symmetric`` at q=2
-(the non-scalar search) at ``--grid-step 0.1`` (10 blocks) and at the default
-grid (451 blocks), on one p=3, n=500 dataset that this script writes
-(seed 2101).  The table is built once, untimed, by the change's ``ci
---build-table``.  In every pair each command runs once from each checkout, the
-parent first in even pairs and the change first in odd ones.  The output holds
-every time, and per command each side's median and quartiles, the ratio of the
-medians (change / parent), the number of pairs in which the change is faster,
-and whether the two checkouts printed the same bytes in every pair.
+table, ``roots --data``, ``fit`` at q=1 (its lambda polish takes a real OLS
+root) and at q=2 on the scalar family (its polish still searches), and ``fit
+--family symmetric`` at q=2 (the non-scalar search) at ``--grid-step 0.1`` (10
+blocks) and at the default grid (451 blocks), on one p=3, n=500 dataset that
+this script writes (seed 2101).  The table is built once, untimed, by the
+change's ``ci --build-table``.  In every pair each command runs once from each
+checkout, the parent first in even pairs and the change first in odd ones.
+The output holds every time, and per command each side's median and quartiles,
+the ratio of the medians (change / parent), the number of pairs in which the
+change is faster, and whether the two checkouts printed the same bytes in every
+pair.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ def commands(data: str, table: str) -> dict:
                "--grid-step", CI_GRID_STEP],
         "roots": ["roots", *base],
         "fit": ["fit", *base, "--q", "1", "--grid-step", "0.02"],
+        "fit-q2": ["fit", *base, "--q", "2", "--grid-step", "0.02"],
         "fit-symmetric": ["fit", *base, "--q", "2", "--family", "symmetric", "--grid-step", "0.1"],
         "fit-symmetric-default": ["fit", *base, "--q", "2", "--family", "symmetric"],
     }
