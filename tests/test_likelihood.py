@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
@@ -1053,11 +1052,10 @@ class TestProfileLambda:
         # the OLS roots are a complex pair; the bounded search runs as before this polish had a
         # closed form, and parent_lam is what it returned then
         searches = []
-        original = scipy.optimize.minimize_scalar
 
         def counted(*args, **kwargs):
             searches.append(kwargs["bounds"])
-            return original(*args, **kwargs)
+            return minimize_scalar(*args, **kwargs)
 
         monkeypatch.setattr("scipy.optimize.minimize_scalar", counted)
         y = _rotating_data(0)
